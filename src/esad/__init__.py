@@ -37,7 +37,6 @@ from .losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
-    SvddState,
     loss_ass,
     loss_norm_semi,
     loss_rec_semi,
@@ -54,10 +53,9 @@ from .model import (
     new_model,
     save_model,
 )
-from .ndcore import Activation, DenseLayer, MlpStack, SgdConfig, grad_check
+from .ndcore import Activation, DenseLayer, MlpStack, SgdConfig
 from .scoring import (
     AucResult,
-    anomaly_score,
     auc,
     auc_pairwise,
     export_scores_csv,

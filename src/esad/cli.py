@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     Method,
     format_report_table,
@@ -54,11 +53,7 @@ def _make_artifact_hook(args):
             export_scores_csv(
                 Path(scores_dir) / f"scores_seed{seed}.csv", scores, semi.y_test
             )
-        if ckpt_dir is not None:
-            if not hasattr(model, "stacks"):
-                raise ConfigError(
-                    "checkpoints are only available for the esad method"
-                )
+        if ckpt_dir is not None:  # _cmd_run allows it for esad only
             save_model(model, Path(ckpt_dir) / f"model_seed{seed}.ckpt")
 
     return hook

@@ -11,6 +11,7 @@ produces the same numbers.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,7 +37,6 @@ from .losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
-    SvddState,
     grad_sad_rec,
     grad_svdd,
     loss_ass,
@@ -51,15 +51,13 @@ from .losses import (
 from .model import (
     EsadModel,
     backward_pipeline,
-    default_hidden_dim,
-    default_rep_dim,
-    flatten_pipeline_grads,
     forward_pipeline,
     model_param_arrays,
     new_model,
 )
 from .ndcore import (
     Activation,
+    DenseLayer,
     GradCheckReport,
     MlpStack,
     SgdConfig,
@@ -131,6 +129,18 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("lambda1", "lambda2", "clip_norm"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        for name in ("gamma_l", "gamma_p"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        for name in ("hidden_dim", "rep_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 _CONFIG_KEYS = {
@@ -160,6 +170,8 @@ _CONFIG_KEYS = {
     "synth_separation": float,
     "synth_seed": int,
 }
+# Keys that configure SgdConfig rather than ExperimentConfig itself.
+_SGD_KEYS = ("epochs", "batch_size", "initial_lr", "decay_every", "decay_factor")
 
 
 def parse_seed_list(text: str) -> tuple[int, ...]:
@@ -208,7 +220,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             ) from None
         if key == "seeds":
             kwargs["seeds"] = parse_seed_list(value)
-        elif key in ("epochs", "batch_size", "initial_lr", "decay_every", "decay_factor"):
+        elif key in _SGD_KEYS:
             sgd_kwargs[key] = typed
         elif key == "phi":
             try:
@@ -230,66 +242,28 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_echo(config: ExperimentConfig) -> dict:
-    """JSON-ready flat snapshot of a config; inverse of config_from_echo."""
-    return {
-        "dataset": config.dataset,
-        "data_path": config.data_path,
-        "manifest": config.manifest,
-        "method": config.method,
-        "lambda1": config.lambda1,
-        "lambda2": config.lambda2,
-        "gamma_l": config.gamma_l,
-        "gamma_p": config.gamma_p,
-        "seeds": list(config.seeds),
-        "epochs": config.sgd.epochs,
-        "batch_size": config.sgd.batch_size,
-        "initial_lr": config.sgd.initial_lr,
-        "decay_every": config.sgd.decay_every,
-        "decay_factor": config.sgd.decay_factor,
-        "hidden_dim": config.hidden_dim,
-        "rep_dim": config.rep_dim,
-        "phi": config.phi_kind.value,
-        "phi_sigma": config.phi_sigma,
-        "epsilon": config.epsilon,
-        "clip_norm": config.clip_norm,
-        "synth_normal": config.synth_normal,
-        "synth_anom": config.synth_anom,
-        "synth_dim": config.synth_dim,
-        "synth_separation": config.synth_separation,
-        "synth_seed": config.synth_seed,
-    }
+    """JSON-ready flat snapshot of a config, keyed like the config file;
+    inverse of config_from_echo."""
+    echo: dict = {}
+    for key in _CONFIG_KEYS:
+        if key in _SGD_KEYS:
+            echo[key] = getattr(config.sgd, key)
+        elif key == "phi":
+            echo[key] = config.phi_kind.value
+        elif key == "seeds":
+            echo[key] = list(config.seeds)
+        else:
+            echo[key] = getattr(config, key)
+    return echo
 
 
 def config_from_echo(echo: dict) -> ExperimentConfig:
-    sgd = SgdConfig(
-        initial_lr=echo["initial_lr"],
-        decay_every=echo["decay_every"],
-        decay_factor=echo["decay_factor"],
-        batch_size=echo["batch_size"],
-        epochs=echo["epochs"],
-    )
+    plain = [k for k in _CONFIG_KEYS if k not in _SGD_KEYS + ("phi", "seeds")]
     return ExperimentConfig(
-        dataset=echo["dataset"],
-        data_path=echo["data_path"],
-        manifest=echo["manifest"],
-        method=echo["method"],
-        lambda1=echo["lambda1"],
-        lambda2=echo["lambda2"],
-        gamma_l=echo["gamma_l"],
-        gamma_p=echo["gamma_p"],
         seeds=tuple(echo["seeds"]),
-        sgd=sgd,
-        hidden_dim=echo["hidden_dim"],
-        rep_dim=echo["rep_dim"],
+        sgd=SgdConfig(**{k: echo[k] for k in _SGD_KEYS}),
         phi_kind=PhiKind(echo["phi"]),
-        phi_sigma=echo["phi_sigma"],
-        epsilon=echo["epsilon"],
-        clip_norm=echo["clip_norm"],
-        synth_normal=echo["synth_normal"],
-        synth_anom=echo["synth_anom"],
-        synth_dim=echo["synth_dim"],
-        synth_separation=echo["synth_separation"],
-        synth_seed=echo["synth_seed"],
+        **{k: echo[k] for k in plain},
     )
 
 
@@ -361,11 +335,45 @@ def _build_phi(
     return PhiConfig.gaussian(dim, phi_seed, config.phi_sigma)
 
 
-def _first_nonfinite(breakdown: LossBreakdown) -> str:
-    for name in ("rec", "norm", "ass"):
-        if not np.isfinite(getattr(breakdown, name)):
-            return name
-    return "total"
+def _check_finite(losses: dict[str, float], epoch: int, batch: int) -> None:
+    for name, value in losses.items():
+        if not math.isfinite(value):
+            raise TrainingDiverged(epoch, batch, name)
+
+
+def _sgd_epochs(
+    config: ExperimentConfig,
+    layers: list[DenseLayer],
+    loss_and_grad,
+    n_rows: int,
+    rng: np.random.Generator,
+    epochs: int,
+    first_epoch: int = 0,
+    after_epoch=None,
+) -> None:
+    """The one SGD loop behind every method and stage.
+
+    Each epoch reshuffles the rows through rng and steps at the schedule's
+    rate for that epoch, counted from 0. loss_and_grad(idx) returns the
+    named loss components on the batch rows idx and a gradient list aligned
+    with layers. A non-finite component aborts with TrainingDiverged, whose
+    epoch counts from first_epoch. Otherwise the gradients are clipped to
+    the joint norm cap and applied in place.
+    """
+    for epoch in range(epochs):
+        lr = lr_at_epoch(config.sgd, epoch)
+        for batch_no, idx in enumerate(
+            _batches(n_rows, config.sgd.batch_size, rng)
+        ):
+            losses, grads = loss_and_grad(idx)
+            _check_finite(losses, first_epoch + epoch, batch_no)
+            sgd_step(layers, clip_global_norm(grads, config.clip_norm), lr)
+        if after_epoch is not None:
+            after_epoch()
+
+
+def _components(breakdown: LossBreakdown) -> dict[str, float]:
+    return {"rec": breakdown.rec, "norm": breakdown.norm, "ass": breakdown.ass}
 
 
 @dataclass
@@ -373,16 +381,6 @@ class EsadTrainResult:
     model: EsadModel
     final_loss: LossBreakdown
     epoch_losses: list[LossBreakdown]
-
-
-def _model_dims(config: ExperimentConfig, input_dim: int) -> tuple[int, int]:
-    r = config.rep_dim if config.rep_dim is not None else default_rep_dim(input_dim)
-    h = (
-        config.hidden_dim
-        if config.hidden_dim is not None
-        else default_hidden_dim(input_dim, r)
-    )
-    return h, r
 
 
 def _pool_breakdown(
@@ -418,43 +416,43 @@ def train_esad(
     """
     x, tags = semi.x_train, semi.tags
     dim = x.shape[1]
-    h, r = _model_dims(config, dim)
     streams = child_seeds(seed)
-    model = new_model(dim, h, r, seed=streams.init)
+    model = new_model(dim, config.hidden_dim, config.rep_dim, seed=streams.init)
     phi = _build_phi(config, dim, streams.phi, tags)
-    rng = np.random.default_rng(streams.shuffle)
+
+    def loss_and_grad(idx):
+        xb = x[idx]
+        out = forward_pipeline(model, xb)
+        breakdown, g_z, g_xhat, g_zhat = semi_loss_and_grads(
+            xb,
+            out.z,
+            out.x_hat,
+            out.z_hat,
+            tags[idx],
+            phi,
+            config.lambda1,
+            config.lambda2,
+            config.epsilon,
+        )
+        grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
+        return _components(breakdown), grads
+
     epoch_losses: list[LossBreakdown] = []
-    for epoch in range(config.sgd.epochs):
-        lr = lr_at_epoch(config.sgd, epoch)
-        for batch_no, idx in enumerate(
-            _batches(x.shape[0], config.sgd.batch_size, rng)
-        ):
-            out = forward_pipeline(model, x[idx])
-            breakdown, g_z, g_xhat, g_zhat = semi_loss_and_grads(
-                x[idx],
-                out.z,
-                out.x_hat,
-                out.z_hat,
-                tags[idx],
-                phi,
-                config.lambda1,
-                config.lambda2,
-                config.epsilon,
-            )
-            if not breakdown.finite():
-                raise TrainingDiverged(epoch, batch_no, _first_nonfinite(breakdown))
-            grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
-            g1, gd, g2 = clip_global_norm(
-                [grads.enc1, grads.dec, grads.enc2], config.clip_norm
-            )
-            sgd_step(model.enc1, g1, lr)
-            sgd_step(model.dec, gd, lr)
-            sgd_step(model.enc2, g2, lr)
-        if track_epoch_loss:
-            epoch_losses.append(_pool_breakdown(model, semi, phi, config))
+
+    def track_epoch():
+        epoch_losses.append(_pool_breakdown(model, semi, phi, config))
+
+    _sgd_epochs(
+        config,
+        model.enc1.layers + model.dec.layers + model.enc2.layers,
+        loss_and_grad,
+        x.shape[0],
+        np.random.default_rng(streams.shuffle),
+        config.sgd.epochs,
+        after_epoch=track_epoch if track_epoch_loss else None,
+    )
     final = _pool_breakdown(model, semi, phi, config)
-    if not final.finite():
-        raise TrainingDiverged(config.sgd.epochs, -1, _first_nonfinite(final))
+    _check_finite(_components(final), config.sgd.epochs, -1)
     return EsadTrainResult(model, final, epoch_losses)
 
 
@@ -487,57 +485,57 @@ def train_sad_baseline(
     Stage one trains encoder plus decoder on plain reconstruction for half
     the configured epochs; the center is then frozen at the mean embedding
     of the training pool; stage two fine-tunes the encoder alone on the
-    distance-to-center loss for the remaining epochs. The learning-rate
-    schedule restarts at each stage.
+    distance-to-center loss for the remaining epochs. Both stages draw
+    batches from one shuffle stream; the learning-rate schedule restarts at
+    each stage, while divergence reports count epochs across both.
     """
     x, tags = semi.x_train, semi.tags
-    dim = x.shape[1]
-    h, r = _model_dims(config, dim)
     streams = child_seeds(seed)
-    base = new_model(dim, h, r, seed=streams.init)
+    base = new_model(x.shape[1], config.hidden_dim, config.rep_dim, seed=streams.init)
     enc, dec = base.enc1, base.dec
     rng = np.random.default_rng(streams.shuffle)
     stage1 = config.sgd.epochs // 2
-    stage2 = config.sgd.epochs - stage1
-    for epoch in range(stage1):
-        lr = lr_at_epoch(config.sgd, epoch)
-        for batch_no, idx in enumerate(
-            _batches(x.shape[0], config.sgd.batch_size, rng)
-        ):
-            xb = x[idx]
-            z, cache_e = forward(enc, xb)
-            x_hat, cache_d = forward(dec, z)
-            rec = loss_sad_rec(xb, x_hat)
-            if not np.isfinite(rec):
-                raise TrainingDiverged(epoch, batch_no, "rec")
-            g_dec, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat))
-            g_enc, _ = backward(enc, cache_e, g_z)
-            g_enc, g_dec = clip_global_norm([g_enc, g_dec], config.clip_norm)
-            sgd_step(enc, g_enc, lr)
-            sgd_step(dec, g_dec, lr)
+
+    def rec_loss_and_grad(idx):
+        xb = x[idx]
+        z, cache_e = forward(enc, xb)
+        x_hat, cache_d = forward(dec, z)
+        rec = loss_sad_rec(xb, x_hat)
+        g_dec, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat))
+        g_enc, _ = backward(enc, cache_e, g_z)
+        return {"rec": rec}, g_enc + g_dec
+
+    _sgd_epochs(
+        config, enc.layers + dec.layers, rec_loss_and_grad, x.shape[0], rng, stage1
+    )
     z_all, _ = forward(enc, x)
-    state = SvddState(center=svdd_center(z_all))
-    for epoch in range(stage2):
-        lr = lr_at_epoch(config.sgd, epoch)
-        for batch_no, idx in enumerate(
-            _batches(x.shape[0], config.sgd.batch_size, rng)
-        ):
-            z, cache_e = forward(enc, x[idx])
-            svdd = loss_svdd(z, tags[idx], state, config.epsilon)
-            if not np.isfinite(svdd):
-                raise TrainingDiverged(stage1 + epoch, batch_no, "svdd")
-            g_enc, _ = backward(enc, cache_e, grad_svdd(z, tags[idx], state, config.epsilon))
-            (g_enc,) = clip_global_norm([g_enc], config.clip_norm)
-            sgd_step(enc, g_enc, lr)
+    center = svdd_center(z_all)
+
+    def svdd_loss_and_grad(idx):
+        z, cache_e = forward(enc, x[idx])
+        svdd = loss_svdd(z, tags[idx], center, config.epsilon)
+        g_enc, _ = backward(
+            enc, cache_e, grad_svdd(z, tags[idx], center, config.epsilon)
+        )
+        return {"svdd": svdd}, g_enc
+
+    _sgd_epochs(
+        config,
+        enc.layers,
+        svdd_loss_and_grad,
+        x.shape[0],
+        rng,
+        config.sgd.epochs - stage1,
+        first_epoch=stage1,
+    )
     z_final, _ = forward(enc, x)
     x_hat_final, _ = forward(dec, z_final)
     final = {
         "rec": loss_sad_rec(x, x_hat_final),
-        "svdd": loss_svdd(z_final, tags, state, config.epsilon),
+        "svdd": loss_svdd(z_final, tags, center, config.epsilon),
     }
-    if not all(np.isfinite(v) for v in final.values()):
-        raise TrainingDiverged(config.sgd.epochs, -1, "svdd")
-    return SadTrainResult(SadModel(enc, dec, state.center), final)
+    _check_finite(final, config.sgd.epochs, -1)
+    return SadTrainResult(SadModel(enc, dec, center), final)
 
 
 def _min_abs_relu_pre(model: EsadModel, x: np.ndarray) -> float:
@@ -616,7 +614,7 @@ def full_loss_grad_check(
     params, names = model_param_arrays(model)
     return check_gradients_arrays(
         params,
-        flatten_pipeline_grads(grads),
+        [g for pair in grads for g in pair],
         eval_loss,
         names,
         tolerance,
@@ -668,6 +666,17 @@ class RunReport:
         return float(np.std([r.auc for r in done]))  # population std; 0 for one run
 
 
+def _failed(seed: int, start: float, exc: Exception) -> SeedResult:
+    """An expected per-seed error, recorded so that the run continues.
+
+    Data, scenario and AUC errors are ValueErrors; divergence has its own
+    type. Anything else is a bug and is left to propagate.
+    """
+    return SeedResult(
+        seed, None, {}, time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
+    )
+
+
 def run_prepared(
     config: ExperimentConfig,
     semi: SemiDataset,
@@ -700,14 +709,8 @@ def run_prepared(
         value = auc(scores, semi.y_test).auc
         if artifact_hook is not None:
             artifact_hook(seed, semi, model, scores)
-    except Exception as exc:  # recorded per seed; the run continues
-        return SeedResult(
-            seed,
-            None,
-            {},
-            time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    except (ValueError, TrainingDiverged) as exc:
+        return _failed(seed, start, exc)
     return SeedResult(seed, value, loss, time.perf_counter() - start)
 
 
@@ -720,14 +723,8 @@ def run_seed(
     start = time.perf_counter()
     try:
         semi = prepare_scenario(raw, config, seed)
-    except Exception as exc:
-        return SeedResult(
-            seed,
-            None,
-            {},
-            time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    except ValueError as exc:
+        return _failed(seed, start, exc)
     result = run_prepared(config, semi, seed, artifact_hook)
     return replace(result, wall_time_s=time.perf_counter() - start)
 
@@ -760,25 +757,23 @@ def sweep_lambda1(
         raise ConfigError(f"duplicate sweep values in {vals}")
     if raw is None:
         raw = load_dataset(config)
-    prepared: list[tuple[int, SemiDataset | None, str | None]] = []
+    # Per seed: its scenario, or the failure that building it raised.
+    prepared: list[tuple[int, SemiDataset | SeedResult]] = []
     for seed in config.seeds:
+        start = time.perf_counter()
         try:
-            prepared.append((seed, prepare_scenario(raw, config, seed), None))
-        except Exception as exc:
-            prepared.append((seed, None, f"{type(exc).__name__}: {exc}"))
+            prepared.append((seed, prepare_scenario(raw, config, seed)))
+        except ValueError as exc:
+            prepared.append((seed, _failed(seed, start, exc)))
     rows = []
     for value in vals:
         cfg = replace(config, lambda1=value)
         start = time.perf_counter()
-        results = []
-        for seed, semi, err in prepared:
-            if semi is None:
-                results.append(SeedResult(seed, None, {}, 0.0, error=err))
-            else:
-                results.append(run_prepared(cfg, semi, seed))
-        rows.append(
-            (value, RunReport(config_echo(cfg), tuple(results), time.perf_counter() - start))
+        results = tuple(
+            semi if isinstance(semi, SeedResult) else run_prepared(cfg, semi, seed)
+            for seed, semi in prepared
         )
+        rows.append((value, RunReport(config_echo(cfg), results, time.perf_counter() - start)))
     return rows
 
 

@@ -310,41 +310,31 @@ def grad_sad_rec(x, x_hat) -> np.ndarray:
     return (2.0 / xm.shape[0]) * (xh - xm)
 
 
-@dataclass
-class SvddState:
-    """Hypersphere center and supervision weight for the fine-tuning stage.
-
-    The center is set once, after pretraining, to the mean encoder output
-    over the training pool, and stays fixed while fine-tuning.
-    """
-
-    center: np.ndarray | None = None
-    eta: float = 1.0
-
-    def require_center(self, dim: int) -> np.ndarray:
-        if self.center is None:
-            raise ValueError("hypersphere center has not been set")
-        c = np.asarray(self.center, dtype=np.float64)
-        if c.shape != (dim,):
-            raise ShapeError(f"center shape {c.shape} does not match dim {dim}")
-        return c
-
-
 def svdd_center(z) -> np.ndarray:
     """Mean latent vector over rows; the fixed center for fine-tuning."""
     zm = as_matrix(z, "z")
     return zm.mean(axis=0)
 
 
-def loss_svdd(z, labels, state: SvddState, eps: float = 1e-6) -> float:
+def _center_offsets(zm: np.ndarray, center) -> np.ndarray:
+    c = np.asarray(center, dtype=np.float64)
+    if c.shape != (zm.shape[1],):
+        raise ShapeError(f"center shape {c.shape} does not match dim {zm.shape[1]}")
+    return zm - c
+
+
+def loss_svdd(z, labels, center, eps: float = 1e-6) -> float:
     """Distance-to-center loss: pull unlabeled and normal rows in, push
-    labeled anomalies out through an inverse distance."""
+    labeled anomalies out through an inverse distance.
+
+    center is fixed after pretraining (see svdd_center); the labeled term
+    carries the same unit weight as the unlabeled one.
+    """
     zm = as_matrix(z, "z")
     codes = label_codes(labels)
     if codes.size != zm.shape[0]:
         raise ShapeError(f"{codes.size} labels for {zm.shape[0]} rows")
-    c = state.require_center(zm.shape[1])
-    dists = _row_norms(zm - c)
+    dists = _row_norms(_center_offsets(zm, center))
     unl, nrm, anm = _group_masks(codes)
     m = int(nrm.sum() + anm.sum())
     loss = 0.0
@@ -354,16 +344,15 @@ def loss_svdd(z, labels, state: SvddState, eps: float = 1e-6) -> float:
         labeled_sum = float(dists[nrm].sum()) if np.any(nrm) else 0.0
         if np.any(anm):
             labeled_sum += float((1.0 / (dists[anm] + eps)).sum())
-        loss += state.eta * labeled_sum / m
+        loss += labeled_sum / m
     return loss
 
 
-def grad_svdd(z, labels, state: SvddState, eps: float = 1e-6) -> np.ndarray:
+def grad_svdd(z, labels, center, eps: float = 1e-6) -> np.ndarray:
     """d(loss_svdd)/dz; rows sitting exactly at the center get zero gradient."""
     zm = as_matrix(z, "z")
     codes = label_codes(labels)
-    c = state.require_center(zm.shape[1])
-    diff = zm - c
+    diff = _center_offsets(zm, center)
     dists = _row_norms(diff)
     units = _unit_rows(diff, dists)
     unl, nrm, anm = _group_masks(codes)
@@ -372,8 +361,8 @@ def grad_svdd(z, labels, state: SvddState, eps: float = 1e-6) -> np.ndarray:
     if np.any(unl):
         grad[unl] = units[unl] / unl.sum()
     if np.any(nrm):
-        grad[nrm] = state.eta * units[nrm] / m
+        grad[nrm] = units[nrm] / m
     if np.any(anm):
-        scale = -state.eta / (dists[anm] + eps) ** 2
+        scale = -1.0 / (dists[anm] + eps) ** 2
         grad[anm] = (scale[:, None] * units[anm]) / m
     return grad

@@ -117,26 +117,20 @@ def forward_pipeline(model: EsadModel, x) -> PipelineOutput:
     return PipelineOutput(z, x_hat, z_hat, c1, cd, c2)
 
 
-@dataclass
-class PipelineGrads:
-    enc1: StackGrads
-    dec: StackGrads
-    enc2: StackGrads
-
-
 def backward_pipeline(
     model: EsadModel,
     out: PipelineOutput,
     grad_z=None,
     grad_x_hat=None,
     grad_z_hat=None,
-) -> PipelineGrads:
+) -> StackGrads:
     """Backpropagate loss gradients taken at z, x_hat and z_hat.
 
     Any of the three gradients may be omitted (treated as zero). Gradients
     flowing into x_hat combine the direct term with the chain through the
     second encoder; likewise z combines the direct term with the chain
-    through the decoder.
+    through the decoder. Returns one gradient list aligned with the layers
+    of enc1, dec and enc2, in that order.
     """
     gz_hat = np.zeros_like(out.z_hat) if grad_z_hat is None else grad_z_hat
     g2, g_xhat_chain = backward(model.enc2, out.cache_enc2, gz_hat)
@@ -144,11 +138,14 @@ def backward_pipeline(
     gd, g_z_chain = backward(model.dec, out.cache_dec, g_xhat)
     g_z = g_z_chain if grad_z is None else g_z_chain + grad_z
     g1, _ = backward(model.enc1, out.cache_enc1, g_z)
-    return PipelineGrads(g1, gd, g2)
+    return g1 + gd + g2
 
 
 def model_param_arrays(model: EsadModel) -> tuple[list[np.ndarray], list[str]]:
-    """Views of every parameter across all three stacks, with names."""
+    """Views of every parameter across all three stacks, with names.
+
+    The order matches backward_pipeline's gradient list, weight then bias.
+    """
     params, names = [], []
     for stack_name, stack in model.stacks():
         for i, layer in enumerate(stack.layers):
@@ -157,15 +154,6 @@ def model_param_arrays(model: EsadModel) -> tuple[list[np.ndarray], list[str]]:
             params.append(layer.bias)
             names.append(f"{stack_name}.layer{i}.bias")
     return params, names
-
-
-def flatten_pipeline_grads(grads: PipelineGrads) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for stack_grads in (grads.enc1, grads.dec, grads.enc2):
-        for gw, gb in stack_grads:
-            out.append(gw)
-            out.append(gb)
-    return out
 
 
 # Checkpoint layout (all little-endian):

@@ -9,6 +9,7 @@ callers bake any 1/n averaging weights into the incoming gradient rows.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,17 +32,6 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D arrays with explicit shape checking."""
-    am = as_matrix(a, "left operand")
-    bm = as_matrix(b, "right operand")
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: {am.shape} @ {bm.shape}"
-        )
-    return am @ bm
 
 
 def _apply_activation(pre: np.ndarray, act: Activation) -> np.ndarray:
@@ -146,7 +136,7 @@ class ForwardCache:
     batched: bool
 
 
-# Per-layer gradients, aligned with stack.layers: [(dW, db), ...]
+# Per-layer gradients, aligned with a list of layers: [(dW, db), ...]
 StackGrads = list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -199,20 +189,6 @@ def backward(
     return grads, (g if cache.batched else g[0])
 
 
-def add_grads(a: StackGrads, b: StackGrads) -> StackGrads:
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
-
-
-def scale_grads(g: StackGrads, factor: float) -> StackGrads:
-    return [(factor * gw, factor * gb) for gw, gb in g]
-
-
-def zero_grads(stack: MlpStack) -> StackGrads:
-    return [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in stack.layers
-    ]
-
-
 @dataclass
 class SgdConfig:
     """Plain SGD with a stepped learning-rate schedule.
@@ -248,41 +224,37 @@ def lr_at_epoch(cfg: SgdConfig, epoch: int) -> float:
     return cfg.initial_lr * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def global_grad_norm(grads_list: list[StackGrads]) -> float:
-    """L2 norm of all gradients across stacks viewed as one vector."""
-    total = 0.0
-    for stack_grads in grads_list:
-        for gw, gb in stack_grads:
-            total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
-    return float(np.sqrt(total))
-
-
-def clip_global_norm(
-    grads_list: list[StackGrads], max_norm: float
-) -> list[StackGrads]:
+def clip_global_norm(grads: StackGrads, max_norm: float) -> StackGrads:
     """Rescale gradients so their joint L2 norm is at most max_norm.
 
-    Identity whenever the norm is already within bounds or max_norm <= 0.
-    Caps the step size without changing the step direction; a batch whose
-    labeled-group average runs over one or two samples can otherwise produce
-    steps large enough to destabilize plain SGD.
+    Returns grads itself whenever the norm is already within bounds or
+    max_norm <= 0, and a rescaled copy otherwise. Caps the step size without
+    changing the step direction; a batch whose labeled-group average runs
+    over one or two samples can otherwise produce steps large enough to
+    destabilize plain SGD.
     """
     if max_norm <= 0:
-        return grads_list
-    total = global_grad_norm(grads_list)
-    if total <= max_norm:
-        return grads_list
-    scale = max_norm / total
-    return [scale_grads(g, scale) for g in grads_list]
+        return grads
+    # Squares are summed per layer, weight then bias, in layer order. Any
+    # other order (say one dot product over the flattened gradients) moves
+    # the norm's last bit, and with it trained weights and AUCs.
+    total = 0.0
+    for gw, gb in grads:
+        total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
+    norm = math.sqrt(total)
+    if norm <= max_norm:
+        return grads
+    scale = max_norm / norm
+    return [(scale * gw, scale * gb) for gw, gb in grads]
 
 
-def sgd_step(stack: MlpStack, grads: StackGrads, lr: float) -> None:
-    """In-place parameter update: param -= lr * grad."""
-    if len(grads) != len(stack.layers):
+def sgd_step(layers: list[DenseLayer], grads: StackGrads, lr: float) -> None:
+    """In-place parameter update: param -= lr * grad, layer by layer."""
+    if len(grads) != len(layers):
         raise ShapeError(
-            f"got {len(grads)} gradient pairs for {len(stack.layers)} layers"
+            f"got {len(grads)} gradient pairs for {len(layers)} layers"
         )
-    for layer, (gw, gb) in zip(stack.layers, grads):
+    for layer, (gw, gb) in zip(layers, grads):
         if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
             raise ShapeError(
                 f"gradient shapes {gw.shape}/{gb.shape} do not match layer "
@@ -354,48 +326,3 @@ def check_gradients_arrays(
                 flagged.append((label, rel))
     n_params = sum(p.size for p in params)
     return GradCheckReport(max_rel, n_params, len(flagged), worst, flagged)
-
-
-def stack_param_arrays(stack: MlpStack) -> tuple[list[np.ndarray], list[str]]:
-    """Views of all parameters in a stack, with human-readable names."""
-    params, names = [], []
-    for i, layer in enumerate(stack.layers):
-        params.append(layer.weight)
-        names.append(f"layer{i}.weight")
-        params.append(layer.bias)
-        names.append(f"layer{i}.bias")
-    return params, names
-
-
-def flatten_stack_grads(grads: StackGrads) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for gw, gb in grads:
-        out.append(gw)
-        out.append(gb)
-    return out
-
-
-def grad_check(
-    stack: MlpStack,
-    loss_fn,
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Check loss_fn's analytic gradients for one stack.
-
-    loss_fn(stack) returns (loss, StackGrads). The analytic gradients are
-    taken once at the current parameters; finite differences then probe each
-    parameter entry with the rest frozen.
-    """
-    loss, grads = loss_fn(stack)
-    if not np.isfinite(loss):
-        raise ValueError("loss is non-finite at the evaluation point")
-    params, names = stack_param_arrays(stack)
-    return check_gradients_arrays(
-        params,
-        flatten_stack_grads(grads),
-        lambda: loss_fn(stack)[0],
-        names,
-        tolerance,
-        step,
-    )

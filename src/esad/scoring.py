@@ -23,22 +23,13 @@ class SingleClassError(ValueError):
     """Raised when AUC is requested for a single-class label set."""
 
 
-def anomaly_score(x, x_hat, z_hat, lambda1: float = 1.0) -> float:
-    """Two-term score: squared reconstruction error plus lambda1 * ||z_hat||.
+def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
+    """Two-term score per row: squared reconstruction error plus
+    lambda1 * ||z_hat||.
 
     Higher means more anomalous. lambda1 must match the training weight or
     the two terms are balanced differently than the model was optimized for.
     """
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    xhv = np.asarray(x_hat, dtype=np.float64).reshape(-1)
-    zhv = np.asarray(z_hat, dtype=np.float64).reshape(-1)
-    if xv.shape != xhv.shape:
-        raise ShapeError(f"x {xv.shape} vs x_hat {xhv.shape}")
-    return float(np.sum((xhv - xv) ** 2) + lambda1 * np.sqrt(np.sum(zhv**2)))
-
-
-def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
-    """Batch version of anomaly_score over matching row matrices."""
     xm = as_matrix(x, "x")
     xhm = as_matrix(x_hat, "x_hat")
     zhm = as_matrix(z_hat, "z_hat")
@@ -56,12 +47,6 @@ def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
     xm = as_matrix(x, "x")
     out = forward_pipeline(model, xm)
     return anomaly_scores(xm, out.x_hat, out.z_hat, lambda1)
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    score: float
-    is_anomaly: bool
 
 
 @dataclass(frozen=True)
@@ -146,14 +131,6 @@ def auc_pairwise(scores, labels) -> AucResult:
     ties = np.sum(anom[:, None] == norm[None, :])
     value = (float(wins) + 0.5 * float(ties)) / (anom.size * norm.size)
     return AucResult(value, int(norm.size), int(anom.size))
-
-
-def auc_samples(samples) -> AucResult:
-    """AUC from ScoredSample records."""
-    items = list(samples)
-    scores = np.array([s.score for s in items], dtype=np.float64)
-    labels = np.array([1 if s.is_anomaly else 0 for s in items])
-    return auc(scores, labels)
 
 
 def export_scores_csv(path, scores, labels) -> None:

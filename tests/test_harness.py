@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from esad import harness
 from esad.data import synth_gaussians
 from esad.harness import (
     ChildSeeds,
@@ -155,9 +156,20 @@ class TestConfigParsing:
 
     def test_load_config_names_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("epochs = 0\n")
-        with pytest.raises(ConfigError, match="exp.cfg"):
-            load_config(path)
+        for line, key in [
+            ("epochs = 0", "epochs"),
+            ("lambda1 = -1", "lambda1"),
+            ("lambda2 = -0.5", "lambda2"),
+            ("clip_norm = -3", "clip_norm"),
+            ("gamma_l = 1.0", "gamma_l"),
+            ("gamma_l = -0.1", "gamma_l"),
+            ("gamma_p = 1.5", "gamma_p"),
+            ("hidden_dim = 0", "hidden_dim"),
+            ("rep_dim = -2", "rep_dim"),
+        ]:
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError, match=f"exp.cfg: {key} must be"):
+                load_config(path)
         path.write_text(FULL_CONFIG)
         assert load_config(path) == parse_config_text(FULL_CONFIG)
 
@@ -309,9 +321,8 @@ class TestTrainBaseline:
             x_hat, cache_d = forward(dec, z)
             g_dec, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat))
             g_enc, _ = backward(enc, cache_e, g_z)
-            g_enc, g_dec = clip_global_norm([g_enc, g_dec], cfg.clip_norm)
-            sgd_step(enc, g_enc, lr)
-            sgd_step(dec, g_dec, lr)
+            grads = clip_global_norm(g_enc + g_dec, cfg.clip_norm)
+            sgd_step(enc.layers + dec.layers, grads, lr)
         z_all, _ = forward(enc, x)
         assert_array_equal(svdd_center(z_all), result.model.center)
 
@@ -381,6 +392,26 @@ class TestRunExperiment:
         assert all("ScenarioError" in r.error for r in report.results)
         table = format_report_table(report)
         assert "FAILED" in table and "no completed seeds" in table
+
+    def test_only_expected_errors_become_seed_failures(self, monkeypatch):
+        # Divergence is recorded per seed; a bug inside training (here a
+        # TypeError) must propagate instead of reading as a FAILED row.
+        cfg = quick_config(
+            gamma_l=0.1,
+            sgd=SgdConfig(initial_lr=50.0, epochs=5),
+            clip_norm=0.0,
+            seeds=(0, 1),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(cfg)
+        assert all(r.error.startswith("TrainingDiverged") for r in report.results)
+
+        def broken_clip(grads, max_norm):
+            raise TypeError("bug in the training loop")
+
+        monkeypatch.setattr(harness, "clip_global_norm", broken_clip)
+        with pytest.raises(TypeError, match="bug in the training loop"):
+            run_experiment(quick_config())
 
     def test_report_table_lists_all_seeds(self):
         cfg = quick_config(seeds=(0, 1))

@@ -16,7 +16,6 @@ from esad.losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
-    SvddState,
     grad_ass,
     grad_norm_semi,
     grad_rec_semi,
@@ -343,49 +342,39 @@ class TestBaselineObjectives:
         assert_allclose(svdd_center(z), z.mean(axis=0), atol=1e-12)
 
     def test_svdd_zero_at_center(self):
-        state = SvddState(center=np.array([1.0, 2.0]))
+        center = np.array([1.0, 2.0])
         z = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert loss_svdd(z, [U, U], state) == 0.0
+        assert loss_svdd(z, [U, U], center) == 0.0
 
     def test_svdd_anomaly_inverse_distance(self):
-        state = SvddState(center=np.zeros(2))
         z = np.array([[0.0, 2.0]])
-        assert loss_svdd(z, [A], state, eps=0.0) == pytest.approx(0.5, rel=1e-15)
+        assert loss_svdd(z, [A], np.zeros(2), eps=0.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_svdd_mixed_batch_hand_value(self):
-        state = SvddState(center=np.zeros(2), eta=1.0)
         z = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
         # Unlabeled distance 5; labeled: (1 + 1/(2 + eps)) / 2.
         expected = 5.0 + 0.5 * (1.0 + 1.0 / (2.0 + 1e-6))
-        assert_allclose(loss_svdd(z, [U, N, A], state), expected, rtol=1e-15)
-
-    def test_svdd_eta_scales_labeled_term_only(self):
-        state1 = SvddState(center=np.zeros(2), eta=1.0)
-        state2 = SvddState(center=np.zeros(2), eta=3.0)
-        z = np.array([[3.0, 4.0], [1.0, 0.0]])
-        only_unl = loss_svdd(z[:1], [U], state1)
-        assert loss_svdd(z, [U, N], state2) == pytest.approx(
-            only_unl + 3.0 * 1.0, rel=1e-15
-        )
+        assert_allclose(loss_svdd(z, [U, N, A], np.zeros(2)), expected, rtol=1e-15)
 
     def test_svdd_gradient_matches_central_differences(self):
         rng = np.random.default_rng(20)
-        state = SvddState(center=rng.normal(size=3), eta=1.0)
+        center = rng.normal(size=3)
         tags = [U, U, N, A]
         while True:
             z = rng.normal(size=(4, 3))
-            if np.linalg.norm(z - state.center, axis=1).min() > 0.5:
+            if np.linalg.norm(z - center, axis=1).min() > 0.5:
                 break
-        numeric = fd_grad(lambda zz: loss_svdd(zz, tags, state), z)
-        assert_allclose(grad_svdd(z, tags, state), numeric, rtol=1e-6, atol=1e-9)
+        numeric = fd_grad(lambda zz: loss_svdd(zz, tags, center), z)
+        assert_allclose(grad_svdd(z, tags, center), numeric, rtol=1e-6, atol=1e-9)
 
     def test_svdd_gradient_zero_at_center(self):
-        state = SvddState(center=np.array([1.0, 1.0]))
-        g = grad_svdd(np.array([[1.0, 1.0]]), [U], state)
+        g = grad_svdd(np.array([[1.0, 1.0]]), [U], np.array([1.0, 1.0]))
         assert_array_equal(g, np.zeros((1, 2)))
 
     def test_svdd_requires_center(self):
         with pytest.raises(ValueError, match="center"):
-            loss_svdd(np.ones((1, 2)), [U], SvddState())
+            loss_svdd(np.ones((1, 2)), [U], None)
         with pytest.raises(ShapeError):
-            loss_svdd(np.ones((1, 2)), [U], SvddState(center=np.zeros(3)))
+            loss_svdd(np.ones((1, 2)), [U], np.zeros(3))
+        with pytest.raises(ShapeError):
+            grad_svdd(np.ones((1, 2)), [U], np.zeros(3))

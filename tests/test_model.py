@@ -16,7 +16,6 @@ from esad.model import (
     backward_pipeline,
     default_hidden_dim,
     default_rep_dim,
-    flatten_pipeline_grads,
     forward_pipeline,
     load_model,
     model_param_arrays,
@@ -160,7 +159,9 @@ class TestBackwardPipeline:
         grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
         params, names = model_param_arrays(model)
         step = 1e-6
-        for arr, grad, name in zip(params, flatten_pipeline_grads(grads), names):
+        flat = [g for pair in grads for g in pair]
+        assert len(flat) == len(params)
+        for arr, grad, name in zip(params, flat, names):
             flat, gflat = arr.reshape(-1), grad.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
@@ -177,8 +178,9 @@ class TestBackwardPipeline:
         model, x = kink_free_instance(seed=2)
         out = forward_pipeline(model, x)
         grads = backward_pipeline(model, out)
-        for arr in flatten_pipeline_grads(grads):
-            assert_array_equal(arr, np.zeros_like(arr))
+        for gw, gb in grads:
+            assert_array_equal(gw, np.zeros_like(gw))
+            assert_array_equal(gb, np.zeros_like(gb))
 
     def test_z_hat_gradient_reaches_every_stack(self):
         # The chain z_hat -> enc2 -> x_hat -> dec -> z -> enc1 must touch all
@@ -188,7 +190,10 @@ class TestBackwardPipeline:
         grads = backward_pipeline(
             model, out, grad_z_hat=np.ones_like(out.z_hat)
         )
-        for stack_grads in (grads.enc1, grads.dec, grads.enc2):
+        sizes = [len(stack.layers) for _, stack in model.stacks()]
+        starts = np.cumsum([0] + sizes)
+        for start, size in zip(starts, sizes):
+            stack_grads = grads[start : start + size]
             assert any(float(np.abs(g).max()) > 0 for g, _ in stack_grads)
 
     def test_one_training_step_moves_every_stack(self):
@@ -201,10 +206,8 @@ class TestBackwardPipeline:
         )
         grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
         before = [p.copy() for p in model_param_arrays(model)[0]]
-        for (_, stack), stack_grads in zip(
-            model.stacks(), (grads.enc1, grads.dec, grads.enc2)
-        ):
-            sgd_step(stack, stack_grads, 0.01)
+        layers = [layer for _, stack in model.stacks() for layer in stack.layers]
+        sgd_step(layers, grads, 0.01)
         after, names = model_param_arrays(model)
         changed = {
             name.split(".")[0]

@@ -1,8 +1,8 @@
 """Array-core tests.
 
-Oracles come first and stay deliberately dumb: matmul against explicit
-triple loops, forward against per-unit scalar arithmetic, backward against
-central differences computed right here in the test. Library code is only
+Oracles come first and stay deliberately dumb: the affine map against
+explicit triple loops, forward against per-unit scalar arithmetic, backward
+against central differences computed right here in the test. Library code is only
 trusted once it agrees with these.
 """
 
@@ -17,21 +17,14 @@ from esad.ndcore import (
     MlpStack,
     SgdConfig,
     ShapeError,
-    add_grads,
+    as_matrix,
     backward,
     check_gradients_arrays,
     clip_global_norm,
-    flatten_stack_grads,
     forward,
-    global_grad_norm,
-    grad_check,
     init_stack,
     lr_at_epoch,
-    matmul,
-    scale_grads,
     sgd_step,
-    stack_param_arrays,
-    zero_grads,
 )
 
 
@@ -113,35 +106,28 @@ def kink_free_batch(stack, rng, rows, margin=1e-3):
     raise RuntimeError("no kink-free batch found")
 
 
-# matmul
+# matrix products and matrix inputs
 
 
 class TestMatmul:
     def test_matches_loop_oracle(self):
+        # An identity layer with zero bias is the bare product x @ W.T.
         rng = np.random.default_rng(0)
         for shape in [(1, 1, 1), (4, 5, 2), (3, 1, 6), (7, 7, 7)]:
-            a = rng.normal(size=shape[:2])
-            b = rng.normal(size=shape[1:])
-            assert_allclose(matmul(a, b), matmul_oracle(a, b), rtol=1e-12, atol=1e-12)
-
-    def test_identity_and_zero(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 4))
-        assert_allclose(matmul(a, np.eye(4)), a)
-        assert_array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError, match="inner dimensions"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
+            x = rng.normal(size=shape[:2])
+            w = rng.normal(size=shape[:0:-1])
+            layer = DenseLayer(w, np.zeros(shape[2]), Activation.IDENTITY)
+            out, _ = forward(MlpStack([layer]), x)
+            assert_allclose(out, matmul_oracle(x, w.T), rtol=1e-12, atol=1e-12)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
-            matmul(np.ones(3), np.ones((3, 2)))
+            as_matrix(np.ones(3))
 
     def test_rejects_non_finite(self):
         bad = np.array([[1.0, np.nan]])
         with pytest.raises(ValueError, match="non-finite"):
-            matmul(bad, np.ones((2, 1)))
+            as_matrix(bad)
 
 
 # forward
@@ -232,11 +218,11 @@ class TestBackward:
         grad_out = rng.normal(size=(5, stack.out_dim))
         _, cache = forward(stack, x)
         batch_grads, batch_in = backward(stack, cache, grad_out)
-        summed = zero_grads(stack)
+        summed = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in stack.layers]
         for i in range(5):
             _, c = forward(stack, x[i])
             g, gi = backward(stack, c, grad_out[i])
-            summed = add_grads(summed, g)
+            summed = [(sw + gw, sb + gb) for (sw, sb), (gw, gb) in zip(summed, g)]
             assert_allclose(gi, batch_in[i], rtol=1e-12, atol=1e-14)
         for (bw, bb), (sw, sb) in zip(batch_grads, summed):
             assert_allclose(bw, sw, rtol=1e-12, atol=1e-14)
@@ -360,7 +346,7 @@ class TestSgd:
         stack = MlpStack(
             [DenseLayer(np.array([[1.0]]), np.array([3.0]), Activation.IDENTITY)]
         )
-        sgd_step(stack, [(np.array([[2.0]]), np.array([10.0]))], lr=0.1)
+        sgd_step(stack.layers, [(np.array([[2.0]]), np.array([10.0]))], lr=0.1)
         assert_allclose(stack.layers[0].weight, [[0.8]])
         assert_allclose(stack.layers[0].bias, [2.0])
 
@@ -369,18 +355,18 @@ class TestSgd:
         stack = random_stack(rng)
         before = [l.weight.copy() for l in stack.layers]
         grads = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in stack.layers]
-        sgd_step(stack, grads, lr=0.0)
+        sgd_step(stack.layers, grads, lr=0.0)
         for b, layer in zip(before, stack.layers):
             assert_array_equal(layer.weight, b)
 
     def test_step_validates_shapes(self):
         stack = random_stack(np.random.default_rng(17))
+        zeros = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in stack.layers]
         with pytest.raises(ShapeError):
-            sgd_step(stack, zero_grads(stack)[:-1], 0.1)
-        bad = zero_grads(stack)
-        bad[0] = (np.zeros((1, 1)), bad[0][1])
+            sgd_step(stack.layers, zeros[:-1], 0.1)
+        zeros[0] = (np.zeros((1, 1)), zeros[0][1])
         with pytest.raises(ShapeError):
-            sgd_step(stack, bad, 0.1)
+            sgd_step(stack.layers, zeros, 0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -402,6 +388,10 @@ class TestSgd:
 # gradient clipping
 
 
+def flat_norm(grads) -> float:
+    return float(np.linalg.norm(np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])))
+
+
 class TestClipping:
     def _grads(self, rng, stack):
         return [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in stack.layers]
@@ -410,36 +400,72 @@ class TestClipping:
         rng = np.random.default_rng(18)
         stack = random_stack(rng)
         grads = self._grads(rng, stack)
+        norm = flat_norm(grads)
+        clipped = clip_global_norm(grads, 1.0)
+        for (cw, cb), (gw, gb) in zip(clipped, grads):
+            assert_allclose(cw, gw / norm, rtol=1e-12)
+            assert_allclose(cb, gb / norm, rtol=1e-12)
+
+    def test_reduction_order_is_per_layer(self):
+        # The norm is summed layer by layer, weight then bias. Here the first
+        # weight squares to 1 and every other entry squares to 0.39 ulp of 1:
+        # alone each tiny square rounds away against 1, but the two of a
+        # layer together round up by one ulp. So the per-layer order gives
+        # 1 + 32 ulp, while any order over the flattened gradients gives
+        # something else (one running sum stays at 1; the exact sum is about
+        # 1 + 25 ulp), and swapping the reduction fails here instead of
+        # silently shifting trained models.
+        tiny = 1.25 * 2.0**-27
+        grads = [(np.array([[1.0]]), np.array([tiny]))] + [
+            (np.array([[tiny]]), np.array([tiny])) for _ in range(32)
+        ]
+        total = 0.0
+        for gw, gb in grads:
+            total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
+        assert total == 1.0 + 32 * 2.0**-52
+        scale = 1.0 / np.sqrt(total)
         flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
-        assert_allclose(global_grad_norm([grads]), np.linalg.norm(flat), rtol=1e-12)
+        assert 1.0 / np.linalg.norm(flat) != scale
+        assert 1.0 / np.sqrt(np.dot(flat, flat)) != scale
+        clipped = clip_global_norm(grads, 1.0)
+        for (cw, cb), (gw, gb) in zip(clipped, grads):
+            assert_array_equal(cw, scale * gw)
+            assert_array_equal(cb, scale * gb)
 
     def test_under_cap_untouched(self):
         rng = np.random.default_rng(19)
         stack = random_stack(rng)
         grads = self._grads(rng, stack)
-        cap = global_grad_norm([grads]) + 1.0
-        assert clip_global_norm([grads], cap) == [grads]
+        assert clip_global_norm(grads, flat_norm(grads) + 1.0) is grads
 
     def test_over_cap_rescales_to_cap(self):
         rng = np.random.default_rng(20)
         stack = random_stack(rng)
         grads = self._grads(rng, stack)
-        cap = 0.5 * global_grad_norm([grads])
-        clipped = clip_global_norm([grads], cap)
-        assert_allclose(global_grad_norm(clipped), cap, rtol=1e-12)
+        cap = 0.5 * flat_norm(grads)
+        clipped = clip_global_norm(grads, cap)
+        assert_allclose(flat_norm(clipped), cap, rtol=1e-12)
         # Direction is preserved: clipped entries are a uniform rescale.
-        ratio = clipped[0][0][0].ravel() / grads[0][0].ravel()
+        ratio = clipped[0][0].ravel() / grads[0][0].ravel()
         assert_allclose(ratio, ratio[0], rtol=1e-12)
 
     def test_disabled_with_nonpositive_cap(self):
         rng = np.random.default_rng(21)
         stack = random_stack(rng)
         grads = self._grads(rng, stack)
-        assert clip_global_norm([grads], 0.0) == [grads]
-        assert clip_global_norm([grads], -1.0) == [grads]
+        assert clip_global_norm(grads, 0.0) is grads
+        assert clip_global_norm(grads, -1.0) is grads
 
 
 # gradient-check harness
+
+
+def stack_params(stack):
+    params = [a for layer in stack.layers for a in (layer.weight, layer.bias)]
+    names = [
+        f"layer{i}.{part}" for i in range(len(stack.layers)) for part in ("weight", "bias")
+    ]
+    return params, names
 
 
 def quadratic_loss(stack):
@@ -451,10 +477,17 @@ def quadratic_loss(stack):
     return loss, grads
 
 
+def check_stack(stack, loss_fn):
+    _, grads = loss_fn(stack)
+    params, names = stack_params(stack)
+    analytic = [a for pair in grads for a in pair]
+    return check_gradients_arrays(params, analytic, lambda: loss_fn(stack)[0], names)
+
+
 class TestGradCheck:
     def test_passes_on_quadratic(self):
         stack = random_stack(np.random.default_rng(22))
-        report = grad_check(stack, quadratic_loss)
+        report = check_stack(stack, quadratic_loss)
         assert isinstance(report, GradCheckReport)
         assert report.passed
         assert report.max_rel_err < 1e-8
@@ -472,20 +505,21 @@ class TestGradCheck:
             return loss, grads
 
         stack = random_stack(np.random.default_rng(23))
-        report = grad_check(stack, corrupted)
+        report = check_stack(stack, corrupted)
         assert not report.passed
         assert report.n_flagged >= 1
         assert report.worst_param == "layer0.weight[0]"
 
     def test_rejects_nonfinite_loss(self):
         stack = random_stack(np.random.default_rng(24))
+        params, _ = stack_params(stack)
         with pytest.raises(ValueError, match="non-finite"):
-            grad_check(stack, lambda s: (float("nan"), zero_grads(s)))
+            check_gradients_arrays(params, params, lambda: float("nan"))
 
     def test_probing_restores_params(self):
         stack = random_stack(np.random.default_rng(25))
         before = [l.weight.copy() for l in stack.layers]
-        grad_check(stack, quadratic_loss)
+        check_stack(stack, quadratic_loss)
         for b, layer in zip(before, stack.layers):
             assert_array_equal(layer.weight, b)
 
@@ -494,20 +528,3 @@ class TestGradCheck:
             check_gradients_arrays([np.ones(2)], [], lambda: 0.0)
         with pytest.raises(ShapeError):
             check_gradients_arrays([np.ones(2)], [np.ones(3)], lambda: 0.0)
-
-
-# gradient container helpers
-
-
-def test_add_scale_zero_grads():
-    stack = random_stack(np.random.default_rng(26))
-    z = zero_grads(stack)
-    ones = [(np.ones_like(gw), np.ones_like(gb)) for gw, gb in z]
-    summed = add_grads(ones, scale_grads(ones, 2.0))
-    for gw, gb in summed:
-        assert_array_equal(gw, np.full_like(gw, 3.0))
-        assert_array_equal(gb, np.full_like(gb, 3.0))
-    flat = flatten_stack_grads(z)
-    params, names = stack_param_arrays(stack)
-    assert len(flat) == len(params) == len(names)
-    assert all(f.shape == p.shape for f, p in zip(flat, params))

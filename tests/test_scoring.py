@@ -14,13 +14,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from esad.model import new_model
 from esad.scoring import (
     AucResult,
-    ScoredSample,
     SingleClassError,
-    anomaly_score,
     anomaly_scores,
     auc,
     auc_pairwise,
-    auc_samples,
     export_scores_csv,
     gaussian_entropy,
     gaussian_entropy_quadrature,
@@ -52,29 +49,35 @@ def random_tied_instance(rng, max_n=500):
     return scores, labels
 
 
+def one_row_score(x, x_hat, z_hat, lambda1=1.0) -> float:
+    rows = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, x_hat, z_hat)]
+    return float(anomaly_scores(*rows, lambda1=lambda1)[0])
+
+
 class TestAnomalyScore:
     def test_zero_when_perfect_and_compact(self):
-        assert anomaly_score([1.0, 2.0], [1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert one_row_score([1.0, 2.0], [1.0, 2.0], [0.0, 0.0]) == 0.0
 
     def test_hand_value(self):
         # Reconstruction error 1, re-encoded norm 5, lambda1 = 1.
-        got = anomaly_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=1.0)
+        got = one_row_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=1.0)
         assert got == pytest.approx(6.0, rel=1e-15)
 
     def test_lambda1_weights_norm_term(self):
-        rec_only = anomaly_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=0.0)
+        rec_only = one_row_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=0.0)
         assert rec_only == pytest.approx(1.0, rel=1e-15)
-        big = anomaly_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=1e6)
+        big = one_row_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=1e6)
         assert big == pytest.approx(5e6, rel=1e-6)
 
     def test_batch_matches_single(self):
+        # Rows are scored independently: a batch equals its rows one by one.
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 4))
         x_hat = rng.normal(size=(6, 4))
         z_hat = rng.normal(size=(6, 3))
         batch = anomaly_scores(x, x_hat, z_hat, lambda1=0.7)
         for i in range(6):
-            single = anomaly_score(x[i], x_hat[i], z_hat[i], lambda1=0.7)
+            single = one_row_score(x[i], x_hat[i], z_hat[i], lambda1=0.7)
             assert batch[i] == pytest.approx(single, rel=1e-15)
 
     def test_score_dataset_uses_pipeline(self):
@@ -154,12 +157,6 @@ class TestAuc:
             auc([0.1, np.nan], [0, 1])
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [0, 2])
-
-    def test_auc_samples_matches_arrays(self):
-        rng = np.random.default_rng(9)
-        scores, labels = random_tied_instance(rng, max_n=50)
-        samples = [ScoredSample(float(s), bool(l)) for s, l in zip(scores, labels)]
-        assert auc_samples(samples).auc == auc(scores, labels).auc
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
