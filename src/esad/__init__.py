@@ -37,13 +37,10 @@ from .losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
-    loss_ass,
-    loss_norm_semi,
-    loss_rec_semi,
     loss_sad_rec,
     loss_svdd,
-    loss_total,
     phi_apply,
+    semi_loss_and_grads,
 )
 from .model import (
     EsadModel,

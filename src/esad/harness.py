@@ -39,12 +39,8 @@ from .losses import (
     SemiLabel,
     grad_sad_rec,
     grad_svdd,
-    loss_ass,
-    loss_norm_semi,
-    loss_rec_semi,
     loss_sad_rec,
     loss_svdd,
-    loss_total,
     semi_loss_and_grads,
     svdd_center,
 )
@@ -127,8 +123,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("epsilon", "phi_sigma"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         for name in ("lambda1", "lambda2", "clip_norm"):
             value = getattr(self, name)
             if not value >= 0:
@@ -599,13 +597,10 @@ def full_loss_grad_check(
 
     def eval_loss() -> float:
         cur = forward_pipeline(model, x)
-        return loss_total(
-            loss_rec_semi(x, cur.x_hat, tags, phi),
-            loss_norm_semi(cur.z_hat, tags, eps),
-            loss_ass(cur.z, cur.z_hat),
-            lam1,
-            lam2,
-        )
+        breakdown = semi_loss_and_grads(
+            x, cur.z, cur.x_hat, cur.z_hat, tags, phi, lam1, lam2, eps
+        )[0]
+        return breakdown.total
 
     _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
         x, out.z, out.x_hat, out.z_hat, tags, phi, lam1, lam2, eps

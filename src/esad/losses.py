@@ -8,6 +8,10 @@ separately and a group absent from the batch contributes nothing.
 Norm-style terms raise labeled-anomalous distances through an inverse, which
 blows up near zero; a small eps guards only those inverse branches. At an
 exact zero norm the gradient of ||.||_2 is taken as 0.
+
+Inputs are checked for shape and labels only, never scanned for NaN or inf:
+a diverging network yields a non-finite loss, which the training loop
+reports with its epoch and batch.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndcore import ShapeError, as_matrix
+from .ndcore import ShapeError
 
 
 class MissingPhiError(ValueError):
@@ -28,15 +32,6 @@ class SemiLabel(enum.IntEnum):
     UNLABELED = 0
     LABELED_NORMAL = 1
     LABELED_ANOMALOUS = 2
-
-    @property
-    def y(self) -> int:
-        """Supervision sign: +1 normal, -1 anomalous. Unlabeled has none."""
-        if self is SemiLabel.LABELED_NORMAL:
-            return 1
-        if self is SemiLabel.LABELED_ANOMALOUS:
-            return -1
-        raise ValueError("unlabeled samples carry no supervision sign")
 
 
 def label_codes(labels) -> np.ndarray:
@@ -107,143 +102,76 @@ def phi_apply(cfg: PhiConfig, x) -> np.ndarray:
     return arr + noise
 
 
-def _group_masks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _matrix(a, name: str) -> np.ndarray:
+    """A 2-D float64 view of a. Values are not scanned: a non-finite network
+    output shows up as a non-finite loss, which training reports."""
+    out = np.asarray(a, dtype=np.float64)
+    if out.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got shape {out.shape}")
+    return out
+
+
+def _pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
+    am, bm = _matrix(a, name_a), _matrix(b, name_b)
+    if am.shape != bm.shape:
+        raise ShapeError(f"{name_a} {am.shape} vs {name_b} {bm.shape}")
+    return am, bm
+
+
+def _group_masks(labels, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unlabeled, labeled normal, labeled anomalous) row masks."""
+    codes = label_codes(labels)
+    if codes.size != rows:
+        raise ShapeError(f"{codes.size} labels for {rows} rows")
     unl = codes == SemiLabel.UNLABELED
     nrm = codes == SemiLabel.LABELED_NORMAL
     anm = codes == SemiLabel.LABELED_ANOMALOUS
     return unl, nrm, anm
 
 
-def _rec_targets(x: np.ndarray, codes: np.ndarray, phi: PhiConfig | None):
-    anm = codes == SemiLabel.LABELED_ANOMALOUS
-    targets = x.copy()
-    if np.any(anm):
-        if phi is None:
-            raise MissingPhiError(
-                "batch has labeled anomalies but no phi transform is configured"
-            )
-        targets[anm] = phi_apply(phi, x[anm])
-    return targets
-
-
-def loss_rec_semi(x, x_hat, labels, phi: PhiConfig | None = None) -> float:
-    """Reconstruction loss with per-group averaging.
-
-    Unlabeled rows reconstruct themselves; labeled normals likewise; labeled
-    anomalies reconstruct phi(x) instead, steering the decoder away from
-    reproducing anomalous inputs.
-    """
-    xm = as_matrix(x, "x")
-    xh = as_matrix(x_hat, "x_hat")
-    if xm.shape != xh.shape:
-        raise ShapeError(f"x {xm.shape} vs x_hat {xh.shape}")
-    codes = label_codes(labels)
-    if codes.size != xm.shape[0]:
-        raise ShapeError(f"{codes.size} labels for {xm.shape[0]} rows")
-    targets = _rec_targets(xm, codes, phi)
-    sq = np.sum((xh - targets) ** 2, axis=1)
-    unl = codes == SemiLabel.UNLABELED
-    lab = ~unl
-    loss = 0.0
-    if np.any(unl):
-        loss += float(sq[unl].mean())
-    if np.any(lab):
-        loss += float(sq[lab].mean())
-    return loss
-
-
-def grad_rec_semi(x, x_hat, labels, phi: PhiConfig | None = None) -> np.ndarray:
-    """d(loss_rec_semi)/d(x_hat), shape like x_hat."""
-    xm = as_matrix(x, "x")
-    xh = as_matrix(x_hat, "x_hat")
-    codes = label_codes(labels)
-    targets = _rec_targets(xm, codes, phi)
-    unl = codes == SemiLabel.UNLABELED
-    lab = ~unl
-    grad = np.zeros_like(xh)
-    if np.any(unl):
-        grad[unl] = (2.0 / unl.sum()) * (xh[unl] - targets[unl])
-    if np.any(lab):
-        grad[lab] = (2.0 / lab.sum()) * (xh[lab] - targets[lab])
-    return grad
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=1))
 
 
-def _unit_rows(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    # Zero rows get a zero direction (subgradient choice at the kink).
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return np.where(norms[:, None] > 0.0, a / safe[:, None], 0.0)
+# The grouped-distance term shared by esad's latent norm (distance from the
+# origin) and the baseline's SVDD loss (distance from a fixed center), after
+# Deep SAD (Ruff et al., ICLR 2020). Unlabeled rows average their distance;
+# labeled rows average distance for normals and 1 / (distance + eps) for
+# anomalies, so pushing an anomaly away lowers the loss.
 
 
-def loss_norm_semi(z_hat, labels, eps: float = 1e-6) -> float:
-    """Latent-norm loss: shrink unlabeled and normal rows, inflate anomalies.
-
-    Unlabeled and labeled-normal rows contribute their plain L2 norm; labeled
-    anomalies contribute 1 / (norm + eps), so pushing their re-encoded latent
-    away from the origin lowers the loss.
-    """
-    zh = as_matrix(z_hat, "z_hat")
-    codes = label_codes(labels)
-    if codes.size != zh.shape[0]:
-        raise ShapeError(f"{codes.size} labels for {zh.shape[0]} rows")
-    norms = _row_norms(zh)
-    unl, nrm, anm = _group_masks(codes)
+def _distance_loss(dists: np.ndarray, masks, eps: float) -> float:
+    unl, nrm, anm = masks
     m = int(nrm.sum() + anm.sum())
     loss = 0.0
     if np.any(unl):
-        loss += float(norms[unl].mean())
+        loss += float(dists[unl].mean())
     if m > 0:
-        labeled_sum = float(norms[nrm].sum()) if np.any(nrm) else 0.0
+        labeled_sum = float(dists[nrm].sum()) if np.any(nrm) else 0.0
         if np.any(anm):
-            labeled_sum += float((1.0 / (norms[anm] + eps)).sum())
+            labeled_sum += float((1.0 / (dists[anm] + eps)).sum())
         loss += labeled_sum / m
     return loss
 
 
-def grad_norm_semi(z_hat, labels, eps: float = 1e-6) -> np.ndarray:
-    """d(loss_norm_semi)/d(z_hat), zero rows getting zero gradient."""
-    zh = as_matrix(z_hat, "z_hat")
-    codes = label_codes(labels)
-    norms = _row_norms(zh)
-    units = _unit_rows(zh, norms)
-    unl, nrm, anm = _group_masks(codes)
+def _distance_grad(
+    rows: np.ndarray, dists: np.ndarray, masks, eps: float
+) -> np.ndarray:
+    """Gradient of _distance_loss with respect to the rows whose L2 norms are
+    dists. A zero row gets zero gradient, the subgradient chosen at the kink."""
+    unl, nrm, anm = masks
+    safe = np.where(dists > 0.0, dists, 1.0)
+    units = np.where(dists[:, None] > 0.0, rows / safe[:, None], 0.0)
     m = int(nrm.sum() + anm.sum())
-    grad = np.zeros_like(zh)
+    grad = np.zeros_like(rows)
     if np.any(unl):
         grad[unl] = units[unl] / unl.sum()
     if np.any(nrm):
         grad[nrm] = units[nrm] / m
     if np.any(anm):
-        scale = -1.0 / (norms[anm] + eps) ** 2
+        scale = -1.0 / (dists[anm] + eps) ** 2
         grad[anm] = (scale[:, None] * units[anm]) / m
     return grad
-
-
-def loss_ass(z, z_hat) -> float:
-    """Association loss: mean squared distance between z and its re-encoding."""
-    zm = as_matrix(z, "z")
-    zh = as_matrix(z_hat, "z_hat")
-    if zm.shape != zh.shape:
-        raise ShapeError(f"z {zm.shape} vs z_hat {zh.shape}")
-    return float(np.sum((zh - zm) ** 2, axis=1).mean())
-
-
-def grad_ass(z, z_hat) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dz, d/dz_hat) of loss_ass."""
-    zm = as_matrix(z, "z")
-    zh = as_matrix(z_hat, "z_hat")
-    if zm.shape != zh.shape:
-        raise ShapeError(f"z {zm.shape} vs z_hat {zh.shape}")
-    g = (2.0 / zm.shape[0]) * (zh - zm)
-    return -g, g
-
-
-def loss_total(rec: float, norm: float, ass: float, lambda1: float, lambda2: float) -> float:
-    """Total objective: rec + lambda1 * norm + lambda2 * ass."""
-    return rec + lambda1 * norm + lambda2 * ass
 
 
 @dataclass(frozen=True)
@@ -258,10 +186,8 @@ class LossBreakdown:
 
     @property
     def total(self) -> float:
-        return loss_total(self.rec, self.norm, self.ass, self.lambda1, self.lambda2)
-
-    def finite(self) -> bool:
-        return bool(np.isfinite([self.rec, self.norm, self.ass]).all())
+        """rec + lambda1 * norm + lambda2 * ass."""
+        return self.rec + self.lambda1 * self.norm + self.lambda2 * self.ass
 
 
 def semi_loss_and_grads(
@@ -275,21 +201,55 @@ def semi_loss_and_grads(
     lambda2: float = 1.0,
     eps: float = 1e-6,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray, np.ndarray]:
-    """All three components plus gradients at (z, x_hat, z_hat) in one pass.
+    """The objective's three terms and their gradients at (z, x_hat, z_hat)
+    in one pass over the batch.
+
+    - rec: squared reconstruction error, averaged over unlabeled and over
+      labeled rows. Labeled anomalies reconstruct phi(x) instead of x,
+      steering the decoder away from reproducing anomalous inputs.
+    - norm: the grouped distance of the re-encoded latent z_hat from the
+      origin, shrinking unlabeled and normal rows and inflating anomalies.
+    - ass: mean squared distance between z and its re-encoding z_hat.
 
     Returns (breakdown, grad_z, grad_x_hat, grad_z_hat) with the lambda
     weights already folded into the gradients, ready for backpropagation.
     """
-    rec = loss_rec_semi(x, x_hat, labels, phi)
-    norm = loss_norm_semi(z_hat, labels, eps)
-    ass = loss_ass(z, z_hat)
-    g_xhat = grad_rec_semi(x, x_hat, labels, phi)
-    g_norm = grad_norm_semi(z_hat, labels, eps)
-    g_ass_z, g_ass_zhat = grad_ass(z, z_hat)
+    xm, xh = _pair(x, x_hat, "x", "x_hat")
+    zm, zh = _pair(z, z_hat, "z", "z_hat")
+    if zm.shape[0] != xm.shape[0]:
+        raise ShapeError(f"{zm.shape[0]} latent rows for {xm.shape[0]} inputs")
+    masks = _group_masks(labels, xm.shape[0])
+    unl, _, anm = masks
+
+    targets = xm.copy()
+    if np.any(anm):
+        if phi is None:
+            raise MissingPhiError(
+                "batch has labeled anomalies but no phi transform is configured"
+            )
+        targets[anm] = phi_apply(phi, xm[anm])
+    diff = xh - targets
+    sq = np.sum(diff**2, axis=1)
+    lab = ~unl
+    rec = 0.0
+    g_xhat = np.zeros_like(xh)
+    if np.any(unl):
+        rec += float(sq[unl].mean())
+        g_xhat[unl] = (2.0 / unl.sum()) * diff[unl]
+    if np.any(lab):
+        rec += float(sq[lab].mean())
+        g_xhat[lab] = (2.0 / lab.sum()) * diff[lab]
+
+    norms = _row_norms(zh)
+    norm = _distance_loss(norms, masks, eps)
+    g_norm = _distance_grad(zh, norms, masks, eps)
+
+    d_ass = zh - zm
+    ass = float(np.sum(d_ass**2, axis=1).mean())
+    g_ass = (2.0 / zm.shape[0]) * d_ass
+
     breakdown = LossBreakdown(rec, norm, ass, lambda1, lambda2)
-    grad_z = lambda2 * g_ass_z
-    grad_z_hat = lambda1 * g_norm + lambda2 * g_ass_zhat
-    return breakdown, grad_z, g_xhat, grad_z_hat
+    return breakdown, lambda2 * -g_ass, g_xhat, lambda1 * g_norm + lambda2 * g_ass
 
 
 # Two-stage baseline objectives.
@@ -297,30 +257,27 @@ def semi_loss_and_grads(
 
 def loss_sad_rec(x, x_hat) -> float:
     """Pretraining reconstruction: mean squared error over the whole batch."""
-    xm = as_matrix(x, "x")
-    xh = as_matrix(x_hat, "x_hat")
-    if xm.shape != xh.shape:
-        raise ShapeError(f"x {xm.shape} vs x_hat {xh.shape}")
+    xm, xh = _pair(x, x_hat, "x", "x_hat")
     return float(np.sum((xh - xm) ** 2, axis=1).mean())
 
 
 def grad_sad_rec(x, x_hat) -> np.ndarray:
-    xm = as_matrix(x, "x")
-    xh = as_matrix(x_hat, "x_hat")
+    xm, xh = _pair(x, x_hat, "x", "x_hat")
     return (2.0 / xm.shape[0]) * (xh - xm)
 
 
 def svdd_center(z) -> np.ndarray:
     """Mean latent vector over rows; the fixed center for fine-tuning."""
-    zm = as_matrix(z, "z")
-    return zm.mean(axis=0)
+    return _matrix(z, "z").mean(axis=0)
 
 
-def _center_offsets(zm: np.ndarray, center) -> np.ndarray:
+def _center_distances(z, labels, center):
+    zm = _matrix(z, "z")
     c = np.asarray(center, dtype=np.float64)
     if c.shape != (zm.shape[1],):
         raise ShapeError(f"center shape {c.shape} does not match dim {zm.shape[1]}")
-    return zm - c
+    diff = zm - c
+    return diff, _row_norms(diff), _group_masks(labels, zm.shape[0])
 
 
 def loss_svdd(z, labels, center, eps: float = 1e-6) -> float:
@@ -330,39 +287,11 @@ def loss_svdd(z, labels, center, eps: float = 1e-6) -> float:
     center is fixed after pretraining (see svdd_center); the labeled term
     carries the same unit weight as the unlabeled one.
     """
-    zm = as_matrix(z, "z")
-    codes = label_codes(labels)
-    if codes.size != zm.shape[0]:
-        raise ShapeError(f"{codes.size} labels for {zm.shape[0]} rows")
-    dists = _row_norms(_center_offsets(zm, center))
-    unl, nrm, anm = _group_masks(codes)
-    m = int(nrm.sum() + anm.sum())
-    loss = 0.0
-    if np.any(unl):
-        loss += float(dists[unl].mean())
-    if m > 0:
-        labeled_sum = float(dists[nrm].sum()) if np.any(nrm) else 0.0
-        if np.any(anm):
-            labeled_sum += float((1.0 / (dists[anm] + eps)).sum())
-        loss += labeled_sum / m
-    return loss
+    _, dists, masks = _center_distances(z, labels, center)
+    return _distance_loss(dists, masks, eps)
 
 
 def grad_svdd(z, labels, center, eps: float = 1e-6) -> np.ndarray:
     """d(loss_svdd)/dz; rows sitting exactly at the center get zero gradient."""
-    zm = as_matrix(z, "z")
-    codes = label_codes(labels)
-    diff = _center_offsets(zm, center)
-    dists = _row_norms(diff)
-    units = _unit_rows(diff, dists)
-    unl, nrm, anm = _group_masks(codes)
-    m = int(nrm.sum() + anm.sum())
-    grad = np.zeros_like(zm)
-    if np.any(unl):
-        grad[unl] = units[unl] / unl.sum()
-    if np.any(nrm):
-        grad[nrm] = units[nrm] / m
-    if np.any(anm):
-        scale = -1.0 / (dists[anm] + eps) ** 2
-        grad[anm] = (scale[:, None] * units[anm]) / m
-    return grad
+    diff, dists, masks = _center_distances(z, labels, center)
+    return _distance_grad(diff, dists, masks, eps)

@@ -110,7 +110,7 @@ class PipelineOutput:
 
 
 def forward_pipeline(model: EsadModel, x) -> PipelineOutput:
-    """Run x through enc1, dec, enc2. Accepts a vector or a batch matrix."""
+    """Run the batch x through enc1, dec, enc2."""
     z, c1 = forward(model.enc1, x)
     x_hat, cd = forward(model.dec, z)
     z_hat, c2 = forward(model.enc2, x_hat)

@@ -133,7 +133,6 @@ class ForwardCache:
 
     inputs: list[np.ndarray]
     pres: list[np.ndarray]
-    batched: bool
 
 
 # Per-layer gradients, aligned with a list of layers: [(dW, db), ...]
@@ -141,13 +140,10 @@ StackGrads = list[tuple[np.ndarray, np.ndarray]]
 
 
 def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a single vector (in_dim,) or a batch (b, in_dim)."""
+    """Run the stack on a batch (b, in_dim); one sample is a one-row batch."""
     arr = np.asarray(x, dtype=np.float64)
-    batched = arr.ndim == 2
-    if not batched:
-        if arr.ndim != 1:
-            raise ShapeError(f"input must be 1-D or 2-D, got {arr.shape}")
-        arr = arr[None, :]
+    if arr.ndim != 2:
+        raise ShapeError(f"input must be a 2-D batch, got shape {arr.shape}")
     if arr.shape[1] != stack.in_dim:
         raise ShapeError(
             f"input width {arr.shape[1]} does not match stack in_dim "
@@ -160,8 +156,7 @@ def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
         pre = cur @ layer.weight.T + layer.bias
         pres.append(pre)
         cur = _apply_activation(pre, layer.activation)
-    out = cur if batched else cur[0]
-    return out, ForwardCache(inputs, pres, batched)
+    return cur, ForwardCache(inputs, pres)
 
 
 def backward(
@@ -174,8 +169,6 @@ def backward(
     summed over batch rows.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    if not cache.batched:
-        g = g[None, :]
     if g.shape != cache.pres[-1].shape:
         raise ShapeError(
             f"grad shape {g.shape} does not match output {cache.pres[-1].shape}"
@@ -186,7 +179,7 @@ def backward(
         g_pre = g * _activation_grad(cache.pres[i], layer.activation)
         grads[i] = (g_pre.T @ cache.inputs[i], g_pre.sum(axis=0))
         g = g_pre @ layer.weight
-    return grads, (g if cache.batched else g[0])
+    return grads, g
 
 
 @dataclass
@@ -204,7 +197,7 @@ class SgdConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
+        if not self.initial_lr > 0:
             raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
         if self.decay_every < 1:
             raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")

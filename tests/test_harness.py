@@ -7,12 +7,15 @@ on average over data draws; the baseline's frozen center must equal the
 value an independent replica of stage one computes.
 """
 
+import importlib.util
 import json
 
 import numpy as np
 import pytest
+from conftest import REPO_ROOT
 from numpy.testing import assert_allclose, assert_array_equal
 
+import esad
 from esad import harness
 from esad.data import synth_gaussians
 from esad.harness import (
@@ -166,6 +169,11 @@ class TestConfigParsing:
             ("gamma_p = 1.5", "gamma_p"),
             ("hidden_dim = 0", "hidden_dim"),
             ("rep_dim = -2", "rep_dim"),
+            ("epsilon = nan", "epsilon"),
+            ("epsilon = 0", "epsilon"),
+            ("phi_sigma = 0", "phi_sigma"),
+            ("phi_sigma = -1", "phi_sigma"),
+            ("initial_lr = nan", "initial_lr"),
         ]:
             path.write_text(line + "\n")
             with pytest.raises(ConfigError, match=f"exp.cfg: {key} must be"):
@@ -413,6 +421,25 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="bug in the training loop"):
             run_experiment(quick_config())
 
+    @pytest.mark.parametrize("method, lr", [(Method.ESAD, 1e8), (Method.DEEP_SAD, 1e3)])
+    def test_every_divergence_is_reported_with_location(self, method, lr):
+        # Unclipped steps this large overflow the network outputs inside the
+        # first epoch. The loss layer must pass the non-finite values on, so
+        # that the loop names the epoch and batch instead of a shape check
+        # raising a bare ValueError about x_hat.
+        cfg = ExperimentConfig(
+            method=method,
+            gamma_l=0.05,
+            clip_norm=0.0,
+            seeds=(0, 1, 2),
+            sgd=SgdConfig(initial_lr=lr, epochs=4),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(cfg)
+        for r in report.results:
+            assert r.error.startswith("TrainingDiverged: non-finite"), r.error
+            assert "at epoch 0, batch" in r.error
+
     def test_report_table_lists_all_seeds(self):
         cfg = quick_config(seeds=(0, 1))
         table = format_report_table(run_experiment(cfg))
@@ -524,3 +551,18 @@ class TestChanceLevel:
             assert not report.partial
             aucs.append(report.mean_auc)
         assert abs(float(np.mean(aucs)) - 0.5) < 0.08
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_resolve(self):
+        # The benchmark's tracer wraps these names where their callers look
+        # them up; a rename would silently zero its per-layer metrics.
+        path = REPO_ROOT / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        hooks = [(m, a) for m, a, _ in tracing.HOOKS] + [("harness", "_batches")]
+        missing = [
+            f"{m}.{a}" for m, a in hooks if not callable(getattr(getattr(esad, m), a, None))
+        ]
+        assert not missing

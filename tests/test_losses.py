@@ -1,10 +1,13 @@
 """Objective tests.
 
-Each loss is pinned by hand-computed values on tiny batches, then its
-analytic gradient is probed with central differences computed in this file.
-FD points are kept away from the zero-norm kinks where the subgradient
-choice makes the comparison meaningless.
+Each loss term is pinned by hand-computed values on tiny batches and
+compared against a row-by-row oracle written here; its analytic gradient is
+probed with central differences computed in this file. FD points are kept
+away from the zero-norm kinks where the subgradient choice makes the
+comparison meaningless.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,18 +19,11 @@ from esad.losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
-    grad_ass,
-    grad_norm_semi,
-    grad_rec_semi,
     grad_sad_rec,
     grad_svdd,
     label_codes,
-    loss_ass,
-    loss_norm_semi,
-    loss_rec_semi,
     loss_sad_rec,
     loss_svdd,
-    loss_total,
     phi_apply,
     semi_loss_and_grads,
     svdd_center,
@@ -37,6 +33,7 @@ from esad.ndcore import ShapeError
 U = int(SemiLabel.UNLABELED)
 N = int(SemiLabel.LABELED_NORMAL)
 A = int(SemiLabel.LABELED_ANOMALOUS)
+SWAP = PhiConfig(PhiKind.PERMUTATION, 2, seed=0, perm=np.array([1, 0]))
 
 
 def fd_grad(fn, x, step=1e-6):
@@ -62,13 +59,72 @@ def safe_batch(rng, rows, dim, min_norm=0.5):
             return x
 
 
-class TestLabels:
-    def test_supervision_signs(self):
-        assert SemiLabel.LABELED_NORMAL.y == 1
-        assert SemiLabel.LABELED_ANOMALOUS.y == -1
-        with pytest.raises(ValueError):
-            SemiLabel.UNLABELED.y
+# One term at a time: the other inputs are zeros, so they add nothing to the
+# term under test and its gradient comes out unweighted.
 
+
+def rec_term(x, x_hat, tags, phi=None):
+    """(rec, d rec / d x_hat)."""
+    z = np.zeros((len(tags), 1))
+    b, _, g_xhat, _ = semi_loss_and_grads(x, z, x_hat, z, tags, phi)
+    return b.rec, g_xhat
+
+
+def norm_term(z_hat, tags, eps=1e-6):
+    """(norm, d norm / d z_hat)."""
+    x = np.zeros((len(tags), 2))
+    b, _, _, g_zhat = semi_loss_and_grads(
+        x, z_hat, x, z_hat, tags, SWAP, lambda1=1.0, lambda2=0.0, eps=eps
+    )
+    return b.norm, g_zhat
+
+
+def ass_term(z, z_hat):
+    """(ass, d ass / d z, d ass / d z_hat)."""
+    rows = np.shape(z)[0]
+    x = np.zeros((rows, 1))
+    b, g_z, _, g_zhat = semi_loss_and_grads(
+        x, z, x, z_hat, [U] * rows, None, lambda1=0.0, lambda2=1.0
+    )
+    return b.ass, g_z, g_zhat
+
+
+def loop_oracle(x, z, x_hat, z_hat, tags, perm, lam1, lam2, eps):
+    """The objective and its gradients, one row and one coordinate at a time.
+
+    Each row carries its group weight: 1/n for the n unlabeled rows, 1/m for
+    the m labeled ones. Labeled anomalies reconstruct x permuted by perm and
+    contribute 1 / (||z_hat|| + eps) to the norm term. Needs nonzero z_hat
+    rows. Returns (rec, norm, ass, grad_z, grad_x_hat, grad_z_hat).
+    """
+    rows, dim = x.shape
+    n = sum(1 for t in tags if t == U)
+    m = rows - n
+    rec = norm = ass = 0.0
+    g_z, g_xhat, g_zhat = np.zeros(z.shape), np.zeros(x.shape), np.zeros(z.shape)
+    for i, t in enumerate(tags):
+        w = 1.0 / n if t == U else 1.0 / m
+        for j in range(dim):
+            target = x[i, perm[j]] if t == A else x[i, j]
+            err = x_hat[i, j] - target
+            rec += w * err * err
+            g_xhat[i, j] = 2.0 * w * err
+        r = math.sqrt(sum(v * v for v in z_hat[i]))
+        if t == A:
+            norm += w / (r + eps)
+            coef = -w / (r + eps) ** 2
+        else:
+            norm += w * r
+            coef = w
+        for j in range(z.shape[1]):
+            d = z_hat[i, j] - z[i, j]
+            ass += d * d / rows
+            g_z[i, j] = -lam2 * 2.0 * d / rows
+            g_zhat[i, j] = lam1 * coef * z_hat[i, j] / r + lam2 * 2.0 * d / rows
+    return rec, norm, ass, g_z, g_xhat, g_zhat
+
+
+class TestLabels:
     def test_label_codes_validation(self):
         assert_array_equal(label_codes([U, N, A]), [0, 1, 2])
         with pytest.raises(ValueError, match="unknown label"):
@@ -134,47 +190,45 @@ class TestPhi:
 class TestRecSemi:
     def test_perfect_reconstruction_is_zero(self):
         x = np.random.default_rng(2).normal(size=(4, 3))
-        assert loss_rec_semi(x, x.copy(), [U] * 4) == 0.0
+        assert rec_term(x, x.copy(), [U] * 4)[0] == 0.0
 
     def test_single_unlabeled_row(self):
-        assert loss_rec_semi([[1.0, 0.0]], [[0.0, 0.0]], [U]) == 1.0
+        assert rec_term([[1.0, 0.0]], [[0.0, 0.0]], [U])[0] == 1.0
 
     def test_groups_average_separately(self):
         # Unlabeled errors 1 and 4 average to 2.5; both labeled rows hit
         # their targets exactly, adding 0.
-        phi = PhiConfig(PhiKind.PERMUTATION, 2, seed=0, perm=np.array([1, 0]))
         x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [3.0, 7.0]])
         x_hat = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [7.0, 3.0]])
-        got = loss_rec_semi(x, x_hat, [U, U, N, A], phi)
+        got, _ = rec_term(x, x_hat, [U, U, N, A], SWAP)
         assert_allclose(got, 2.5, rtol=1e-15)
 
     def test_anomaly_target_is_phi_of_x(self):
-        phi = PhiConfig(PhiKind.PERMUTATION, 2, seed=0, perm=np.array([1, 0]))
         # Reconstructing the raw input is now penalized.
         x = np.array([[3.0, 7.0]])
-        assert_allclose(loss_rec_semi(x, [[7.0, 3.0]], [A], phi), 0.0)
-        assert_allclose(loss_rec_semi(x, x.copy(), [A], phi), 2 * 16.0)
+        assert_allclose(rec_term(x, [[7.0, 3.0]], [A], SWAP)[0], 0.0)
+        assert_allclose(rec_term(x, x.copy(), [A], SWAP)[0], 2 * 16.0)
 
     def test_all_groups_weighted_equally(self):
         # One unlabeled row with error 2 and one labeled with error 6:
         # the group means add, giving 8 regardless of head counts.
         x = np.array([[0.0], [0.0]])
         x_hat = np.array([[np.sqrt(2.0)], [np.sqrt(6.0)]])
-        assert_allclose(loss_rec_semi(x, x_hat, [U, N]), 8.0, rtol=1e-15)
+        assert_allclose(rec_term(x, x_hat, [U, N])[0], 8.0, rtol=1e-15)
 
     def test_missing_phi_raises(self):
         with pytest.raises(MissingPhiError):
-            loss_rec_semi([[1.0, 2.0]], [[0.0, 0.0]], [A], phi=None)
+            rec_term([[1.0, 2.0]], [[0.0, 0.0]], [A], phi=None)
 
     def test_phi_not_needed_without_anomalies(self):
-        assert loss_rec_semi([[1.0, 2.0]], [[1.0, 2.0]], [N], phi=None) == 0.0
+        assert rec_term([[1.0, 2.0]], [[1.0, 2.0]], [N], phi=None)[0] == 0.0
 
     def test_gradient_zero_at_target(self):
         phi = PhiConfig.permutation(3, seed=3)
         x = np.random.default_rng(4).normal(size=(3, 3))
         targets = x.copy()
         targets[2] = phi_apply(phi, x[2])
-        g = grad_rec_semi(x, targets, [U, N, A], phi)
+        _, g = rec_term(x, targets, [U, N, A], phi)
         assert_allclose(g, np.zeros_like(g), atol=1e-15)
 
     def test_gradient_matches_central_differences(self):
@@ -183,105 +237,118 @@ class TestRecSemi:
         x = rng.normal(size=(5, 4))
         x_hat = rng.normal(size=(5, 4))
         tags = [U, U, N, A, A]
-        analytic = grad_rec_semi(x, x_hat, tags, phi)
-        numeric = fd_grad(lambda xh: loss_rec_semi(x, xh, tags, phi), x_hat)
+        _, analytic = rec_term(x, x_hat, tags, phi)
+        numeric = fd_grad(lambda xh: rec_term(x, xh, tags, phi)[0], x_hat)
         assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss_rec_semi([[1.0, 2.0]], [[1.0]], [U])
+            rec_term([[1.0, 2.0]], [[1.0]], [U])
+        x, z = np.ones((2, 2)), np.ones((2, 1))
         with pytest.raises(ShapeError, match="labels"):
-            loss_rec_semi([[1.0]], [[1.0]], [U, U])
+            semi_loss_and_grads(x, z, x, z, [U], None)
+        with pytest.raises(ShapeError, match="latent rows"):
+            semi_loss_and_grads(x, z[:1], x, z[:1], [U, U], None)
 
 
 class TestNormSemi:
     def test_unlabeled_row_contributes_plain_norm(self):
-        assert loss_norm_semi([[3.0, 4.0]], [U]) == 5.0
+        assert norm_term([[3.0, 4.0]], [U])[0] == 5.0
 
     def test_anomaly_contributes_inverse_norm(self):
-        assert loss_norm_semi([[3.0, 4.0]], [A], eps=0.0) == pytest.approx(
+        assert norm_term([[3.0, 4.0]], [A], eps=0.0)[0] == pytest.approx(
             0.2, rel=1e-15
         )
 
     def test_labeled_normal_at_origin_is_zero(self):
-        assert loss_norm_semi([[0.0, 0.0]], [N]) == 0.0
+        assert norm_term([[0.0, 0.0]], [N])[0] == 0.0
 
     def test_anomaly_at_origin_capped_by_eps(self):
-        assert loss_norm_semi([[0.0, 0.0]], [A], eps=1e-6) == pytest.approx(1e6)
+        assert norm_term([[0.0, 0.0]], [A], eps=1e-6)[0] == pytest.approx(1e6)
 
     def test_mixed_batch_hand_value(self):
         z_hat = np.array([[3.0, 4.0], [0.0, 0.0], [0.6, 0.8]])
         tags = [U, N, A]
         # n=1 unlabeled: 5. m=2 labeled: (0 + 1/(1 + eps)) / 2.
         expected = 5.0 + 0.5 * (1.0 / (1.0 + 1e-6))
-        assert_allclose(loss_norm_semi(z_hat, tags), expected, rtol=1e-15)
+        assert_allclose(norm_term(z_hat, tags)[0], expected, rtol=1e-15)
 
     def test_scaling_moves_groups_in_opposite_directions(self):
         rng = np.random.default_rng(7)
         z = safe_batch(rng, 4, 3)
-        unl = loss_norm_semi(z, [U] * 4)
-        assert loss_norm_semi(2 * z, [U] * 4) > unl
-        anm = loss_norm_semi(z, [A] * 4)
-        assert loss_norm_semi(2 * z, [A] * 4) < anm
+        unl = norm_term(z, [U] * 4)[0]
+        assert norm_term(2 * z, [U] * 4)[0] > unl
+        anm = norm_term(z, [A] * 4)[0]
+        assert norm_term(2 * z, [A] * 4)[0] < anm
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(8)
         z = safe_batch(rng, 5, 3)
         tags = [U, U, N, A, A]
-        analytic = grad_norm_semi(z, tags)
-        numeric = fd_grad(lambda zz: loss_norm_semi(zz, tags), z)
+        _, analytic = norm_term(z, tags)
+        numeric = fd_grad(lambda zz: norm_term(zz, tags)[0], z)
         assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_gradient_zero_on_zero_rows(self):
-        g = grad_norm_semi(np.zeros((2, 3)), [U, A])
+        _, g = norm_term(np.zeros((2, 3)), [U, A])
         assert_array_equal(g, np.zeros((2, 3)))
+
+    def test_equals_svdd_with_center_at_origin(self):
+        # One grouped-distance kernel serves both objectives.
+        rng = np.random.default_rng(21)
+        z = safe_batch(rng, 6, 3)
+        tags = [U, U, N, N, A, A]
+        loss, grad = norm_term(z, tags)
+        assert loss == loss_svdd(z, tags, np.zeros(3))
+        assert_array_equal(grad, grad_svdd(z, tags, np.zeros(3)))
 
 
 class TestAss:
     def test_zero_when_re_encoding_matches(self):
         z = np.random.default_rng(9).normal(size=(4, 3))
-        assert loss_ass(z, z.copy()) == 0.0
+        assert ass_term(z, z.copy())[0] == 0.0
 
     def test_hand_values(self):
-        assert loss_ass([[1.0, 0.0]], [[0.0, 1.0]]) == 2.0
+        assert ass_term([[1.0, 0.0]], [[0.0, 1.0]])[0] == 2.0
         z = np.array([[0.0, 0.0], [2.0, 0.0]])
         z_hat = np.zeros((2, 2))
-        assert loss_ass(z, z_hat) == 2.0
+        assert ass_term(z, z_hat)[0] == 2.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(10)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        assert loss_ass(a, b) == loss_ass(b, a)
+        assert ass_term(a, b)[0] == ass_term(b, a)[0]
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(11)
         z, z_hat = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        g_z, g_zhat = grad_ass(z, z_hat)
+        _, g_z, g_zhat = ass_term(z, z_hat)
         assert_allclose(
-            g_z, fd_grad(lambda zz: loss_ass(zz, z_hat), z), rtol=1e-7, atol=1e-9
+            g_z, fd_grad(lambda zz: ass_term(zz, z_hat)[0], z), rtol=1e-7, atol=1e-9
         )
         assert_allclose(
-            g_zhat, fd_grad(lambda zh: loss_ass(z, zh), z_hat), rtol=1e-7, atol=1e-9
+            g_zhat,
+            fd_grad(lambda zh: ass_term(z, zh)[0], z_hat),
+            rtol=1e-7,
+            atol=1e-9,
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss_ass(np.ones((2, 3)), np.ones((3, 2)))
+            ass_term(np.ones((2, 3)), np.ones((3, 2)))
 
 
 class TestTotal:
     def test_weighted_sum(self):
-        assert loss_total(1.0, 2.0, 3.0, 1.0, 1.0) == 6.0
-        assert loss_total(1.0, 2.0, 3.0, 0.5, 2.0) == 8.0
-        assert loss_total(1.0, 2.0, 3.0, 0.0, 0.0) == 1.0
-
-    def test_breakdown_total_and_finiteness(self):
+        assert LossBreakdown(1.0, 2.0, 3.0).total == 6.0
+        assert LossBreakdown(1.0, 2.0, 3.0, lambda1=0.5, lambda2=2.0).total == 8.0
+        assert LossBreakdown(1.0, 2.0, 3.0, lambda1=0.0, lambda2=0.0).total == 1.0
         b = LossBreakdown(1.0, 2.0, 3.0, lambda1=2.0, lambda2=0.5)
         assert b.total == 1.0 + 2.0 * 2.0 + 0.5 * 3.0
-        assert b.finite()
-        assert not LossBreakdown(float("inf"), 0.0, 0.0).finite()
 
     def test_semi_loss_and_grads_consistent_with_parts(self):
+        # The weights scale the gradients and leave the components alone:
+        # the weighted call equals the unit-weight parts combined.
         rng = np.random.default_rng(12)
         phi = PhiConfig.permutation(4, seed=13)
         x = rng.normal(size=(5, 4))
@@ -293,17 +360,21 @@ class TestTotal:
         breakdown, g_z, g_xhat, g_zhat = semi_loss_and_grads(
             x, z, x_hat, z_hat, tags, phi, lam1, lam2
         )
-        assert breakdown.rec == loss_rec_semi(x, x_hat, tags, phi)
-        assert breakdown.norm == loss_norm_semi(z_hat, tags)
-        assert breakdown.ass == loss_ass(z, z_hat)
-        ga_z, ga_zhat = grad_ass(z, z_hat)
-        assert_allclose(g_z, lam2 * ga_z, rtol=1e-15)
-        assert_allclose(g_xhat, grad_rec_semi(x, x_hat, tags, phi), rtol=1e-15)
-        assert_allclose(
-            g_zhat,
-            lam1 * grad_norm_semi(z_hat, tags) + lam2 * ga_zhat,
-            rtol=1e-15,
+        b_norm, _, g_xhat1, g_norm = semi_loss_and_grads(
+            x, z, x_hat, z_hat, tags, phi, 1.0, 0.0
         )
+        _, g_ass_z, _, g_ass_zhat = semi_loss_and_grads(
+            x, z, x_hat, z_hat, tags, phi, 0.0, 1.0
+        )
+        assert (breakdown.rec, breakdown.norm, breakdown.ass) == (
+            b_norm.rec,
+            b_norm.norm,
+            b_norm.ass,
+        )
+        assert breakdown.total == b_norm.rec + lam1 * b_norm.norm + lam2 * b_norm.ass
+        assert_allclose(g_z, lam2 * g_ass_z, rtol=1e-15)
+        assert_array_equal(g_xhat, g_xhat1)
+        assert_allclose(g_zhat, lam1 * g_norm + lam2 * g_ass_zhat, rtol=1e-15)
 
     def test_components_nonnegative_on_random_batches(self):
         rng = np.random.default_rng(14)
@@ -312,10 +383,70 @@ class TestTotal:
             rows = int(rng.integers(1, 7))
             x = rng.normal(size=(rows, 3))
             x_hat = rng.normal(size=(rows, 3))
+            z = rng.normal(size=(rows, 2))
             z_hat = rng.normal(size=(rows, 2))
             tags = rng.integers(0, 3, size=rows)
-            assert loss_rec_semi(x, x_hat, tags, phi) >= 0.0
-            assert loss_norm_semi(z_hat, tags) >= 0.0
+            b = semi_loss_and_grads(x, z, x_hat, z_hat, tags, phi)[0]
+            assert b.rec >= 0.0 and b.norm >= 0.0 and b.ass >= 0.0
+
+    def test_matches_row_loop_oracle(self):
+        rng = np.random.default_rng(22)
+        eps = 1e-6
+        seen = set()
+        for trial in range(200):
+            rows = int(rng.integers(1, 9))
+            tags = [int(t) for t in rng.integers(0, 3, size=rows)]
+            if trial < 3:  # every group present, labeled normals included
+                tags = [U, N, A] + tags
+                rows += 3
+            seen.add(tuple(sorted(set(tags))))
+            phi = PhiConfig.permutation(4, seed=trial)
+            x, x_hat = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
+            z, z_hat = rng.normal(size=(rows, 3)), safe_batch(rng, rows, 3, 0.1)
+            lam1, lam2 = rng.uniform(0.0, 2.0, size=2)
+            b, g_z, g_xhat, g_zhat = semi_loss_and_grads(
+                x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps
+            )
+            rec, norm, ass, o_z, o_xhat, o_zhat = loop_oracle(
+                x, z, x_hat, z_hat, tags, phi.perm, lam1, lam2, eps
+            )
+            assert_allclose([b.rec, b.norm, b.ass], [rec, norm, ass], rtol=1e-12)
+            assert_allclose(g_z, o_z, rtol=1e-12, atol=1e-15)
+            assert_allclose(g_xhat, o_xhat, rtol=1e-12, atol=1e-15)
+            assert_allclose(g_zhat, o_zhat, rtol=1e-12, atol=1e-15)
+        # Every mix of groups occurs, a lone group included.
+        assert len(seen) == 7
+
+    def test_total_gradients_match_central_differences(self):
+        rng = np.random.default_rng(23)
+        phi = PhiConfig.permutation(4, seed=24)
+        x, x_hat = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        z, z_hat = rng.normal(size=(6, 3)), safe_batch(rng, 6, 3)
+        tags = [U, U, N, N, A, A]
+
+        def total(z_, x_hat_, z_hat_):
+            b = semi_loss_and_grads(x, z_, x_hat_, z_hat_, tags, phi, 0.7, 1.3)[0]
+            return b.total
+
+        _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
+            x, z, x_hat, z_hat, tags, phi, 0.7, 1.3
+        )
+        opts = dict(rtol=1e-6, atol=1e-9)
+        assert_allclose(g_z, fd_grad(lambda a: total(a, x_hat, z_hat), z), **opts)
+        assert_allclose(g_xhat, fd_grad(lambda a: total(z, a, z_hat), x_hat), **opts)
+        assert_allclose(g_zhat, fd_grad(lambda a: total(z, x_hat, a), z_hat), **opts)
+
+    def test_non_finite_outputs_give_non_finite_losses(self):
+        # The loss layer checks shapes and labels only; the training loop
+        # turns a non-finite component into TrainingDiverged.
+        x = np.zeros((2, 2))
+        bad = np.array([[np.inf, 0.0], [np.nan, 1.0]])
+        with np.errstate(invalid="ignore"):
+            b = semi_loss_and_grads(x, x, bad, bad, [U, A], SWAP)[0]
+            assert not math.isfinite(b.rec) and not math.isfinite(b.norm)
+            assert not math.isfinite(b.ass)
+            assert not math.isfinite(loss_sad_rec(x, bad))
+            assert not math.isfinite(loss_svdd(bad, [U, N], np.zeros(2)))
 
 
 class TestBaselineObjectives:
@@ -328,7 +459,7 @@ class TestBaselineObjectives:
         rng = np.random.default_rng(17)
         x, x_hat = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         assert loss_sad_rec(x, x_hat) == pytest.approx(
-            loss_rec_semi(x, x_hat, [U] * 6), rel=1e-15
+            rec_term(x, x_hat, [U] * 6)[0], rel=1e-15
         )
 
     def test_sad_rec_gradient_matches_central_differences(self):

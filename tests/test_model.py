@@ -129,15 +129,6 @@ class TestForwardPipeline:
         assert_array_equal(out.x_hat, x)
         assert_array_equal(out.z_hat, x)
 
-    def test_single_vector_input(self):
-        model = new_model(5, seed=8)
-        x = np.random.default_rng(9).normal(size=5)
-        out = forward_pipeline(model, x)
-        assert out.z.shape == (model.rep_dim,)
-        assert out.x_hat.shape == (5,)
-        batch = forward_pipeline(model, x[None, :])
-        assert_allclose(out.z_hat, batch.z_hat[0], rtol=1e-12, atol=1e-14)
-
 
 class TestBackwardPipeline:
     def test_full_chain_matches_central_differences(self):

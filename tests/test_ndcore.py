@@ -148,10 +148,9 @@ class TestForward:
         x = rng.normal(size=(5, stack.in_dim))
         batch_out, _ = forward(stack, x)
         for i in range(5):
-            row_out, cache = forward(stack, x[i])
-            assert row_out.shape == (stack.out_dim,)
-            assert not cache.batched
-            assert_allclose(row_out, batch_out[i], rtol=1e-12, atol=1e-14)
+            row_out, _ = forward(stack, x[i : i + 1])
+            assert row_out.shape == (1, stack.out_dim)
+            assert_allclose(row_out[0], batch_out[i], rtol=1e-12, atol=1e-14)
 
     def test_identity_layer_passthrough(self):
         stack = MlpStack([DenseLayer(np.eye(4), np.zeros(4), Activation.IDENTITY)])
@@ -161,18 +160,21 @@ class TestForward:
 
     def test_relu_clamps_negative_preactivations(self):
         layer = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), Activation.RELU)
-        out, _ = forward(MlpStack([layer]), np.array([2.0]))
-        assert_array_equal(out, [2.0, 0.0])
+        out, _ = forward(MlpStack([layer]), np.array([[2.0]]))
+        assert_array_equal(out, [[2.0, 0.0]])
 
     def test_width_mismatch(self):
         stack = random_stack(np.random.default_rng(5))
         with pytest.raises(ShapeError, match="width"):
-            forward(stack, np.ones(stack.in_dim + 1))
+            forward(stack, np.ones((1, stack.in_dim + 1)))
 
     def test_rejects_3d_input(self):
         stack = random_stack(np.random.default_rng(6))
         with pytest.raises(ShapeError):
             forward(stack, np.ones((2, 2, stack.in_dim)))
+        # A lone sample must be passed as a one-row batch.
+        with pytest.raises(ShapeError, match="2-D batch"):
+            forward(stack, np.ones(stack.in_dim))
 
 
 # backward
@@ -220,10 +222,10 @@ class TestBackward:
         batch_grads, batch_in = backward(stack, cache, grad_out)
         summed = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in stack.layers]
         for i in range(5):
-            _, c = forward(stack, x[i])
-            g, gi = backward(stack, c, grad_out[i])
+            _, c = forward(stack, x[i : i + 1])
+            g, gi = backward(stack, c, grad_out[i : i + 1])
             summed = [(sw + gw, sb + gb) for (sw, sb), (gw, gb) in zip(summed, g)]
-            assert_allclose(gi, batch_in[i], rtol=1e-12, atol=1e-14)
+            assert_allclose(gi[0], batch_in[i], rtol=1e-12, atol=1e-14)
         for (bw, bb), (sw, sb) in zip(batch_grads, summed):
             assert_allclose(bw, sw, rtol=1e-12, atol=1e-14)
             assert_allclose(bb, sb, rtol=1e-12, atol=1e-14)
@@ -378,6 +380,7 @@ class TestSgd:
             {"decay_factor": 1.5},
             {"batch_size": 0},
             {"epochs": 0},
+            {"initial_lr": float("nan")},
         ],
     )
     def test_config_validation(self, kwargs):
