@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,11 @@ def label_codes(labels) -> np.ndarray:
     arr = np.asarray(labels, dtype=np.int64).reshape(-1)
     if arr.size == 0:
         raise ShapeError("empty label sequence")
-    valid = {int(v) for v in SemiLabel}
-    bad = set(np.unique(arr)) - valid
-    if bad:
-        raise ValueError(f"unknown label codes {sorted(bad)}")
+    # The valid codes are exactly 0..2, so a range check suffices; the set of
+    # bad codes is built only for the error message.
+    if arr.min() < 0 or arr.max() > 2:
+        bad = sorted({int(v) for v in arr} - {int(v) for v in SemiLabel})
+        raise ValueError(f"unknown label codes {bad}")
     return arr
 
 
@@ -118,19 +120,33 @@ def _pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
     return am, bm
 
 
-def _group_masks(labels, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unlabeled, labeled normal, labeled anomalous) row masks."""
+class _Groups(NamedTuple):
+    """A batch's row masks and group sizes, built once per batch."""
+
+    unl: np.ndarray
+    nrm: np.ndarray
+    anm: np.ndarray
+    n: int  # unlabeled rows
+    n_nrm: int
+    n_anm: int
+    m: int  # labeled rows, n_nrm + n_anm
+    div: np.ndarray  # per row, the size of its group: n or m, as float64
+
+
+def _group_masks(labels, rows: int) -> _Groups:
     codes = label_codes(labels)
     if codes.size != rows:
         raise ShapeError(f"{codes.size} labels for {rows} rows")
-    unl = codes == SemiLabel.UNLABELED
-    nrm = codes == SemiLabel.LABELED_NORMAL
-    anm = codes == SemiLabel.LABELED_ANOMALOUS
-    return unl, nrm, anm
+    unl, nrm, anm = codes == 0, codes == 1, codes == 2  # SemiLabel codes
+    n, n_nrm = np.count_nonzero(unl), np.count_nonzero(nrm)
+    n_anm = np.count_nonzero(anm)
+    m = n_nrm + n_anm
+    div = np.where(unl, float(n), float(m))
+    return _Groups(unl, nrm, anm, n, n_nrm, n_anm, m, div)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=1))
+    return np.sqrt((a * a).sum(axis=1))
 
 
 # The grouped-distance term shared by esad's latent norm (distance from the
@@ -140,38 +156,36 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 # anomalies, so pushing an anomaly away lowers the loss.
 
 
-def _distance_loss(dists: np.ndarray, masks, eps: float) -> float:
-    unl, nrm, anm = masks
-    m = int(nrm.sum() + anm.sum())
+def _distance_loss(dists: np.ndarray, groups: _Groups, eps: float) -> float:
     loss = 0.0
-    if np.any(unl):
-        loss += float(dists[unl].mean())
-    if m > 0:
-        labeled_sum = float(dists[nrm].sum()) if np.any(nrm) else 0.0
-        if np.any(anm):
-            labeled_sum += float((1.0 / (dists[anm] + eps)).sum())
-        loss += labeled_sum / m
+    if groups.n:
+        loss += float(dists[groups.unl].mean())
+    if groups.m:
+        labeled_sum = float(dists[groups.nrm].sum()) if groups.n_nrm else 0.0
+        if groups.n_anm:
+            labeled_sum += float((1.0 / (dists[groups.anm] + eps)).sum())
+        loss += labeled_sum / groups.m
     return loss
 
 
 def _distance_grad(
-    rows: np.ndarray, dists: np.ndarray, masks, eps: float
+    rows: np.ndarray, dists: np.ndarray, groups: _Groups, eps: float
 ) -> np.ndarray:
     """Gradient of _distance_loss with respect to the rows whose L2 norms are
-    dists. A zero row gets zero gradient, the subgradient chosen at the kink."""
-    unl, nrm, anm = masks
-    safe = np.where(dists > 0.0, dists, 1.0)
-    units = np.where(dists[:, None] > 0.0, rows / safe[:, None], 0.0)
-    m = int(nrm.sum() + anm.sum())
-    grad = np.zeros_like(rows)
-    if np.any(unl):
-        grad[unl] = units[unl] / unl.sum()
-    if np.any(nrm):
-        grad[nrm] = units[nrm] / m
-    if np.any(anm):
-        scale = -1.0 / (dists[anm] + eps) ** 2
-        grad[anm] = (scale[:, None] * units[anm]) / m
-    return grad
+    dists. A zero row gets zero gradient, the subgradient chosen at the kink.
+
+    Each row's unit vector is scaled by -1 / (dist + eps)^2 on anomalous
+    rows (by 1.0 on the others) and divided by the size of the row's group.
+    """
+    pos = dists > 0.0
+    units = np.where(pos[:, None], rows / np.where(pos, dists, 1.0)[:, None], 0.0)
+    if groups.n_anm:
+        shifted = dists + eps
+        coef = np.divide(
+            -1.0, shifted * shifted, out=np.ones_like(dists), where=groups.anm
+        )
+        units = coef[:, None] * units
+    return units / groups.div[:, None]
 
 
 @dataclass(frozen=True)
@@ -218,34 +232,31 @@ def semi_loss_and_grads(
     zm, zh = _pair(z, z_hat, "z", "z_hat")
     if zm.shape[0] != xm.shape[0]:
         raise ShapeError(f"{zm.shape[0]} latent rows for {xm.shape[0]} inputs")
-    masks = _group_masks(labels, xm.shape[0])
-    unl, _, anm = masks
+    groups = _group_masks(labels, xm.shape[0])
 
-    targets = xm.copy()
-    if np.any(anm):
+    targets = xm
+    if groups.n_anm:
         if phi is None:
             raise MissingPhiError(
                 "batch has labeled anomalies but no phi transform is configured"
             )
-        targets[anm] = phi_apply(phi, xm[anm])
+        targets = xm.copy()
+        targets[groups.anm] = phi_apply(phi, xm[groups.anm])
     diff = xh - targets
-    sq = np.sum(diff**2, axis=1)
-    lab = ~unl
+    sq = (diff * diff).sum(axis=1)
     rec = 0.0
-    g_xhat = np.zeros_like(xh)
-    if np.any(unl):
-        rec += float(sq[unl].mean())
-        g_xhat[unl] = (2.0 / unl.sum()) * diff[unl]
-    if np.any(lab):
-        rec += float(sq[lab].mean())
-        g_xhat[lab] = (2.0 / lab.sum()) * diff[lab]
+    if groups.n:
+        rec += float(sq[groups.unl].mean())
+    if groups.m:
+        rec += float(sq[~groups.unl].mean())
+    g_xhat = (2.0 / groups.div)[:, None] * diff
 
     norms = _row_norms(zh)
-    norm = _distance_loss(norms, masks, eps)
-    g_norm = _distance_grad(zh, norms, masks, eps)
+    norm = _distance_loss(norms, groups, eps)
+    g_norm = _distance_grad(zh, norms, groups, eps)
 
     d_ass = zh - zm
-    ass = float(np.sum(d_ass**2, axis=1).mean())
+    ass = float((d_ass * d_ass).sum(axis=1).mean())
     g_ass = (2.0 / zm.shape[0]) * d_ass
 
     breakdown = LossBreakdown(rec, norm, ass, lambda1, lambda2)
@@ -258,7 +269,8 @@ def semi_loss_and_grads(
 def loss_sad_rec(x, x_hat) -> float:
     """Pretraining reconstruction: mean squared error over the whole batch."""
     xm, xh = _pair(x, x_hat, "x", "x_hat")
-    return float(np.sum((xh - xm) ** 2, axis=1).mean())
+    diff = xh - xm
+    return float((diff * diff).sum(axis=1).mean())
 
 
 def grad_sad_rec(x, x_hat) -> np.ndarray:
@@ -287,11 +299,11 @@ def loss_svdd(z, labels, center, eps: float = 1e-6) -> float:
     center is fixed after pretraining (see svdd_center); the labeled term
     carries the same unit weight as the unlabeled one.
     """
-    _, dists, masks = _center_distances(z, labels, center)
-    return _distance_loss(dists, masks, eps)
+    _, dists, groups = _center_distances(z, labels, center)
+    return _distance_loss(dists, groups, eps)
 
 
 def grad_svdd(z, labels, center, eps: float = 1e-6) -> np.ndarray:
     """d(loss_svdd)/dz; rows sitting exactly at the center get zero gradient."""
-    diff, dists, masks = _center_distances(z, labels, center)
-    return _distance_grad(diff, dists, masks, eps)
+    diff, dists, groups = _center_distances(z, labels, center)
+    return _distance_grad(diff, dists, groups, eps)

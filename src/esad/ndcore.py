@@ -40,13 +40,6 @@ def _apply_activation(pre: np.ndarray, act: Activation) -> np.ndarray:
     return pre
 
 
-def _activation_grad(pre: np.ndarray, act: Activation) -> np.ndarray:
-    # ReLU subgradient at exactly 0 is taken as 0.
-    if act is Activation.RELU:
-        return (pre > 0.0).astype(np.float64)
-    return np.ones_like(pre)
-
-
 @dataclass
 class DenseLayer:
     """Affine map plus activation: out = act(x @ weight.T + bias).
@@ -176,7 +169,11 @@ def backward(
     grads: StackGrads = [None] * len(stack.layers)  # type: ignore[list-item]
     for i in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[i]
-        g_pre = g * _activation_grad(cache.pres[i], layer.activation)
+        # ReLU passes g where its input was positive; the subgradient at
+        # exactly 0 is taken as 0. The identity passes g on unchanged.
+        g_pre = g
+        if layer.activation is Activation.RELU:
+            g_pre = g * (cache.pres[i] > 0.0)
         grads[i] = (g_pre.T @ cache.inputs[i], g_pre.sum(axis=0))
         g = g_pre @ layer.weight
     return grads, g
@@ -233,7 +230,7 @@ def clip_global_norm(grads: StackGrads, max_norm: float) -> StackGrads:
     # the norm's last bit, and with it trained weights and AUCs.
     total = 0.0
     for gw, gb in grads:
-        total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
+        total += float((gw * gw).sum()) + float((gb * gb).sum())
     norm = math.sqrt(total)
     if norm <= max_norm:
         return grads

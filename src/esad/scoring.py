@@ -23,6 +23,14 @@ class SingleClassError(ValueError):
     """Raised when AUC is requested for a single-class label set."""
 
 
+def _scores(
+    x: np.ndarray, x_hat: np.ndarray, z_hat: np.ndarray, lambda1: float
+) -> np.ndarray:
+    sq = x_hat - x
+    sq *= sq  # in place: a batch can be large, so no second (rows, dim) array
+    return sq.sum(axis=1) + lambda1 * np.sqrt((z_hat * z_hat).sum(axis=1))
+
+
 def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
     """Two-term score per row: squared reconstruction error plus
     lambda1 * ||z_hat||.
@@ -37,16 +45,21 @@ def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
         raise ShapeError(
             f"row mismatch: x {xm.shape}, x_hat {xhm.shape}, z_hat {zhm.shape}"
         )
-    rec = np.sum((xhm - xm) ** 2, axis=1)
-    zn = np.sqrt(np.sum(zhm**2, axis=1))
-    return rec + lambda1 * zn
+    return _scores(xm, xhm, zhm, lambda1)
 
 
 def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
-    """Score every row of x with the model. Output order equals input order."""
+    """Score every row of x with the model. Output order equals input order.
+
+    x is scanned for NaN/inf once. x_hat and z_hat are not scanned: a
+    non-finite entry in either yields a non-finite score, which is rejected.
+    """
     xm = as_matrix(x, "x")
     out = forward_pipeline(model, xm)
-    return anomaly_scores(xm, out.x_hat, out.z_hat, lambda1)
+    scores = _scores(xm, out.x_hat, out.z_hat, lambda1)
+    if not np.isfinite(scores).all():
+        raise ValueError("model produced non-finite scores")
+    return scores
 
 
 @dataclass(frozen=True)

@@ -566,3 +566,52 @@ class TestBenchmarkHooks:
             f"{m}.{a}" for m, a in hooks if not callable(getattr(getattr(esad, m), a, None))
         ]
         assert not missing
+
+    def test_step_calls_hooked_names(self, monkeypatch):
+        # The tracer times each step's kernels by wrapping these names in
+        # esad.harness; a step that routed around them would read 0 there.
+        calls: dict[str, int] = {}
+
+        def counted(name):
+            fn = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in (
+            "semi_loss_and_grads",
+            "loss_svdd",
+            "grad_svdd",
+            "clip_global_norm",
+            "sgd_step",
+        ):
+            monkeypatch.setattr(harness, name, counted(name))
+        cfg = quick_config(sgd=SgdConfig(epochs=1, batch_size=16))
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
+        batches = -(-semi.x_train.shape[0] // 16)
+        assert batches > 1
+
+        train_esad(cfg, semi, seed=0)
+        # One call per batch, and one more for the final loss over the pool.
+        assert calls == {
+            "semi_loss_and_grads": batches + 1,
+            "clip_global_norm": batches,
+            "sgd_step": batches,
+        }
+
+        calls.clear()
+        sad_cfg = quick_config(
+            method=Method.DEEP_SAD, sgd=SgdConfig(epochs=2, batch_size=16)
+        )
+        train_sad_baseline(sad_cfg, semi, seed=0)
+        # Stage one (reconstruction) and stage two (distance to center) run
+        # one epoch each; loss_svdd also gives the final loss over the pool.
+        assert calls == {
+            "loss_svdd": batches + 1,
+            "grad_svdd": batches,
+            "clip_global_norm": 2 * batches,
+            "sgd_step": 2 * batches,
+        }

@@ -8,6 +8,7 @@ comparison meaningless.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,11 +125,85 @@ def loop_oracle(x, z, x_hat, z_hat, tags, perm, lam1, lam2, eps):
     return rec, norm, ass, g_z, g_xhat, g_zhat
 
 
+# Exact references for the vectorised kernel: each group's rows are selected
+# by mask and their gradients assigned separately. The kernel must match them
+# bit for bit, because any change in rounding moves trained weights and AUCs.
+
+
+def masked_distance_loss(dists, tags, eps):
+    unl, nrm, anm = (np.asarray(tags) == t for t in (U, N, A))
+    m = int(nrm.sum() + anm.sum())
+    loss = 0.0
+    if np.any(unl):
+        loss += float(dists[unl].mean())
+    if m > 0:
+        labeled_sum = float(dists[nrm].sum()) if np.any(nrm) else 0.0
+        if np.any(anm):
+            labeled_sum += float((1.0 / (dists[anm] + eps)).sum())
+        loss += labeled_sum / m
+    return loss
+
+
+def masked_distance_grad(rows, dists, tags, eps):
+    unl, nrm, anm = (np.asarray(tags) == t for t in (U, N, A))
+    safe = np.where(dists > 0.0, dists, 1.0)
+    units = np.where(dists[:, None] > 0.0, rows / safe[:, None], 0.0)
+    m = int(nrm.sum() + anm.sum())
+    grad = np.zeros_like(rows)
+    if np.any(unl):
+        grad[unl] = units[unl] / unl.sum()
+    if np.any(nrm):
+        grad[nrm] = units[nrm] / m
+    if np.any(anm):
+        scale = -1.0 / (dists[anm] + eps) ** 2
+        grad[anm] = (scale[:, None] * units[anm]) / m
+    return grad
+
+
+def masked_rec(x, x_hat, tags, phi):
+    """(rec, d rec / d x_hat)."""
+    unl, anm = np.asarray(tags) == U, np.asarray(tags) == A
+    targets = x.copy()
+    if np.any(anm):
+        targets[anm] = phi_apply(phi, x[anm])
+    diff = x_hat - targets
+    sq = np.sum(diff**2, axis=1)
+    lab = ~unl
+    rec = 0.0
+    grad = np.zeros_like(x_hat)
+    if np.any(unl):
+        rec += float(sq[unl].mean())
+        grad[unl] = (2.0 / unl.sum()) * diff[unl]
+    if np.any(lab):
+        rec += float(sq[lab].mean())
+        grad[lab] = (2.0 / lab.sum()) * diff[lab]
+    return rec, grad
+
+
+def masked_semi(x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps):
+    """(rec, norm, ass, grad_z, grad_x_hat, grad_z_hat)."""
+    rec, g_xhat = masked_rec(x, x_hat, tags, phi)
+    norms = np.sqrt(np.sum(z_hat * z_hat, axis=1))
+    norm = masked_distance_loss(norms, tags, eps)
+    g_norm = masked_distance_grad(z_hat, norms, tags, eps)
+    d_ass = z_hat - z
+    ass = float(np.sum(d_ass**2, axis=1).mean())
+    g_ass = (2.0 / z.shape[0]) * d_ass
+    return rec, norm, ass, lam2 * -g_ass, g_xhat, lam1 * g_norm + lam2 * g_ass
+
+
+def assert_same_bits(got, want):
+    assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
 class TestLabels:
     def test_label_codes_validation(self):
         assert_array_equal(label_codes([U, N, A]), [0, 1, 2])
         with pytest.raises(ValueError, match="unknown label"):
             label_codes([0, 3])
+        with pytest.raises(ValueError, match=re.escape("unknown label codes [-1, 7]")):
+            label_codes([0, 7, -1, 7])
         with pytest.raises(ShapeError):
             label_codes([])
 
@@ -416,6 +491,48 @@ class TestTotal:
             assert_allclose(g_zhat, o_zhat, rtol=1e-12, atol=1e-15)
         # Every mix of groups occurs, a lone group included.
         assert len(seen) == 7
+
+    def test_matches_masked_reference_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        mixes = [(U,), (N,), (A,), (U, N), (U, A), (N, A), (U, N, A)]
+        for trial in range(210):
+            mix = mixes[trial % 7]
+            rows = len(mix) + int(rng.integers(0, 8))
+            tags = np.array(list(mix) + list(rng.choice(mix, rows - len(mix))))
+            rng.shuffle(tags)
+            eps = 0.0 if trial % 3 == 0 else 1e-6
+            if trial % 2:
+                phi = PhiConfig.permutation(4, seed=trial)
+            else:
+                phi = PhiConfig.gaussian(4, seed=trial, sigma=0.5)
+            x, x_hat = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
+            z, z_hat = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
+            center = rng.normal(size=3)
+            z_svdd = rng.normal(size=(rows, 3))
+            # Rows at distance exactly 0, but no anomaly there when eps = 0.
+            zero = rng.random(rows) < 0.3
+            if eps == 0.0:
+                zero &= tags != A
+            z_hat[zero] = 0.0
+            z_svdd[zero] = center
+            lam1, lam2 = rng.uniform(0.0, 2.0, size=2)
+
+            b, *grads = semi_loss_and_grads(
+                x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps
+            )
+            want = masked_semi(x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps)
+            assert (b.rec, b.norm, b.ass) == want[:3]
+            for got, ref in zip(grads, want[3:]):
+                assert_same_bits(got, ref)
+
+            offsets = z_svdd - center
+            dists = np.sqrt(np.sum(offsets * offsets, axis=1))
+            loss = loss_svdd(z_svdd, tags, center, eps)
+            assert loss == masked_distance_loss(dists, tags, eps)
+            assert_same_bits(
+                grad_svdd(z_svdd, tags, center, eps),
+                masked_distance_grad(offsets, dists, tags, eps),
+            )
 
     def test_total_gradients_match_central_differences(self):
         rng = np.random.default_rng(23)

@@ -89,6 +89,13 @@ class TestAnomalyScore:
         expected = anomaly_scores(x, out.x_hat, out.z_hat, lambda1=2.0)
         assert_allclose(score_dataset(model, x, lambda1=2.0), expected, rtol=1e-15)
 
+    def test_score_dataset_rejects_non_finite_scores(self):
+        model = new_model(4, seed=5)
+        model.enc1.layers[0].weight[0, 0] = np.nan
+        x = np.random.default_rng(6).normal(size=(3, 4))
+        with pytest.raises(ValueError, match="non-finite"):
+            score_dataset(model, x)
+
     def test_score_dataset_respects_row_order(self):
         model = new_model(4, seed=3)
         x = np.random.default_rng(4).normal(size=(5, 4))
