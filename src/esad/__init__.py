@@ -56,8 +56,6 @@ from .scoring import (
     auc,
     auc_pairwise,
     export_scores_csv,
-    gaussian_entropy,
-    gaussian_entropy_quadrature,
     score_dataset,
 )
 

@@ -57,6 +57,7 @@ from .ndcore import (
     GradCheckReport,
     MlpStack,
     SgdConfig,
+    as_matrix,
     backward,
     check_gradients_arrays,
     clip_global_norm,
@@ -470,9 +471,16 @@ class SadTrainResult:
 
 
 def sad_scores(model: SadModel, x) -> np.ndarray:
-    """Baseline anomaly score: distance of the embedding from the center."""
-    z, _ = forward(model.encoder, np.asarray(x, dtype=np.float64))
-    return np.sqrt(np.sum((z - model.center) ** 2, axis=1))
+    """Baseline anomaly score: distance of the embedding from the center.
+
+    Checked like score_dataset: x is scanned for NaN/inf once, and a
+    non-finite score is rejected.
+    """
+    z, _ = forward(model.encoder, as_matrix(x, "x"))
+    scores = np.sqrt(np.sum((z - model.center) ** 2, axis=1))
+    if not np.isfinite(scores).all():
+        raise ValueError("model produced non-finite scores")
+    return scores
 
 
 def train_sad_baseline(
@@ -678,7 +686,7 @@ def run_prepared(
     seed: int,
     artifact_hook=None,
 ) -> SeedResult:
-    """Train and evaluate on an already-built scenario (used by sweeps).
+    """Train and evaluate on an already-built scenario.
 
     artifact_hook(seed, semi, model, scores) fires after a successful seed,
     letting callers export scores or checkpoints without re-running.
@@ -740,11 +748,11 @@ def run_experiment(
     return RunReport(config_echo(config), results, time.perf_counter() - start)
 
 
-def sweep_lambda1(
-    config: ExperimentConfig, values, raw: RawDataset | None = None
+def _sweep(
+    config: ExperimentConfig, field: str, values, raw: RawDataset | None
 ) -> list[tuple[float, RunReport]]:
-    """Paired sweep over lambda1: each seed's scenario is built once and
-    reused for every swept value, so rows differ only in the weight."""
+    """One run_experiment per value of config.<field>. Scenarios depend only
+    on (raw, config, seed), so rows stay paired across values."""
     vals = [float(v) for v in values]
     if not vals:
         raise ConfigError("sweep needs at least one value")
@@ -752,44 +760,23 @@ def sweep_lambda1(
         raise ConfigError(f"duplicate sweep values in {vals}")
     if raw is None:
         raw = load_dataset(config)
-    # Per seed: its scenario, or the failure that building it raised.
-    prepared: list[tuple[int, SemiDataset | SeedResult]] = []
-    for seed in config.seeds:
-        start = time.perf_counter()
-        try:
-            prepared.append((seed, prepare_scenario(raw, config, seed)))
-        except ValueError as exc:
-            prepared.append((seed, _failed(seed, start, exc)))
-    rows = []
-    for value in vals:
-        cfg = replace(config, lambda1=value)
-        start = time.perf_counter()
-        results = tuple(
-            semi if isinstance(semi, SeedResult) else run_prepared(cfg, semi, seed)
-            for seed, semi in prepared
-        )
-        rows.append((value, RunReport(config_echo(cfg), results, time.perf_counter() - start)))
-    return rows
+    return [(v, run_experiment(replace(config, **{field: v}), raw)) for v in vals]
+
+
+def sweep_lambda1(
+    config: ExperimentConfig, values, raw: RawDataset | None = None
+) -> list[tuple[float, RunReport]]:
+    """Paired sweep over lambda1: every value sees the same scenarios, so
+    rows differ only in the weight."""
+    return _sweep(config, "lambda1", values, raw)
 
 
 def sweep_pollution(
     config: ExperimentConfig, values, raw: RawDataset | None = None
 ) -> list[tuple[float, RunReport]]:
     """Sweep the pollution ratio. Splits stay paired across values (they
-    depend only on the seed); the scenario is rebuilt per value because the
-    pollution ratio defines it."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ConfigError("sweep needs at least one value")
-    if len(set(vals)) != len(vals):
-        raise ConfigError(f"duplicate sweep values in {vals}")
-    if raw is None:
-        raw = load_dataset(config)
-    rows = []
-    for value in vals:
-        cfg = replace(config, gamma_p=value)
-        rows.append((value, run_experiment(cfg, raw)))
-    return rows
+    depend only on the seed); the pollution ratio defines the scenario."""
+    return _sweep(config, "gamma_p", values, raw)
 
 
 # Report serialization: one JSON record per seed, then a summary record.

@@ -7,6 +7,7 @@ both are drawn independently at initialization and trained independently.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,26 +119,18 @@ def forward_pipeline(model: EsadModel, x) -> PipelineOutput:
 
 
 def backward_pipeline(
-    model: EsadModel,
-    out: PipelineOutput,
-    grad_z=None,
-    grad_x_hat=None,
-    grad_z_hat=None,
+    model: EsadModel, out: PipelineOutput, grad_z, grad_x_hat, grad_z_hat
 ) -> StackGrads:
     """Backpropagate loss gradients taken at z, x_hat and z_hat.
 
-    Any of the three gradients may be omitted (treated as zero). Gradients
-    flowing into x_hat combine the direct term with the chain through the
-    second encoder; likewise z combines the direct term with the chain
-    through the decoder. Returns one gradient list aligned with the layers
-    of enc1, dec and enc2, in that order.
+    Gradients flowing into x_hat combine the direct term with the chain
+    through the second encoder; likewise z combines the direct term with the
+    chain through the decoder. Returns one gradient list aligned with the
+    layers of enc1, dec and enc2, in that order.
     """
-    gz_hat = np.zeros_like(out.z_hat) if grad_z_hat is None else grad_z_hat
-    g2, g_xhat_chain = backward(model.enc2, out.cache_enc2, gz_hat)
-    g_xhat = g_xhat_chain if grad_x_hat is None else g_xhat_chain + grad_x_hat
-    gd, g_z_chain = backward(model.dec, out.cache_dec, g_xhat)
-    g_z = g_z_chain if grad_z is None else g_z_chain + grad_z
-    g1, _ = backward(model.enc1, out.cache_enc1, g_z)
+    g2, g_xhat_chain = backward(model.enc2, out.cache_enc2, grad_z_hat)
+    gd, g_z_chain = backward(model.dec, out.cache_dec, g_xhat_chain + grad_x_hat)
+    g1, _ = backward(model.enc1, out.cache_enc1, g_z_chain + grad_z)
     return g1 + gd + g2
 
 
@@ -179,6 +172,11 @@ def _write_stack(fh, stack: MlpStack) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
+    # Sizes come from the file's own header: check them against the bytes
+    # left before reading, so a corrupt size never becomes a huge read.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, {left} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
@@ -196,6 +194,8 @@ def _read_stack(fh) -> MlpStack:
         out_dim, in_dim, code = struct.unpack("<IIB", _read_exact(fh, 9))
         if code not in _CODE_ACT:
             raise CheckpointError(f"unknown activation code {code}")
+        if out_dim < 1 or in_dim < 1:
+            raise CheckpointError(f"layer widths must be positive, got {out_dim}x{in_dim}")
         w = np.frombuffer(
             _read_exact(fh, 8 * out_dim * in_dim), dtype="<f8"
         ).reshape(out_dim, in_dim)

@@ -1,4 +1,4 @@
-"""Anomaly scores, ranking metrics and the latent-entropy identity.
+"""Anomaly scores and ranking metrics.
 
 The test-time score combines reconstruction error with the re-encoded latent
 norm, weighted by the same lambda1 used during training. Ranking quality is
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from .model import EsadModel, forward_pipeline
 from .ndcore import ShapeError, as_matrix
@@ -157,39 +156,3 @@ def export_scores_csv(path, scores, labels) -> None:
         writer.writerow(["index", "score", "label"])
         for i, (score, label) in enumerate(zip(s, y)):
             writer.writerow([i, repr(float(score)), int(label)])
-
-
-def gaussian_entropy(dim: int, sigma: float) -> float:
-    """Differential entropy of an isotropic Gaussian N(mu, sigma^2 I) in R^dim.
-
-    Equals dim/2 * (1 + log(2 pi sigma^2)); it grows with log sigma^2, which
-    is why shrinking latent scatter also shrinks latent entropy.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return dim / 2.0 * (1.0 + np.log(2.0 * np.pi * sigma**2))
-
-
-def gaussian_entropy_quadrature(dim: int, sigma: float) -> float:
-    """Entropy of the same Gaussian via numeric integration of -p log p.
-
-    Independent check of the closed form: integrates the one-dimensional
-    marginal and uses additivity over independent coordinates.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-
-    def neg_p_log_p(t: float) -> float:
-        p = np.exp(-(t * t) / (2.0 * sigma * sigma)) / (
-            sigma * np.sqrt(2.0 * np.pi)
-        )
-        return 0.0 if p == 0.0 else -p * np.log(p)
-
-    h1, _ = integrate.quad(
-        neg_p_log_p, -40.0 * sigma, 40.0 * sigma, limit=400, epsabs=1e-12
-    )
-    return dim * h1

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print. Benchmark-backed checks need the converted CSVs (README, Benchmark
-data) and skip loudly when a file is absent; the synthetic, gradient, AUC
-and entropy checks always run.
+data) and skip loudly when a file is absent; the synthetic, gradient and
+AUC checks always run.
 
 Benchmark reports are cached per (dataset, method, gamma_l, gamma_p), so
 shared configurations train once even when several checks consume them.
@@ -24,12 +24,7 @@ from esad.harness import (
     sweep_lambda1,
     sweep_pollution,
 )
-from esad.scoring import (
-    auc,
-    auc_pairwise,
-    gaussian_entropy,
-    gaussian_entropy_quadrature,
-)
+from esad.scoring import auc, auc_pairwise
 
 pytestmark = pytest.mark.acceptance
 
@@ -197,23 +192,6 @@ def test_auc_matches_pairwise_reference_exactly():
         ok,
         f"AUC: sort-based equals pairwise counting exactly on "
         f"{100 - mismatches}/100 tied instances (N up to 500)",
-    )
-    assert ok
-
-
-def test_entropy_closed_form_matches_quadrature():
-    worst = 0.0
-    for sigma in (0.1, 0.5, 1.0, 2.0, 10.0):
-        for d in (1, 2, 8):
-            diff = abs(
-                gaussian_entropy(d, sigma) - gaussian_entropy_quadrature(d, sigma)
-            )
-            worst = max(worst, diff)
-    ok = worst < 1e-6
-    record(
-        ok,
-        f"Gaussian entropy: closed form vs quadrature, worst abs diff "
-        f"{worst:.2e} < 1e-6 over sigma in {{0.1,0.5,1,2,10}}, d in {{1,2,8}}",
     )
     assert ok
 

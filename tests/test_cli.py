@@ -1,13 +1,15 @@
 """Command-line interface tests.
 
 Subcommands run in-process through main(argv) so stdout, stderr and exit
-codes can be asserted cheaply; one test execs the installed console script
-to cover the packaging entry point.
+codes can be asserted cheaply; two tests start a fresh interpreter, one to
+cover the packaging entry point and one to see what `import esad` loads.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +249,25 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "mean auc" in proc.stdout
+
+
+def test_import_loads_numpy_only():
+    # numpy is the only runtime dependency. A fresh interpreter shows what
+    # `import esad` really pulls in, whatever this test process has loaded;
+    # modules that site start-up loaded before the import do not count.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; before = set(sys.modules); import esad; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(esad.__file__); print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    esad_file, third_party = proc.stdout.splitlines()
+    assert Path(esad_file).resolve().is_relative_to(src)
+    assert third_party == "['esad', 'numpy']"

@@ -5,6 +5,8 @@ single-stack forward; the backward oracle probes every parameter of all
 three stacks with central differences computed in this file.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -168,7 +170,13 @@ class TestBackwardPipeline:
     def test_zero_upstream_gives_zero_grads(self):
         model, x = kink_free_instance(seed=2)
         out = forward_pipeline(model, x)
-        grads = backward_pipeline(model, out)
+        grads = backward_pipeline(
+            model,
+            out,
+            np.zeros_like(out.z),
+            np.zeros_like(out.x_hat),
+            np.zeros_like(out.z_hat),
+        )
         for gw, gb in grads:
             assert_array_equal(gw, np.zeros_like(gw))
             assert_array_equal(gb, np.zeros_like(gb))
@@ -179,7 +187,11 @@ class TestBackwardPipeline:
         model, x = kink_free_instance(seed=3)
         out = forward_pipeline(model, x)
         grads = backward_pipeline(
-            model, out, grad_z_hat=np.ones_like(out.z_hat)
+            model,
+            out,
+            np.zeros_like(out.z),
+            np.zeros_like(out.x_hat),
+            np.ones_like(out.z_hat),
         )
         sizes = [len(stack.layers) for _, stack in model.stacks()]
         starts = np.cumsum([0] + sizes)
@@ -244,9 +256,26 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointError):
-            load_model(path)
+        # The first layer header sits after the magic, n_stacks and n_layers.
+        # A (2^32-1) x (2^32-1) layer claims more bytes than an int64 holds.
+        huge = struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)
+        # A well-formed file whose first encoder has a zero-width hidden layer.
+        r = model.rep_dim
+        hollow = MlpStack(
+            [
+                DenseLayer(np.zeros((0, 5)), np.zeros(0)),
+                DenseLayer(np.zeros((r, 0)), np.zeros(r), Activation.IDENTITY),
+            ]
+        )
+        save_model(EsadModel(hollow, model.dec, model.enc2), path)
+        for bad in (
+            blob[: len(blob) // 2],
+            blob[:16] + huge + blob[25:],
+            path.read_bytes(),
+        ):
+            path.write_bytes(bad)
+            with pytest.raises(CheckpointError):
+                load_model(path)
 
     def test_rejects_trailing_bytes(self, tmp_path):
         model = new_model(5, seed=15)

@@ -6,6 +6,12 @@ against central differences computed right here in the test. Library code is onl
 trusted once it agrees with these.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -531,3 +537,32 @@ class TestGradCheck:
             check_gradients_arrays([np.ones(2)], [], lambda: 0.0)
         with pytest.raises(ShapeError):
             check_gradients_arrays([np.ones(2)], [np.ones(3)], lambda: 0.0)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")
+def test_repeated_pipeline_forward_reuses_freed_heap():
+    # A fresh interpreter, so no earlier large allocation has raised glibc's
+    # heap thresholds. Each pass frees about a megabyte of temporaries; with
+    # glibc's default trim threshold every pass faults them back in.
+    code = """
+import resource
+import numpy as np
+from esad.model import forward_pipeline, new_model
+model = new_model(8, seed=0)
+x = np.random.default_rng(1).normal(size=(1000, 8))
+for _ in range(5):
+    forward_pipeline(model, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    forward_pipeline(model, x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50  # one fault per call would already be 50

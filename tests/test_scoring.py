@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from esad.harness import SadModel, sad_scores
 from esad.model import new_model
 from esad.scoring import (
     AucResult,
@@ -19,8 +20,6 @@ from esad.scoring import (
     auc,
     auc_pairwise,
     export_scores_csv,
-    gaussian_entropy,
-    gaussian_entropy_quadrature,
     score_dataset,
 )
 from esad.ndcore import ShapeError
@@ -95,6 +94,18 @@ class TestAnomalyScore:
         x = np.random.default_rng(6).normal(size=(3, 4))
         with pytest.raises(ValueError, match="non-finite"):
             score_dataset(model, x)
+
+    def test_sad_scores_reject_nan_rows_and_non_finite_scores(self):
+        base = new_model(4, seed=7)
+        model = SadModel(base.enc1, base.dec, np.zeros(base.rep_dim))
+        x = np.random.default_rng(8).normal(size=(3, 4))
+        nan_row = x.copy()
+        nan_row[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sad_scores(model, nan_row)
+        model.encoder.layers[0].weight[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sad_scores(model, x)
 
     def test_score_dataset_respects_row_order(self):
         model = new_model(4, seed=3)
@@ -192,39 +203,3 @@ class TestExport:
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
             export_scores_csv(tmp_path / "x.csv", [1.0], [0, 1])
-
-
-class TestGaussianEntropy:
-    def test_standard_normal_value(self):
-        # 0.5 * (1 + log(2 pi)) for d=1, sigma=1.
-        expected = 0.5 * (1.0 + np.log(2.0 * np.pi))
-        assert gaussian_entropy(1, 1.0) == pytest.approx(expected, rel=1e-15)
-
-    def test_dimensions_add(self):
-        assert gaussian_entropy(8, 0.7) == pytest.approx(
-            8 * gaussian_entropy(1, 0.7), rel=1e-14
-        )
-
-    def test_doubling_sigma_adds_d_log2(self):
-        for d in (1, 2, 8):
-            delta = gaussian_entropy(d, 2.0) - gaussian_entropy(d, 1.0)
-            assert delta == pytest.approx(d * np.log(2.0), rel=1e-12)
-
-    def test_sigma_difference_identity(self):
-        # H(s1) - H(s2) = d * log(s1 / s2).
-        d, s1, s2 = 5, 3.0, 0.25
-        delta = gaussian_entropy(d, s1) - gaussian_entropy(d, s2)
-        assert delta == pytest.approx(d * np.log(s1 / s2), rel=1e-12)
-
-    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("d", [1, 2, 8])
-    def test_matches_quadrature(self, sigma, d):
-        closed = gaussian_entropy(d, sigma)
-        numeric = gaussian_entropy_quadrature(d, sigma)
-        assert abs(closed - numeric) < 1e-6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_entropy(0, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_entropy(1, 0.0)
