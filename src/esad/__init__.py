@@ -26,6 +26,8 @@ from .harness import (
     Method,
     RunReport,
     load_config,
+    load_dataset,
+    prepare_scenario,
     run_experiment,
     sweep_lambda1,
     sweep_pollution,
@@ -50,7 +52,7 @@ from .model import (
     new_model,
     save_model,
 )
-from .ndcore import Activation, DenseLayer, MlpStack, SgdConfig
+from .ndcore import DenseLayer, MlpStack, SgdConfig
 from .scoring import (
     AucResult,
     auc,

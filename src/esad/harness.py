@@ -48,21 +48,20 @@ from .model import (
     EsadModel,
     backward_pipeline,
     forward_pipeline,
-    model_param_arrays,
     new_model,
 )
 from .ndcore import (
-    Activation,
-    DenseLayer,
     GradCheckReport,
     MlpStack,
     SgdConfig,
     as_matrix,
     backward,
-    check_gradients_arrays,
+    check_gradients,
     clip_global_norm,
     forward,
+    layer_bounds,
     lr_at_epoch,
+    param_views,
     sgd_step,
 )
 from .scoring import auc, score_dataset
@@ -342,7 +341,8 @@ def _check_finite(losses: dict[str, float], epoch: int, batch: int) -> None:
 
 def _sgd_epochs(
     config: ExperimentConfig,
-    layers: list[DenseLayer],
+    model: EsadModel,
+    n_layers: int,
     loss_and_grad,
     n_rows: int,
     rng: np.random.Generator,
@@ -350,23 +350,28 @@ def _sgd_epochs(
     first_epoch: int = 0,
     after_epoch=None,
 ) -> None:
-    """The one SGD loop behind every method and stage.
-
-    Each epoch reshuffles the rows through rng and steps at the schedule's
-    rate for that epoch, counted from 0. loss_and_grad(idx) returns the
-    named loss components on the batch rows idx and a gradient list aligned
-    with layers. A non-finite component aborts with TrainingDiverged, whose
-    epoch counts from first_epoch. Otherwise the gradients are clipped to
-    the joint norm cap and applied in place.
+    """The one SGD loop behind every method and stage; it trains the first
+    n_layers of model.layers(), a prefix of model.params. Each epoch
+    reshuffles the rows through rng and steps at the schedule's rate for
+    that epoch, counted from 0. loss_and_grad(idx, grads) writes the batch
+    gradients into grads, views of one vector aligned with those layers, and
+    returns the named loss components. A non-finite one aborts with
+    TrainingDiverged, whose epoch counts from first_epoch. Otherwise the
+    vector is clipped and applied in place.
     """
+    layers = model.layers()[:n_layers]
+    bounds = layer_bounds(layers)
+    params = model.params[: bounds[-1][2]]
+    grad = np.empty_like(params)
+    grads = param_views(layers, grad)
     for epoch in range(epochs):
         lr = lr_at_epoch(config.sgd, epoch)
         for batch_no, idx in enumerate(
             _batches(n_rows, config.sgd.batch_size, rng)
         ):
-            losses, grads = loss_and_grad(idx)
+            losses = loss_and_grad(idx, grads)
             _check_finite(losses, first_epoch + epoch, batch_no)
-            sgd_step(layers, clip_global_norm(grads, config.clip_norm), lr)
+            sgd_step(params, clip_global_norm(grad, bounds, config.clip_norm), lr)
         if after_epoch is not None:
             after_epoch()
 
@@ -419,7 +424,7 @@ def train_esad(
     model = new_model(dim, config.hidden_dim, config.rep_dim, seed=streams.init)
     phi = _build_phi(config, dim, streams.phi, tags)
 
-    def loss_and_grad(idx):
+    def loss_and_grad(idx, grads):
         xb = x[idx]
         out = forward_pipeline(model, xb)
         breakdown, g_z, g_xhat, g_zhat = semi_loss_and_grads(
@@ -433,8 +438,8 @@ def train_esad(
             config.lambda2,
             config.epsilon,
         )
-        grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
-        return _components(breakdown), grads
+        backward_pipeline(model, out, g_z, g_xhat, g_zhat, grads)
+        return _components(breakdown)
 
     epoch_losses: list[LossBreakdown] = []
 
@@ -443,7 +448,8 @@ def train_esad(
 
     _sgd_epochs(
         config,
-        model.enc1.layers + model.dec.layers + model.enc2.layers,
+        model,
+        len(model.layers()),
         loss_and_grad,
         x.shape[0],
         np.random.default_rng(streams.shuffle),
@@ -491,9 +497,10 @@ def train_sad_baseline(
     Stage one trains encoder plus decoder on plain reconstruction for half
     the configured epochs; the center is then frozen at the mean embedding
     of the training pool; stage two fine-tunes the encoder alone on the
-    distance-to-center loss for the remaining epochs. Both stages draw
-    batches from one shuffle stream; the learning-rate schedule restarts at
-    each stage, while divergence reports count epochs across both.
+    distance-to-center loss for the remaining epochs. Each stage trains a
+    prefix of the model's parameter vector. Both stages draw batches from
+    one shuffle stream; the learning-rate schedule restarts at each stage,
+    while divergence reports count epochs across both.
     """
     x, tags = semi.x_train, semi.tags
     streams = child_seeds(seed)
@@ -501,33 +508,33 @@ def train_sad_baseline(
     enc, dec = base.enc1, base.dec
     rng = np.random.default_rng(streams.shuffle)
     stage1 = config.sgd.epochs // 2
+    n_enc = len(enc.layers)
 
-    def rec_loss_and_grad(idx):
+    def rec_loss_and_grad(idx, grads):
         xb = x[idx]
         z, cache_e = forward(enc, xb)
         x_hat, cache_d = forward(dec, z)
         rec = loss_sad_rec(xb, x_hat)
-        g_dec, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat))
-        g_enc, _ = backward(enc, cache_e, g_z)
-        return {"rec": rec}, g_enc + g_dec
+        _, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat), grads[n_enc:])
+        backward(enc, cache_e, g_z, grads[:n_enc])
+        return {"rec": rec}
 
-    _sgd_epochs(
-        config, enc.layers + dec.layers, rec_loss_and_grad, x.shape[0], rng, stage1
-    )
+    n_stage1 = n_enc + len(dec.layers)
+    _sgd_epochs(config, base, n_stage1, rec_loss_and_grad, x.shape[0], rng, stage1)
     z_all, _ = forward(enc, x)
     center = svdd_center(z_all)
 
-    def svdd_loss_and_grad(idx):
+    def svdd_loss_and_grad(idx, grads):
         z, cache_e = forward(enc, x[idx])
         svdd = loss_svdd(z, tags[idx], center, config.epsilon)
-        g_enc, _ = backward(
-            enc, cache_e, grad_svdd(z, tags[idx], center, config.epsilon)
-        )
-        return {"svdd": svdd}, g_enc
+        g = grad_svdd(z, tags[idx], center, config.epsilon)
+        backward(enc, cache_e, g, grads)
+        return {"svdd": svdd}
 
     _sgd_epochs(
         config,
-        enc.layers,
+        base,
+        n_enc,
         svdd_loss_and_grad,
         x.shape[0],
         rng,
@@ -542,21 +549,6 @@ def train_sad_baseline(
     }
     _check_finite(final, config.sgd.epochs, -1)
     return SadTrainResult(SadModel(enc, dec, center), final)
-
-
-def _min_abs_relu_pre(model: EsadModel, x: np.ndarray) -> float:
-    """Smallest |pre-activation| over all ReLU units for the given batch."""
-    smallest = np.inf
-    out = forward_pipeline(model, x)
-    for cache, stack in (
-        (out.cache_enc1, model.enc1),
-        (out.cache_dec, model.dec),
-        (out.cache_enc2, model.enc2),
-    ):
-        for pre, layer in zip(cache.pres, stack.layers):
-            if layer.activation is Activation.RELU:
-                smallest = min(smallest, float(np.min(np.abs(pre))))
-    return smallest
 
 
 def full_loss_grad_check(
@@ -596,9 +588,11 @@ def full_loss_grad_check(
             float(np.min(np.linalg.norm(out.z_hat, axis=1))) > 0.05
             and float(np.min(np.linalg.norm(out.z, axis=1))) > 0.05
         )
-        # Kink margin: one parameter probe of size `step` moves any
-        # pre-activation by far less than this.
-        if _min_abs_relu_pre(model, x) > 100 * step and norms_ok:
+        # The smallest |pre-activation| of a ReLU layer (all but a stack's
+        # last). One probe of size `step` moves it by far less than 100 steps.
+        caches = (out.cache_enc1, out.cache_dec, out.cache_enc2)
+        margin = min(float(np.min(np.abs(p))) for c in caches for p in c.pres[:-1])
+        if margin > 100 * step and norms_ok:
             break
     else:
         raise RuntimeError(f"no kink-free instance found for seed {seed}")
@@ -613,16 +607,18 @@ def full_loss_grad_check(
     _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
         x, out.z, out.x_hat, out.z_hat, tags, phi, lam1, lam2, eps
     )
-    grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
-    params, names = model_param_arrays(model)
-    return check_gradients_arrays(
-        params,
-        [g for pair in grads for g in pair],
-        eval_loss,
-        names,
-        tolerance,
-        step,
+    grad = np.empty_like(model.params)
+    backward_pipeline(
+        model, out, g_z, g_xhat, g_zhat, param_views(model.layers(), grad)
     )
+    names = [
+        f"{stack_name}.layer{i}.{part}[{j}]"
+        for stack_name, stack in model.stacks()
+        for i, layer in enumerate(stack.layers)
+        for part, arr in (("weight", layer.weight), ("bias", layer.bias))
+        for j in range(arr.size)
+    ]
+    return check_gradients(model.params, grad, eval_loss, names, tolerance, step)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _distance_loss(dists: np.ndarray, groups: _Groups, eps: float) -> float:
     loss = 0.0
     if groups.n:
-        loss += float(dists[groups.unl].mean())
+        loss += float(dists[groups.unl].sum()) / groups.n
     if groups.m:
         labeled_sum = float(dists[groups.nrm].sum()) if groups.n_nrm else 0.0
         if groups.n_anm:
@@ -246,9 +246,9 @@ def semi_loss_and_grads(
     sq = (diff * diff).sum(axis=1)
     rec = 0.0
     if groups.n:
-        rec += float(sq[groups.unl].mean())
+        rec += float(sq[groups.unl].sum()) / groups.n
     if groups.m:
-        rec += float(sq[~groups.unl].mean())
+        rec += float(sq[~groups.unl].sum()) / groups.m
     g_xhat = (2.0 / groups.div)[:, None] * diff
 
     norms = _row_norms(zh)
@@ -256,7 +256,7 @@ def semi_loss_and_grads(
     g_norm = _distance_grad(zh, norms, groups, eps)
 
     d_ass = zh - zm
-    ass = float((d_ass * d_ass).sum(axis=1).mean())
+    ass = float((d_ass * d_ass).sum(axis=1).sum()) / zm.shape[0]
     g_ass = (2.0 / zm.shape[0]) * d_ass
 
     breakdown = LossBreakdown(rec, norm, ass, lambda1, lambda2)
@@ -270,7 +270,7 @@ def loss_sad_rec(x, x_hat) -> float:
     """Pretraining reconstruction: mean squared error over the whole batch."""
     xm, xh = _pair(x, x_hat, "x", "x_hat")
     diff = xh - xm
-    return float((diff * diff).sum(axis=1).mean())
+    return float((diff * diff).sum(axis=1).sum()) / xm.shape[0]
 
 
 def grad_sad_rec(x, x_hat) -> np.ndarray:

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .ndcore import (
-    Activation,
+    DenseLayer,
     ForwardCache,
     MlpStack,
     ShapeError,
-    StackGrads,
     backward,
     forward,
     init_stack,
+    pack_stacks,
 )
 
 
@@ -45,11 +45,16 @@ def default_hidden_dim(input_dim: int, rep_dim: int) -> int:
 
 @dataclass
 class EsadModel:
-    """Three stacks: encoder (d->h->r), decoder (r->h->d), second encoder."""
+    """Three stacks: encoder (d->h->r), decoder (r->h->d), second encoder.
+
+    The stacks passed in are copied into one float64 vector, params, laid
+    out by layer_bounds(self.layers()); every weight and bias is a view.
+    """
 
     enc1: MlpStack
     dec: MlpStack
     enc2: MlpStack
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d, r = self.enc1.in_dim, self.enc1.out_dim
@@ -63,6 +68,9 @@ class EsadModel:
                 f"second encoder {self.enc2.in_dim}->{self.enc2.out_dim} "
                 f"does not match encoder {d}->{r}"
             )
+        self.params, (self.enc1, self.dec, self.enc2) = pack_stacks(
+            [self.enc1, self.dec, self.enc2]
+        )
 
     @property
     def input_dim(self) -> int:
@@ -74,6 +82,10 @@ class EsadModel:
 
     def stacks(self) -> list[tuple[str, MlpStack]]:
         return [("enc1", self.enc1), ("dec", self.dec), ("enc2", self.enc2)]
+
+    def layers(self) -> list[DenseLayer]:
+        """Every layer, in the order of params."""
+        return self.enc1.layers + self.dec.layers + self.enc2.layers
 
 
 def new_model(
@@ -119,34 +131,23 @@ def forward_pipeline(model: EsadModel, x) -> PipelineOutput:
 
 
 def backward_pipeline(
-    model: EsadModel, out: PipelineOutput, grad_z, grad_x_hat, grad_z_hat
-) -> StackGrads:
+    model: EsadModel, out: PipelineOutput, grad_z, grad_x_hat, grad_z_hat, grads
+) -> None:
     """Backpropagate loss gradients taken at z, x_hat and z_hat.
 
     Gradients flowing into x_hat combine the direct term with the chain
     through the second encoder; likewise z combines the direct term with the
-    chain through the decoder. Returns one gradient list aligned with the
-    layers of enc1, dec and enc2, in that order.
+    chain through the decoder. The parameter gradients are written into
+    grads, (weight, bias) arrays aligned with model.layers(), such as
+    param_views(model.layers(), vec) of a vector laid out like model.params.
     """
-    g2, g_xhat_chain = backward(model.enc2, out.cache_enc2, grad_z_hat)
-    gd, g_z_chain = backward(model.dec, out.cache_dec, g_xhat_chain + grad_x_hat)
-    g1, _ = backward(model.enc1, out.cache_enc1, g_z_chain + grad_z)
-    return g1 + gd + g2
-
-
-def model_param_arrays(model: EsadModel) -> tuple[list[np.ndarray], list[str]]:
-    """Views of every parameter across all three stacks, with names.
-
-    The order matches backward_pipeline's gradient list, weight then bias.
-    """
-    params, names = [], []
-    for stack_name, stack in model.stacks():
-        for i, layer in enumerate(stack.layers):
-            params.append(layer.weight)
-            names.append(f"{stack_name}.layer{i}.weight")
-            params.append(layer.bias)
-            names.append(f"{stack_name}.layer{i}.bias")
-    return params, names
+    n1 = len(model.enc1.layers)
+    nd = n1 + len(model.dec.layers)
+    _, g_xhat_chain = backward(model.enc2, out.cache_enc2, grad_z_hat, grads[nd:])
+    _, g_z_chain = backward(
+        model.dec, out.cache_dec, g_xhat_chain + grad_x_hat, grads[n1:nd]
+    )
+    backward(model.enc1, out.cache_enc1, g_z_chain + grad_z, grads[:n1])
 
 
 # Checkpoint layout (all little-endian):
@@ -154,19 +155,16 @@ def model_param_arrays(model: EsadModel) -> tuple[list[np.ndarray], list[str]]:
 #   u32 n_stacks, then per stack: u32 n_layers, then per layer:
 #     u32 out_dim, u32 in_dim, u8 activation (0=relu, 1=identity),
 #     out*in f64 weights row-major, out f64 biases.
+# The activation byte is fixed by the layer's place: 0 on hidden layers, 1 on
+# a stack's last. It is written that way, and anything else fails to load.
 _MAGIC = b"EDEMLP01"
-_ACT_CODE = {Activation.RELU: 0, Activation.IDENTITY: 1}
-_CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
 
 
 def _write_stack(fh, stack: MlpStack) -> None:
     fh.write(struct.pack("<I", len(stack.layers)))
-    for layer in stack.layers:
-        fh.write(
-            struct.pack(
-                "<IIB", layer.out_dim, layer.in_dim, _ACT_CODE[layer.activation]
-            )
-        )
+    for i, layer in enumerate(stack.layers):
+        code = int(i == len(stack.layers) - 1)
+        fh.write(struct.pack("<IIB", layer.out_dim, layer.in_dim, code))
         fh.write(np.ascontiguousarray(layer.weight, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
@@ -183,26 +181,23 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def _read_stack(fh) -> MlpStack:
+def _read_stack(fh, name: str) -> MlpStack:
     (n_layers,) = struct.unpack("<I", _read_exact(fh, 4))
     if n_layers == 0 or n_layers > 1024:
         raise CheckpointError(f"implausible layer count {n_layers}")
-    from .ndcore import DenseLayer
-
     layers = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         out_dim, in_dim, code = struct.unpack("<IIB", _read_exact(fh, 9))
-        if code not in _CODE_ACT:
-            raise CheckpointError(f"unknown activation code {code}")
+        expected = int(i == n_layers - 1)
+        if code != expected:
+            raise CheckpointError(
+                f"{name} layer {i}: activation code {code}, expected {expected} "
+                "(0 = ReLU on hidden layers, 1 = identity on the last)"
+            )
         if out_dim < 1 or in_dim < 1:
             raise CheckpointError(f"layer widths must be positive, got {out_dim}x{in_dim}")
-        w = np.frombuffer(
-            _read_exact(fh, 8 * out_dim * in_dim), dtype="<f8"
-        ).reshape(out_dim, in_dim)
-        b = np.frombuffer(_read_exact(fh, 8 * out_dim), dtype="<f8")
-        layers.append(
-            DenseLayer(w.astype(np.float64), b.astype(np.float64), _CODE_ACT[code])
-        )
+        wb = np.frombuffer(_read_exact(fh, 8 * out_dim * (in_dim + 1)), dtype="<f8")
+        layers.append(DenseLayer(wb[:-out_dim].reshape(out_dim, in_dim), wb[-out_dim:]))
     return MlpStack(layers)
 
 
@@ -216,6 +211,7 @@ def save_model(model: EsadModel, path) -> None:
 
 
 def load_model(path) -> EsadModel:
+    """Read a checkpoint written by save_model into a new parameter vector."""
     with open(Path(path), "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -223,10 +219,7 @@ def load_model(path) -> EsadModel:
         (n_stacks,) = struct.unpack("<I", _read_exact(fh, 4))
         if n_stacks != 3:
             raise CheckpointError(f"expected 3 stacks, found {n_stacks}")
-        enc1 = _read_stack(fh)
-        dec = _read_stack(fh)
-        enc2 = _read_stack(fh)
-        trailing = fh.read(1)
-        if trailing:
+        stacks = [_read_stack(fh, name) for name in ("enc1", "dec", "enc2")]
+        if fh.read(1):
             raise CheckpointError("trailing bytes after model data")
-    return EsadModel(enc1, dec, enc2)
+    return EsadModel(*stacks)

@@ -9,7 +9,6 @@ callers bake any 1/n averaging weights into the incoming gradient rows.
 from __future__ import annotations
 
 import ctypes
-import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -51,11 +50,6 @@ class ShapeError(ValueError):
     """Raised when operands have incompatible or malformed shapes."""
 
 
-class Activation(enum.Enum):
-    RELU = "relu"
-    IDENTITY = "identity"
-
-
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Validate and return a 2-D float64 array with finite entries."""
     out = np.asarray(a, dtype=np.float64)
@@ -66,22 +60,14 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     return out
 
 
-def _apply_activation(pre: np.ndarray, act: Activation) -> np.ndarray:
-    if act is Activation.RELU:
-        return np.maximum(pre, 0.0)
-    return pre
-
-
 @dataclass
 class DenseLayer:
-    """Affine map plus activation: out = act(x @ weight.T + bias).
-
-    weight has shape (out_dim, in_dim), bias has shape (out_dim,).
+    """Affine map x @ weight.T + bias, followed by ReLU unless the layer is
+    its stack's last. weight is (out_dim, in_dim), bias is (out_dim,).
     """
 
     weight: np.ndarray
     bias: np.ndarray
-    activation: Activation = Activation.RELU
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -105,7 +91,7 @@ class DenseLayer:
 
 @dataclass
 class MlpStack:
-    """A sequence of dense layers applied in order."""
+    """Dense layers applied in order; ReLU follows every layer but the last."""
 
     layers: list[DenseLayer]
 
@@ -131,7 +117,6 @@ def init_stack(dims: list[int], rng: np.random.Generator) -> MlpStack:
     """Build a stack with Glorot-uniform weights and zero biases.
 
     dims lists layer widths input-first, e.g. [6, 32, 4] gives two layers.
-    Hidden layers are ReLU and the last layer is identity.
     Weight entries are drawn uniformly from +-sqrt(6 / (in + out)) in a fixed
     order, so the same rng state always yields the same stack.
     """
@@ -140,12 +125,48 @@ def init_stack(dims: list[int], rng: np.random.Generator) -> MlpStack:
     if any(d < 1 for d in dims):
         raise ShapeError(f"layer widths must be positive, got {dims}")
     layers = []
-    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+    for d_in, d_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (d_in + d_out))
         weight = rng.uniform(-limit, limit, size=(d_out, d_in))
-        act = Activation.IDENTITY if i == len(dims) - 2 else Activation.RELU
-        layers.append(DenseLayer(weight, np.zeros(d_out), act))
+        layers.append(DenseLayer(weight, np.zeros(d_out)))
     return MlpStack(layers)
+
+
+# Per-layer gradients, aligned with a list of layers: [(dW, db), ...]
+StackGrads = list[tuple[np.ndarray, np.ndarray]]
+
+
+def layer_bounds(layers: list[DenseLayer]) -> list[tuple[int, int, int]]:
+    """Where each layer sits in a vector holding the layers back to back:
+    (start, end of its row-major weight, end of the bias that follows)."""
+    bounds, start = [], 0
+    for layer in layers:
+        mid = start + layer.weight.size
+        end = mid + layer.bias.size
+        bounds.append((start, mid, end))
+        start = end
+    return bounds
+
+
+def param_views(layers: list[DenseLayer], vec: np.ndarray) -> StackGrads:
+    """(weight, bias) views into vec, laid out as layer_bounds(layers) says."""
+    return [
+        (vec[start:mid].reshape(layer.weight.shape), vec[mid:end])
+        for layer, (start, mid, end) in zip(layers, layer_bounds(layers))
+    ]
+
+
+def pack_stacks(stacks: list[MlpStack]) -> tuple[np.ndarray, list[MlpStack]]:
+    """Copies of stacks whose parameters all live in one new float64 vector.
+
+    Every weight and bias of the copies is a view into the vector, stacks
+    and layers in order, so one array operation on the vector updates them
+    all. The stacks passed in are left untouched.
+    """
+    layers = [layer for stack in stacks for layer in stack.layers]
+    vec = np.concatenate([a.ravel() for l in layers for a in (l.weight, l.bias)])
+    views = iter(param_views(layers, vec))
+    return vec, [MlpStack([DenseLayer(*next(views)) for _ in s.layers]) for s in stacks]
 
 
 @dataclass
@@ -154,10 +175,6 @@ class ForwardCache:
 
     inputs: list[np.ndarray]
     pres: list[np.ndarray]
-
-
-# Per-layer gradients, aligned with a list of layers: [(dW, db), ...]
-StackGrads = list[tuple[np.ndarray, np.ndarray]]
 
 
 def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
@@ -172,39 +189,41 @@ def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
         )
     inputs, pres = [], []
     cur = arr
-    for layer in stack.layers:
+    last = len(stack.layers) - 1
+    for i, layer in enumerate(stack.layers):
         inputs.append(cur)
-        pre = cur @ layer.weight.T + layer.bias
+        pre = cur @ layer.weight.T
+        pre += layer.bias
         pres.append(pre)
-        cur = _apply_activation(pre, layer.activation)
+        cur = pre if i == last else np.maximum(pre, 0.0)
     return cur, ForwardCache(inputs, pres)
 
 
 def backward(
-    stack: MlpStack, cache: ForwardCache, grad_out
+    stack: MlpStack, cache: ForwardCache, grad_out, out: StackGrads
 ) -> tuple[StackGrads, np.ndarray]:
     """Backpropagate grad_out through the stack.
 
-    grad_out matches the forward output shape. Returns per-layer parameter
-    gradients and the gradient with respect to the stack input. Gradients are
-    summed over batch rows.
+    grad_out matches the forward output shape. Each layer's parameter
+    gradients, summed over batch rows, are written into out: (weight, bias)
+    arrays aligned with stack.layers, such as param_views of a gradient
+    vector. Returns out and the gradient with respect to the stack input.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.pres[-1].shape:
         raise ShapeError(
             f"grad shape {g.shape} does not match output {cache.pres[-1].shape}"
         )
-    grads: StackGrads = [None] * len(stack.layers)  # type: ignore[list-item]
-    for i in range(len(stack.layers) - 1, -1, -1):
-        layer = stack.layers[i]
-        # ReLU passes g where its input was positive; the subgradient at
-        # exactly 0 is taken as 0. The identity passes g on unchanged.
-        g_pre = g
-        if layer.activation is Activation.RELU:
-            g_pre = g * (cache.pres[i] > 0.0)
-        grads[i] = (g_pre.T @ cache.inputs[i], g_pre.sum(axis=0))
-        g = g_pre @ layer.weight
-    return grads, g
+    last = len(stack.layers) - 1
+    for i in range(last, -1, -1):
+        # The last layer passes g on unchanged. ReLU passes g where its
+        # input was positive; the subgradient at exactly 0 is taken as 0.
+        g_pre = g if i == last else g * (cache.pres[i] > 0.0)
+        gw, gb = out[i]
+        np.matmul(g_pre.T, cache.inputs[i], out=gw)
+        g_pre.sum(axis=0, out=gb)
+        g = g_pre @ stack.layers[i].weight
+    return out, g
 
 
 @dataclass
@@ -242,44 +261,39 @@ def lr_at_epoch(cfg: SgdConfig, epoch: int) -> float:
     return cfg.initial_lr * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def clip_global_norm(grads: StackGrads, max_norm: float) -> StackGrads:
-    """Rescale gradients so their joint L2 norm is at most max_norm.
+def clip_global_norm(grad: np.ndarray, bounds, max_norm: float) -> np.ndarray:
+    """Rescale a gradient vector so its L2 norm is at most max_norm.
 
-    Returns grads itself whenever the norm is already within bounds or
+    bounds places each layer's weight and bias in grad (see layer_bounds).
+    Returns grad itself whenever the norm is already within bounds or
     max_norm <= 0, and a rescaled copy otherwise. Caps the step size without
     changing the step direction; a batch whose labeled-group average runs
     over one or two samples can otherwise produce steps large enough to
     destabilize plain SGD.
     """
     if max_norm <= 0:
-        return grads
+        return grad
+    sq = grad * grad
     # Squares are summed per layer, weight then bias, in layer order. Any
-    # other order (say one dot product over the flattened gradients) moves
-    # the norm's last bit, and with it trained weights and AUCs.
+    # other order (one dot product over the vector, or np.add.reduceat over
+    # the slices) moves the norm's last bit, and with it trained weights and
+    # AUCs.
     total = 0.0
-    for gw, gb in grads:
-        total += float((gw * gw).sum()) + float((gb * gb).sum())
+    for start, mid, end in bounds:
+        total += float(sq[start:mid].sum()) + float(sq[mid:end].sum())
     norm = math.sqrt(total)
     if norm <= max_norm:
-        return grads
-    scale = max_norm / norm
-    return [(scale * gw, scale * gb) for gw, gb in grads]
+        return grad
+    return (max_norm / norm) * grad
 
 
-def sgd_step(layers: list[DenseLayer], grads: StackGrads, lr: float) -> None:
-    """In-place parameter update: param -= lr * grad, layer by layer."""
-    if len(grads) != len(layers):
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """In-place update of a parameter vector: params -= lr * grad."""
+    if grad.shape != params.shape:
         raise ShapeError(
-            f"got {len(grads)} gradient pairs for {len(layers)} layers"
+            f"gradient shape {grad.shape} does not match parameters {params.shape}"
         )
-    for layer, (gw, gb) in zip(layers, grads):
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise ShapeError(
-                f"gradient shapes {gw.shape}/{gb.shape} do not match layer "
-                f"{layer.weight.shape}/{layer.bias.shape}"
-            )
-        layer.weight -= lr * gw
-        layer.bias -= lr * gb
+    params -= lr * grad
 
 
 @dataclass
@@ -297,50 +311,42 @@ class GradCheckReport:
         return self.n_flagged == 0
 
 
-def check_gradients_arrays(
-    params: list[np.ndarray],
-    analytic: list[np.ndarray],
+def check_gradients(
+    params: np.ndarray,
+    analytic: np.ndarray,
     eval_loss,
-    names: list[str] | None = None,
+    names: list[str],
     tolerance: float = 1e-4,
     step: float = 1e-5,
 ) -> GradCheckReport:
-    """Central-difference check of analytic gradients for arbitrary arrays.
+    """Central-difference check of an analytic gradient vector.
 
-    params are mutated in place during probing and restored afterwards.
+    params (1-D) is mutated in place during probing and restored afterwards.
     eval_loss() recomputes the scalar loss from the current parameter values.
-    Relative error per entry is |a - n| / max(|a|, |n|, 1e-6).
+    names labels each entry. Relative error per entry is
+    |a - n| / max(|a|, |n|, 1e-6).
     """
-    if len(params) != len(analytic):
-        raise ShapeError("params and analytic gradients must align")
-    if names is None:
-        names = [f"param[{i}]" for i in range(len(params))]
+    if params.ndim != 1 or analytic.shape != params.shape:
+        raise ShapeError(f"gradient {analytic.shape} vs params {params.shape}")
+    if len(names) != params.size:
+        raise ShapeError(f"{len(names)} names for {params.size} params")
     max_rel = 0.0
     worst = ""
     flagged: list[tuple[str, float]] = []
-    for arr, grad, name in zip(params, analytic, names):
-        if arr.shape != grad.shape:
-            raise ShapeError(
-                f"{name}: gradient shape {grad.shape} != param {arr.shape}"
-            )
-        flat = arr.reshape(-1)
-        gflat = np.asarray(grad, dtype=np.float64).reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = eval_loss()
-            flat[idx] = orig - step
-            down = eval_loss()
-            flat[idx] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise ValueError(f"loss non-finite while probing {name}[{idx}]")
-            numeric = (up - down) / (2.0 * step)
-            a = gflat[idx]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            label = f"{name}[{idx}]"
-            if rel > max_rel:
-                max_rel, worst = rel, label
-            if rel > tolerance:
-                flagged.append((label, rel))
-    n_params = sum(p.size for p in params)
-    return GradCheckReport(max_rel, n_params, len(flagged), worst, flagged)
+    for idx, label in enumerate(names):
+        orig = params[idx]
+        params[idx] = orig + step
+        up = eval_loss()
+        params[idx] = orig - step
+        down = eval_loss()
+        params[idx] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise ValueError(f"loss non-finite while probing {label}")
+        numeric = (up - down) / (2.0 * step)
+        a = analytic[idx]
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+        if rel > max_rel:
+            max_rel, worst = rel, label
+        if rel > tolerance:
+            flagged.append((label, rel))
+    return GradCheckReport(max_rel, params.size, len(flagged), worst, flagged)

@@ -3,10 +3,14 @@
 Subcommands run in-process through main(argv) so stdout, stderr and exit
 codes can be asserted cheaply; two tests start a fresh interpreter, one to
 cover the packaging entry point and one to see what `import esad` loads.
+The last test checks that README's library examples import real names.
 """
 
+import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -271,3 +275,25 @@ def test_import_loads_numpy_only():
     esad_file, third_party = proc.stdout.splitlines()
     assert Path(esad_file).resolve().is_relative_to(src)
     assert third_party == "['esad', 'numpy']"
+
+
+def test_readme_python_blocks_import_real_names():
+    # README's ```python blocks are the documented library API: each must
+    # compile, and every name one imports from esad must exist.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    imported = []
+    for i, block in enumerate(blocks):
+        tree = compile(block, f"README block {i}", "exec", ast.PyCF_ONLY_AST)
+        for node in ast.walk(tree):
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and module.split(".")[0] == "esad":
+                imported += [(module, alias.name) for alias in node.names]
+    assert imported
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing

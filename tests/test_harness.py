@@ -9,10 +9,11 @@ value an independent replica of stage one computes.
 
 import importlib.util
 import json
+import re
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, clip_oracle, fresh_grads, sgd_oracle
 from numpy.testing import assert_allclose, assert_array_equal
 
 import esad
@@ -49,13 +50,20 @@ from esad.harness import (
     write_report_jsonl,
     write_sweep_jsonl,
 )
-from esad.losses import PhiKind, grad_sad_rec, svdd_center
-from esad.model import model_param_arrays, new_model
+from esad.losses import (
+    PhiKind,
+    grad_sad_rec,
+    grad_svdd,
+    semi_loss_and_grads,
+    svdd_center,
+)
+from esad.model import backward_pipeline, forward_pipeline, new_model
 from esad.ndcore import (
     SgdConfig,
     backward,
     clip_global_norm,
     forward,
+    layer_bounds,
     lr_at_epoch,
     sgd_step,
 )
@@ -255,10 +263,7 @@ class TestTrainEsad:
         semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
         a = train_esad(cfg, semi, seed=0)
         b = train_esad(cfg, semi, seed=0)
-        pa, _ = model_param_arrays(a.model)
-        pb, _ = model_param_arrays(b.model)
-        for x, y in zip(pa, pb):
-            assert_array_equal(x, y)
+        assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.final_loss.total == b.final_loss.total
 
     def test_different_seed_changes_model(self):
@@ -321,16 +326,20 @@ class TestTrainBaseline:
         streams = child_seeds(4)
         base = new_model(x.shape[1], cfg.hidden_dim, cfg.rep_dim, seed=streams.init)
         enc, dec = base.enc1, base.dec
+        bounds = layer_bounds(enc.layers + dec.layers)
         rng = np.random.default_rng(streams.shuffle)
         lr = lr_at_epoch(cfg.sgd, 0)
         for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
             xb = x[idx]
             z, cache_e = forward(enc, xb)
             x_hat, cache_d = forward(dec, z)
-            g_dec, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat))
-            g_enc, _ = backward(enc, cache_e, g_z)
-            grads = clip_global_norm(g_enc + g_dec, cfg.clip_norm)
-            sgd_step(enc.layers + dec.layers, grads, lr)
+            g_dec, g_z = backward(
+                dec, cache_d, grad_sad_rec(xb, x_hat), fresh_grads(dec.layers)
+            )
+            g_enc, _ = backward(enc, cache_e, g_z, fresh_grads(enc.layers))
+            grad = np.concatenate([np.r_[w.ravel(), b] for w, b in g_enc + g_dec])
+            grad = clip_global_norm(grad, bounds, cfg.clip_norm)
+            sgd_step(base.params[: bounds[-1][2]], grad, lr)
         z_all, _ = forward(enc, x)
         assert_array_equal(svdd_center(z_all), result.model.center)
 
@@ -360,12 +369,112 @@ class TestTrainBaseline:
         assert result.auc is not None and result.auc >= 0.95
 
 
+def _param_pairs(layers):
+    return [(layer.weight, layer.bias) for layer in layers]
+
+
+def _flat(layers) -> bytes:
+    return b"".join(layer.weight.tobytes() + layer.bias.tobytes() for layer in layers)
+
+
+class TestListSgdOracle:
+    """Training through _sgd_epochs, with its one vector clip and update per
+    step, against a replica that clips and updates layer by layer."""
+
+    def test_esad_matches_per_layer_steps(self):
+        cfg = quick_config(sgd=SgdConfig(epochs=4, batch_size=16))
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=2)
+        trained = train_esad(cfg, semi, seed=2).model
+
+        x, tags = semi.x_train, semi.tags
+        streams = child_seeds(2)
+        model = new_model(x.shape[1], cfg.hidden_dim, cfg.rep_dim, seed=streams.init)
+        phi = harness._build_phi(cfg, x.shape[1], streams.phi, tags)
+        layers = model.layers()
+        rng = np.random.default_rng(streams.shuffle)
+        fired = steps = 0
+        for epoch in range(cfg.sgd.epochs):
+            lr = lr_at_epoch(cfg.sgd, epoch)
+            for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+                xb = x[idx]
+                out = forward_pipeline(model, xb)
+                _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
+                    xb,
+                    out.z,
+                    out.x_hat,
+                    out.z_hat,
+                    tags[idx],
+                    phi,
+                    cfg.lambda1,
+                    cfg.lambda2,
+                    cfg.epsilon,
+                )
+                grads = fresh_grads(layers)
+                backward_pipeline(model, out, g_z, g_xhat, g_zhat, grads)
+                clipped = clip_oracle(grads, cfg.clip_norm)
+                fired += clipped is not grads
+                steps += 1
+                sgd_oracle(_param_pairs(layers), clipped, lr)
+        assert 0 < fired < steps  # both branches of the clip ran
+        assert trained.params.tobytes() == model.params.tobytes()
+
+    def test_deep_sad_stages_match_per_layer_steps(self):
+        cfg = quick_config(
+            method=Method.DEEP_SAD, clip_norm=1.0, sgd=SgdConfig(epochs=6, batch_size=16)
+        )
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=3)
+        trained = train_sad_baseline(cfg, semi, seed=3).model
+
+        x, tags = semi.x_train, semi.tags
+        streams = child_seeds(3)
+        base = new_model(x.shape[1], cfg.hidden_dim, cfg.rep_dim, seed=streams.init)
+        enc, dec = base.enc1, base.dec
+        rng = np.random.default_rng(streams.shuffle)
+        fired = steps = 0
+
+        def step(grads, layers, lr):
+            nonlocal fired, steps
+            clipped = clip_oracle(grads, cfg.clip_norm)
+            fired += clipped is not grads
+            steps += 1
+            sgd_oracle(_param_pairs(layers), clipped, lr)
+
+        for epoch in range(cfg.sgd.epochs // 2):
+            lr = lr_at_epoch(cfg.sgd, epoch)
+            for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+                xb = x[idx]
+                z, cache_e = forward(enc, xb)
+                x_hat, cache_d = forward(dec, z)
+                g_dec, g_z = backward(
+                dec, cache_d, grad_sad_rec(xb, x_hat), fresh_grads(dec.layers)
+            )
+                g_enc, _ = backward(enc, cache_e, g_z, fresh_grads(enc.layers))
+                step(g_enc + g_dec, enc.layers + dec.layers, lr)
+        assert _flat(dec.layers) == _flat(trained.decoder.layers)
+        center = svdd_center(forward(enc, x)[0])
+        assert center.tobytes() == trained.center.tobytes()
+        for epoch in range(cfg.sgd.epochs - cfg.sgd.epochs // 2):
+            lr = lr_at_epoch(cfg.sgd, epoch)
+            for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+                z, cache_e = forward(enc, x[idx])
+                g = grad_svdd(z, tags[idx], center, cfg.epsilon)
+                g_enc, _ = backward(enc, cache_e, g, fresh_grads(enc.layers))
+                step(g_enc, enc.layers, lr)
+        assert 0 < fired < steps
+        assert _flat(enc.layers) == _flat(trained.encoder.layers)
+        # Stage two trains the encoder prefix only.
+        assert _flat(dec.layers) == _flat(trained.decoder.layers)
+
+
 class TestGradCheckIntegration:
     @pytest.mark.parametrize("seed", range(5))
     def test_full_objective_gradients(self, seed):
         report = full_loss_grad_check(seed)
         assert report.passed, report.flagged[:3]
         assert report.max_rel_err < 1e-4
+        # Entries are named by stack, layer and array, as "enc2.layer1.bias[0]".
+        label = r"(enc1|dec|enc2)\.layer[01]\.(weight|bias)\[\d+\]"
+        assert re.fullmatch(label, report.worst_param), report.worst_param
 
 
 class TestRunExperiment:
@@ -414,7 +523,7 @@ class TestRunExperiment:
             report = run_experiment(cfg)
         assert all(r.error.startswith("TrainingDiverged") for r in report.results)
 
-        def broken_clip(grads, max_norm):
+        def broken_clip(grad, bounds, max_norm):
             raise TypeError("bug in the training loop")
 
         monkeypatch.setattr(harness, "clip_global_norm", broken_clip)

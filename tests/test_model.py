@@ -5,10 +5,12 @@ single-stack forward; the backward oracle probes every parameter of all
 three stacks with central differences computed in this file.
 """
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from conftest import fresh_grads
 from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.losses import PhiConfig, SemiLabel, semi_loss_and_grads
@@ -20,25 +22,29 @@ from esad.model import (
     default_rep_dim,
     forward_pipeline,
     load_model,
-    model_param_arrays,
     new_model,
     save_model,
 )
 from esad.ndcore import (
-    Activation,
     DenseLayer,
     MlpStack,
     ShapeError,
     forward,
+    param_views,
     sgd_step,
 )
 
 
 def identity_model(dim: int) -> EsadModel:
-    ident = lambda: MlpStack(
-        [DenseLayer(np.eye(dim), np.zeros(dim), Activation.IDENTITY)]
-    )
+    ident = lambda: MlpStack([DenseLayer(np.eye(dim), np.zeros(dim))])
     return EsadModel(ident(), ident(), ident())
+
+
+def grads_of(model: EsadModel):
+    """A NaN-filled gradient vector laid out like model.params, and its
+    per-layer views for backward_pipeline to write into."""
+    grad = np.full_like(model.params, np.nan)
+    return grad, param_views(model.layers(), grad)
 
 
 def kink_free_instance(seed: int, rows=4, dim=5, h=8, r=3, margin=1e-3):
@@ -48,17 +54,12 @@ def kink_free_instance(seed: int, rows=4, dim=5, h=8, r=3, margin=1e-3):
         model = new_model(dim, h, r, seed=int(rng.integers(0, 2**32)))
         x = rng.normal(size=(rows, dim))
         out = forward_pipeline(model, x)
-        pres = []
-        for cache, stack in (
-            (out.cache_enc1, model.enc1),
-            (out.cache_dec, model.dec),
-            (out.cache_enc2, model.enc2),
-        ):
-            pres.extend(
-                p
-                for p, layer in zip(cache.pres, stack.layers)
-                if layer.activation is Activation.RELU
-            )
+        # Every layer but a stack's last is ReLU.
+        pres = [
+            p
+            for cache in (out.cache_enc1, out.cache_dec, out.cache_enc2)
+            for p in cache.pres[:-1]
+        ]
         if min(float(np.abs(p).min()) for p in pres) > margin:
             return model, x
     raise RuntimeError("no kink-free instance found")
@@ -86,12 +87,8 @@ class TestConstruction:
         a = new_model(7, seed=3)
         b = new_model(7, seed=3)
         c = new_model(7, seed=4)
-        pa, _ = model_param_arrays(a)
-        pb, _ = model_param_arrays(b)
-        pc, _ = model_param_arrays(c)
-        for x, y in zip(pa, pb):
-            assert_array_equal(x, y)
-        assert any(not np.array_equal(x, y) for x, y in zip(pa, pc))
+        assert a.params.tobytes() == b.params.tobytes()
+        assert not np.array_equal(a.params, c.params)
 
     def test_encoders_start_different(self):
         model = new_model(7, seed=0)
@@ -104,6 +101,30 @@ class TestConstruction:
         before = model.enc2.layers[0].weight.copy()
         model.enc1.layers[0].weight += 100.0
         assert_array_equal(model.enc2.layers[0].weight, before)
+
+    def test_parameters_live_in_one_vector(self):
+        # enc1, dec, enc2 in order, each layer's weight then bias; every
+        # layer is a view, so one update on the vector reaches all of them.
+        model = new_model(8, hidden_dim=10, rep_dim=3, seed=16)
+        assert len(model.layers()) == 6  # three stacks of two layers
+        expected = 2 * (8 * 10 + 10 + 10 * 3 + 3) + (3 * 10 + 10 + 10 * 8 + 8)
+        assert model.params.shape == (expected,)
+        flat = np.concatenate([np.r_[l.weight.ravel(), l.bias] for l in model.layers()])
+        assert flat.tobytes() == model.params.tobytes()
+        model.params[:] = np.arange(expected)
+        assert model.enc1.layers[0].weight[0, 1] == 1.0
+        assert model.enc2.layers[1].bias[-1] == expected - 1
+
+    def test_built_from_stacks_copies_them(self):
+        # The stacks passed in keep their own arrays, so a second model made
+        # from one model's stacks never shares parameters with it.
+        model = new_model(6, hidden_dim=8, rep_dim=3, seed=17)
+        before = model.params.copy()
+        copy = EsadModel(model.enc1, model.dec, model.enc2)
+        assert copy.params.tobytes() == before.tobytes()
+        copy.params += 1.0
+        assert model.params.tobytes() == before.tobytes()
+        assert_array_equal(model.enc1.layers[0].weight.ravel(), before[:48])
 
     def test_mismatched_stacks_rejected(self):
         model = new_model(6, hidden_dim=8, rep_dim=3)
@@ -149,49 +170,53 @@ class TestBackwardPipeline:
             )
 
         out = forward_pipeline(model, x)
-        grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
-        params, names = model_param_arrays(model)
+        grad, views = grads_of(model)
+        backward_pipeline(model, out, g_z, g_xhat, g_zhat, views)
+        # The views into one vector hold the bits of separate arrays.
+        fresh = fresh_grads(model.layers())
+        backward_pipeline(model, out, g_z, g_xhat, g_zhat, fresh)
+        flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in fresh])
+        assert flat.tobytes() == grad.tobytes()
+        params = model.params
         step = 1e-6
-        flat = [g for pair in grads for g in pair]
-        assert len(flat) == len(params)
-        for arr, grad, name in zip(params, flat, names):
-            flat, gflat = arr.reshape(-1), grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up = objective()
-                flat[i] = orig - step
-                down = objective()
-                flat[i] = orig
-                numeric = (up - down) / (2 * step)
-                denom = max(abs(gflat[i]), abs(numeric), 1e-6)
-                assert abs(gflat[i] - numeric) / denom < 1e-5, f"{name}[{i}]"
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + step
+            up = objective()
+            params[i] = orig - step
+            down = objective()
+            params[i] = orig
+            numeric = (up - down) / (2 * step)
+            denom = max(abs(grad[i]), abs(numeric), 1e-6)
+            assert abs(grad[i] - numeric) / denom < 1e-5, f"params[{i}]"
 
     def test_zero_upstream_gives_zero_grads(self):
         model, x = kink_free_instance(seed=2)
         out = forward_pipeline(model, x)
-        grads = backward_pipeline(
+        grad, views = grads_of(model)
+        backward_pipeline(
             model,
             out,
             np.zeros_like(out.z),
             np.zeros_like(out.x_hat),
             np.zeros_like(out.z_hat),
+            views,
         )
-        for gw, gb in grads:
-            assert_array_equal(gw, np.zeros_like(gw))
-            assert_array_equal(gb, np.zeros_like(gb))
+        assert_array_equal(grad, np.zeros_like(grad))
 
     def test_z_hat_gradient_reaches_every_stack(self):
         # The chain z_hat -> enc2 -> x_hat -> dec -> z -> enc1 must touch all
         # three stacks even when the loss looks only at the re-encoding.
         model, x = kink_free_instance(seed=3)
         out = forward_pipeline(model, x)
-        grads = backward_pipeline(
+        _, grads = grads_of(model)
+        backward_pipeline(
             model,
             out,
             np.zeros_like(out.z),
             np.zeros_like(out.x_hat),
             np.ones_like(out.z_hat),
+            grads,
         )
         sizes = [len(stack.layers) for _, stack in model.stacks()]
         starts = np.cumsum([0] + sizes)
@@ -207,15 +232,16 @@ class TestBackwardPipeline:
         _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
             x, out.z, out.x_hat, out.z_hat, tags, phi
         )
-        grads = backward_pipeline(model, out, g_z, g_xhat, g_zhat)
-        before = [p.copy() for p in model_param_arrays(model)[0]]
-        layers = [layer for _, stack in model.stacks() for layer in stack.layers]
-        sgd_step(layers, grads, 0.01)
-        after, names = model_param_arrays(model)
+        grad, views = grads_of(model)
+        backward_pipeline(model, out, g_z, g_xhat, g_zhat, views)
+        before = [
+            [l.weight.copy() for l in stack.layers] for _, stack in model.stacks()
+        ]
+        sgd_step(model.params, grad, 0.01)
         changed = {
-            name.split(".")[0]
-            for b, a, name in zip(before, after, names)
-            if not np.array_equal(b, a)
+            name
+            for (name, stack), weights in zip(model.stacks(), before)
+            if any(not np.array_equal(w, l.weight) for w, l in zip(weights, stack.layers))
         }
         assert changed == {"enc1", "dec", "enc2"}
 
@@ -226,15 +252,43 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         loaded = load_model(path)
-        pa, na = model_param_arrays(model)
-        pb, nb = model_param_arrays(loaded)
-        assert na == nb
-        for a, b in zip(pa, pb):
-            assert_array_equal(a, b)
+        assert loaded.params.tobytes() == model.params.tobytes()
         for (_, sa), (_, sb) in zip(model.stacks(), loaded.stacks()):
-            assert [l.activation for l in sa.layers] == [
-                l.activation for l in sb.layers
+            assert [l.weight.shape for l in sa.layers] == [
+                l.weight.shape for l in sb.layers
             ]
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # The EDEMLP01 bytes of one seeded model. Keeping the parameters in
+        # one vector must not change a byte of the format.
+        path = tmp_path / "model.ckpt"
+        save_model(new_model(9, hidden_dim=12, rep_dim=4, seed=11), path)
+        blob = path.read_bytes()
+        assert len(blob) == 4246
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6a4c60a34738afe97c6ae872a0264dc034ef8a7525202edd2610e6dc3704a178"
+        )
+
+    def test_rejects_activation_bytes_off_the_fixed_rule(self, tmp_path):
+        # Hidden layers are ReLU (0) and a stack's last layer identity (1).
+        # The first layer's byte sits at 24; enc1's second layer header
+        # follows 8 * h * (d + 1) bytes of weights and biases.
+        model = new_model(5, hidden_dim=7, rep_dim=3, seed=18)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        blob = path.read_bytes()
+        second = 25 + 8 * 7 * 6 + 8
+        assert blob[24] == 0 and blob[second] == 1
+        for offset, code, where in (
+            (second, 0, "enc1 layer 1"),  # an all-ReLU stack
+            (24, 1, "enc1 layer 0"),  # an identity hidden layer
+            (24, 7, "enc1 layer 0"),  # no activation at all
+        ):
+            bad = bytearray(blob)
+            bad[offset] = code
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError, match=where):
+                load_model(path)
 
     def test_loaded_model_scores_identically(self, tmp_path):
         model = new_model(6, seed=12)
@@ -264,7 +318,7 @@ class TestCheckpoint:
         hollow = MlpStack(
             [
                 DenseLayer(np.zeros((0, 5)), np.zeros(0)),
-                DenseLayer(np.zeros((r, 0)), np.zeros(r), Activation.IDENTITY),
+                DenseLayer(np.zeros((r, 0)), np.zeros(r)),
             ]
         )
         save_model(EsadModel(hollow, model.dec, model.enc2), path)
@@ -285,14 +339,3 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_model(path)
 
-
-def test_param_arrays_cover_all_layers():
-    model = new_model(8, hidden_dim=10, rep_dim=3, seed=16)
-    params, names = model_param_arrays(model)
-    # Three stacks of two layers, each with a weight and a bias.
-    assert len(params) == len(names) == 12
-    assert names[0] == "enc1.layer0.weight"
-    assert names[-1] == "enc2.layer1.bias"
-    total = sum(p.size for p in params)
-    expected = 2 * (8 * 10 + 10 + 10 * 3 + 3) + (3 * 10 + 10 + 10 * 8 + 8)
-    assert total == expected

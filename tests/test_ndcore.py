@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import clip_oracle, fresh_grads, sgd_oracle
 from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.ndcore import (
-    Activation,
     DenseLayer,
     GradCheckReport,
     MlpStack,
@@ -25,11 +25,14 @@ from esad.ndcore import (
     ShapeError,
     as_matrix,
     backward,
-    check_gradients_arrays,
+    check_gradients,
     clip_global_norm,
     forward,
     init_stack,
+    layer_bounds,
     lr_at_epoch,
+    pack_stacks,
+    param_views,
     sgd_step,
 )
 
@@ -53,13 +56,14 @@ def forward_oracle(stack: MlpStack, x: np.ndarray) -> np.ndarray:
     out = np.zeros((x.shape[0], stack.out_dim))
     for r in range(x.shape[0]):
         cur = [float(v) for v in x[r]]
-        for layer in stack.layers:
+        for li, layer in enumerate(stack.layers):
+            hidden = li < len(stack.layers) - 1  # ReLU; the last is identity
             nxt = []
             for u in range(layer.out_dim):
                 acc = float(layer.bias[u])
                 for k in range(layer.in_dim):
                     acc += float(layer.weight[u, k]) * cur[k]
-                if layer.activation is Activation.RELU and acc < 0.0:
+                if hidden and acc < 0.0:
                     acc = 0.0
                 nxt.append(acc)
             cur = nxt
@@ -102,11 +106,7 @@ def kink_free_batch(stack, rng, rows, margin=1e-3):
     for _ in range(200):
         x = rng.normal(0.0, 1.0, size=(rows, stack.in_dim))
         _, cache = forward(stack, x)
-        pres = [
-            p
-            for p, layer in zip(cache.pres, stack.layers)
-            if layer.activation is Activation.RELU
-        ]
+        pres = cache.pres[:-1]  # the ReLU layers
         if not pres or min(float(np.abs(p).min()) for p in pres) > margin:
             return x
     raise RuntimeError("no kink-free batch found")
@@ -122,7 +122,7 @@ class TestMatmul:
         for shape in [(1, 1, 1), (4, 5, 2), (3, 1, 6), (7, 7, 7)]:
             x = rng.normal(size=shape[:2])
             w = rng.normal(size=shape[:0:-1])
-            layer = DenseLayer(w, np.zeros(shape[2]), Activation.IDENTITY)
+            layer = DenseLayer(w, np.zeros(shape[2]))
             out, _ = forward(MlpStack([layer]), x)
             assert_allclose(out, matmul_oracle(x, w.T), rtol=1e-12, atol=1e-12)
 
@@ -159,15 +159,19 @@ class TestForward:
             assert_allclose(row_out[0], batch_out[i], rtol=1e-12, atol=1e-14)
 
     def test_identity_layer_passthrough(self):
-        stack = MlpStack([DenseLayer(np.eye(4), np.zeros(4), Activation.IDENTITY)])
+        stack = MlpStack([DenseLayer(np.eye(4), np.zeros(4))])
         x = np.random.default_rng(4).normal(size=(3, 4))
         out, _ = forward(stack, x)
         assert_array_equal(out, x)
 
     def test_relu_clamps_negative_preactivations(self):
-        layer = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), Activation.RELU)
-        out, _ = forward(MlpStack([layer]), np.array([[2.0]]))
+        # Hidden layers are ReLU and the last layer is the identity.
+        layer = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2))
+        passthrough = DenseLayer(np.eye(2), np.zeros(2))
+        out, _ = forward(MlpStack([layer, passthrough]), np.array([[2.0]]))
         assert_array_equal(out, [[2.0, 0.0]])
+        out, _ = forward(MlpStack([layer]), np.array([[2.0]]))
+        assert_array_equal(out, [[2.0, -2.0]])
 
     def test_width_mismatch(self):
         stack = random_stack(np.random.default_rng(5))
@@ -193,7 +197,7 @@ class TestBackward:
         x = kink_free_batch(stack, rng, rows=4)
         grad_out = rng.normal(size=(4, stack.out_dim))
         _, cache = forward(stack, x)
-        analytic, _ = backward(stack, cache, grad_out)
+        analytic, _ = backward(stack, cache, grad_out, fresh_grads(stack.layers))
         numeric = fd_stack_grads(stack, x, grad_out)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             assert_allclose(aw, nw, rtol=1e-6, atol=1e-8)
@@ -205,7 +209,7 @@ class TestBackward:
         x = kink_free_batch(stack, rng, rows=3)
         grad_out = rng.normal(size=(3, stack.out_dim))
         _, cache = forward(stack, x)
-        _, grad_in = backward(stack, cache, grad_out)
+        _, grad_in = backward(stack, cache, grad_out, fresh_grads(stack.layers))
         step = 1e-6
         numeric = np.zeros_like(x)
         for i in range(x.shape[0]):
@@ -225,23 +229,44 @@ class TestBackward:
         x = rng.normal(size=(5, stack.in_dim))
         grad_out = rng.normal(size=(5, stack.out_dim))
         _, cache = forward(stack, x)
-        batch_grads, batch_in = backward(stack, cache, grad_out)
+        batch_grads, batch_in = backward(
+            stack, cache, grad_out, fresh_grads(stack.layers)
+        )
         summed = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in stack.layers]
         for i in range(5):
             _, c = forward(stack, x[i : i + 1])
-            g, gi = backward(stack, c, grad_out[i : i + 1])
+            g, gi = backward(stack, c, grad_out[i : i + 1], fresh_grads(stack.layers))
             summed = [(sw + gw, sb + gb) for (sw, sb), (gw, gb) in zip(summed, g)]
             assert_allclose(gi[0], batch_in[i], rtol=1e-12, atol=1e-14)
         for (bw, bb), (sw, sb) in zip(batch_grads, summed):
             assert_allclose(bw, sw, rtol=1e-12, atol=1e-14)
             assert_allclose(bb, sb, rtol=1e-12, atol=1e-14)
 
+    def test_writes_into_gradient_vector_views(self):
+        # Written through out= views of one vector, the gradients equal the
+        # freshly allocated ones bit for bit, and land at layer_bounds.
+        rng = np.random.default_rng(26)
+        stack = random_stack(rng, (5, 9, 4, 3))
+        x = rng.normal(size=(7, stack.in_dim))
+        grad_out = rng.normal(size=(7, stack.out_dim))
+        _, cache = forward(stack, x)
+        fresh, fresh_in = backward(stack, cache, grad_out, fresh_grads(stack.layers))
+        vec = np.full(layer_bounds(stack.layers)[-1][2], np.nan)
+        views = param_views(stack.layers, vec)
+        written, grad_in = backward(stack, cache, grad_out, views)
+        assert written is views
+        assert_array_equal(grad_in, fresh_in)
+        expected = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in fresh])
+        assert vec.tobytes() == expected.tobytes()
+
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(10)
         stack = random_stack(rng)
         x = rng.normal(size=(3, stack.in_dim))
         _, cache = forward(stack, x)
-        grads, grad_in = backward(stack, cache, np.zeros((3, stack.out_dim)))
+        grads, grad_in = backward(
+            stack, cache, np.zeros((3, stack.out_dim)), fresh_grads(stack.layers)
+        )
         assert_array_equal(grad_in, np.zeros_like(x))
         for gw, gb in grads:
             assert_array_equal(gw, np.zeros_like(gw))
@@ -250,23 +275,30 @@ class TestBackward:
     def test_identity_layer_hand_computed(self):
         # Single identity layer: dW = g^T x, db = sum g, dx = g W.
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        stack = MlpStack([DenseLayer(w, np.zeros(3), Activation.IDENTITY)])
+        stack = MlpStack([DenseLayer(w, np.zeros(3))])
         x = np.array([[1.0, -1.0], [2.0, 0.5]])
         g = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
         _, cache = forward(stack, x)
-        grads, grad_in = backward(stack, cache, g)
+        grads, grad_in = backward(stack, cache, g, fresh_grads(stack.layers))
         gw, gb = grads[0]
         assert_allclose(gw, g.T @ x)
         assert_allclose(gb, g.sum(axis=0))
         assert_allclose(grad_in, g @ w)
 
     def test_relu_subgradient_zero_at_kink(self):
-        # Zero weights and bias put the pre-activation exactly at 0; the
-        # chosen subgradient there is 0, so nothing propagates.
-        stack = MlpStack([DenseLayer(np.zeros((2, 2)), np.zeros(2), Activation.RELU)])
+        # Zero weights and bias put the hidden pre-activation exactly at 0;
+        # the chosen subgradient there is 0, so nothing propagates.
+        stack = MlpStack(
+            [
+                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+                DenseLayer(np.eye(2), np.zeros(2)),
+            ]
+        )
         x = np.array([[1.0, 2.0]])
         _, cache = forward(stack, x)
-        grads, grad_in = backward(stack, cache, np.ones((1, 2)))
+        grads, grad_in = backward(
+            stack, cache, np.ones((1, 2)), fresh_grads(stack.layers)
+        )
         assert_array_equal(grads[0][0], np.zeros((2, 2)))
         assert_array_equal(grads[0][1], np.zeros(2))
         assert_array_equal(grad_in, np.zeros((1, 2)))
@@ -277,7 +309,9 @@ class TestBackward:
         x = rng.normal(size=(3, stack.in_dim))
         _, cache = forward(stack, x)
         with pytest.raises(ShapeError, match="grad shape"):
-            backward(stack, cache, np.ones((2, stack.out_dim)))
+            backward(
+                stack, cache, np.ones((2, stack.out_dim)), fresh_grads(stack.layers)
+            )
 
 
 # layer and stack construction
@@ -301,8 +335,6 @@ class TestConstruction:
     def test_init_stack_glorot_bounds_and_zero_bias(self):
         stack = init_stack([6, 32, 4], np.random.default_rng(12))
         assert [l.in_dim for l in stack.layers] == [6, 32]
-        assert stack.layers[0].activation is Activation.RELU
-        assert stack.layers[1].activation is Activation.IDENTITY
         for layer in stack.layers:
             limit = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
             assert np.all(np.abs(layer.weight) <= limit)
@@ -325,6 +357,27 @@ class TestConstruction:
             init_stack([4], rng)
         with pytest.raises(ShapeError):
             init_stack([4, 0, 2], rng)
+
+    def test_pack_stacks_views_one_vector(self):
+        rng = np.random.default_rng(27)
+        a, b = random_stack(rng, (3, 4, 2)), random_stack(rng, (2, 5))
+        before = [l.weight.copy() for s in (a, b) for l in s.layers]
+        vec, (pa, pb) = pack_stacks([a, b])
+        layers = pa.layers + pb.layers
+        bounds = layer_bounds(layers)
+        assert bounds == [(0, 12, 16), (16, 24, 26), (26, 36, 41)]
+        assert vec.shape == (41,)
+        for layer, orig, (start, mid, end) in zip(layers, a.layers + b.layers, bounds):
+            assert np.shares_memory(layer.weight, vec)
+            assert np.shares_memory(layer.bias, vec)
+            assert_array_equal(vec[start:mid], orig.weight.ravel())
+            assert_array_equal(vec[mid:end], orig.bias)
+        # One operation on the vector moves every layer; the inputs keep
+        # their own arrays.
+        vec += 1.0
+        assert_array_equal(pb.layers[0].bias, b.layers[0].bias + 1.0)
+        for orig, layer in zip(before, a.layers + b.layers):
+            assert_array_equal(layer.weight, orig)
 
 
 # learning-rate schedule and SGD updates
@@ -351,30 +404,37 @@ class TestSgd:
             lr_at_epoch(SgdConfig(), -1)
 
     def test_step_arithmetic(self):
-        stack = MlpStack(
-            [DenseLayer(np.array([[1.0]]), np.array([3.0]), Activation.IDENTITY)]
+        vec, (stack,) = pack_stacks(
+            [MlpStack([DenseLayer(np.array([[1.0]]), np.array([3.0]))])]
         )
-        sgd_step(stack.layers, [(np.array([[2.0]]), np.array([10.0]))], lr=0.1)
+        sgd_step(vec, np.array([2.0, 10.0]), lr=0.1)
         assert_allclose(stack.layers[0].weight, [[0.8]])
         assert_allclose(stack.layers[0].bias, [2.0])
 
+    def test_matches_per_layer_update_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        vec, (stack,) = pack_stacks([random_stack(rng, (6, 11, 3))])
+        grad = rng.normal(size=vec.shape)
+        expected = [(l.weight.copy(), l.bias.copy()) for l in stack.layers]
+        sgd_oracle(expected, param_views(stack.layers, grad), 0.037)
+        sgd_step(vec, grad, 0.037)
+        for (w, b), layer in zip(expected, stack.layers):
+            assert w.tobytes() == layer.weight.tobytes()
+            assert b.tobytes() == layer.bias.tobytes()
+
     def test_zero_lr_is_identity(self):
         rng = np.random.default_rng(16)
-        stack = random_stack(rng)
-        before = [l.weight.copy() for l in stack.layers]
-        grads = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in stack.layers]
-        sgd_step(stack.layers, grads, lr=0.0)
-        for b, layer in zip(before, stack.layers):
-            assert_array_equal(layer.weight, b)
+        vec, _ = pack_stacks([random_stack(rng)])
+        before = vec.copy()
+        sgd_step(vec, np.ones_like(vec), lr=0.0)
+        assert_array_equal(vec, before)
 
     def test_step_validates_shapes(self):
-        stack = random_stack(np.random.default_rng(17))
-        zeros = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in stack.layers]
+        vec, _ = pack_stacks([random_stack(np.random.default_rng(17))])
         with pytest.raises(ShapeError):
-            sgd_step(stack.layers, zeros[:-1], 0.1)
-        zeros[0] = (np.zeros((1, 1)), zeros[0][1])
+            sgd_step(vec, np.zeros(vec.size - 1), 0.1)
         with pytest.raises(ShapeError):
-            sgd_step(stack.layers, zeros, 0.1)
+            sgd_step(vec, np.zeros((vec.size, 1)), 0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -397,23 +457,19 @@ class TestSgd:
 # gradient clipping
 
 
-def flat_norm(grads) -> float:
-    return float(np.linalg.norm(np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])))
+def grad_vector(rng, stack):
+    """A random gradient vector laid out like stack, with its bounds."""
+    bounds = layer_bounds(stack.layers)
+    return rng.normal(size=bounds[-1][2]), bounds
 
 
 class TestClipping:
-    def _grads(self, rng, stack):
-        return [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in stack.layers]
-
     def test_norm_matches_flat_vector(self):
         rng = np.random.default_rng(18)
-        stack = random_stack(rng)
-        grads = self._grads(rng, stack)
-        norm = flat_norm(grads)
-        clipped = clip_global_norm(grads, 1.0)
-        for (cw, cb), (gw, gb) in zip(clipped, grads):
-            assert_allclose(cw, gw / norm, rtol=1e-12)
-            assert_allclose(cb, gb / norm, rtol=1e-12)
+        grad, bounds = grad_vector(rng, random_stack(rng))
+        norm = float(np.linalg.norm(grad))
+        clipped = clip_global_norm(grad, bounds, 1.0)
+        assert_allclose(clipped, grad / norm, rtol=1e-12)
 
     def test_reduction_order_is_per_layer(self):
         # The norm is summed layer by layer, weight then bias. Here the first
@@ -436,45 +492,64 @@ class TestClipping:
         flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
         assert 1.0 / np.linalg.norm(flat) != scale
         assert 1.0 / np.sqrt(np.dot(flat, flat)) != scale
-        clipped = clip_global_norm(grads, 1.0)
-        for (cw, cb), (gw, gb) in zip(clipped, grads):
-            assert_array_equal(cw, scale * gw)
-            assert_array_equal(cb, scale * gb)
+        bounds = layer_bounds([DenseLayer(gw, gb) for gw, gb in grads])
+        clipped = clip_global_norm(flat, bounds, 1.0)
+        assert_array_equal(clipped, scale * flat)
+
+    def test_matches_per_layer_oracle_bit_for_bit(self):
+        # Random layouts, with the cap below, near and above the norm: the
+        # vector clip returns exactly the bits of the per-layer list clip.
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            dims = rng.integers(1, 40, size=rng.integers(2, 6)).tolist()
+            stack = random_stack(rng, dims)
+            grad, bounds = grad_vector(rng, stack)
+            grad *= rng.uniform(1e-3, 1e3)
+            as_list = [(gw.copy(), gb.copy()) for gw, gb in param_views(stack.layers, grad)]
+            norm = float(np.linalg.norm(grad))
+            for cap in (0.3 * norm, norm, 3.0 * norm):
+                clipped = clip_global_norm(grad, bounds, cap)
+                expected = clip_oracle(as_list, cap)
+                flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in expected])
+                assert clipped.tobytes() == flat.tobytes()
+                assert (clipped is grad) == (expected is as_list)
 
     def test_under_cap_untouched(self):
         rng = np.random.default_rng(19)
-        stack = random_stack(rng)
-        grads = self._grads(rng, stack)
-        assert clip_global_norm(grads, flat_norm(grads) + 1.0) is grads
+        grad, bounds = grad_vector(rng, random_stack(rng))
+        cap = float(np.linalg.norm(grad)) + 1.0
+        assert clip_global_norm(grad, bounds, cap) is grad
 
     def test_over_cap_rescales_to_cap(self):
         rng = np.random.default_rng(20)
-        stack = random_stack(rng)
-        grads = self._grads(rng, stack)
-        cap = 0.5 * flat_norm(grads)
-        clipped = clip_global_norm(grads, cap)
-        assert_allclose(flat_norm(clipped), cap, rtol=1e-12)
+        grad, bounds = grad_vector(rng, random_stack(rng))
+        cap = 0.5 * float(np.linalg.norm(grad))
+        clipped = clip_global_norm(grad, bounds, cap)
+        assert_allclose(np.linalg.norm(clipped), cap, rtol=1e-12)
         # Direction is preserved: clipped entries are a uniform rescale.
-        ratio = clipped[0][0].ravel() / grads[0][0].ravel()
+        ratio = clipped / grad
         assert_allclose(ratio, ratio[0], rtol=1e-12)
 
     def test_disabled_with_nonpositive_cap(self):
         rng = np.random.default_rng(21)
-        stack = random_stack(rng)
-        grads = self._grads(rng, stack)
-        assert clip_global_norm(grads, 0.0) is grads
-        assert clip_global_norm(grads, -1.0) is grads
+        grad, bounds = grad_vector(rng, random_stack(rng))
+        assert clip_global_norm(grad, bounds, 0.0) is grad
+        assert clip_global_norm(grad, bounds, -1.0) is grad
 
 
 # gradient-check harness
 
 
 def stack_params(stack):
-    params = [a for layer in stack.layers for a in (layer.weight, layer.bias)]
+    """A packed copy of stack, its parameter vector and the vector's names."""
+    vec, (packed,) = pack_stacks([stack])
     names = [
-        f"layer{i}.{part}" for i in range(len(stack.layers)) for part in ("weight", "bias")
+        f"layer{i}.{part}[{j}]"
+        for i, layer in enumerate(packed.layers)
+        for part, arr in (("weight", layer.weight), ("bias", layer.bias))
+        for j in range(arr.size)
     ]
-    return params, names
+    return vec, packed, names
 
 
 def quadratic_loss(stack):
@@ -487,16 +562,19 @@ def quadratic_loss(stack):
 
 
 def check_stack(stack, loss_fn):
-    _, grads = loss_fn(stack)
-    params, names = stack_params(stack)
-    analytic = [a for pair in grads for a in pair]
-    return check_gradients_arrays(params, analytic, lambda: loss_fn(stack)[0], names)
+    """Gradcheck loss_fn on a packed copy of stack; returns the report and
+    the probed parameter vector."""
+    vec, packed, names = stack_params(stack)
+    _, grads = loss_fn(packed)
+    analytic = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
+    report = check_gradients(vec, analytic, lambda: loss_fn(packed)[0], names)
+    return report, vec
 
 
 class TestGradCheck:
     def test_passes_on_quadratic(self):
         stack = random_stack(np.random.default_rng(22))
-        report = check_stack(stack, quadratic_loss)
+        report, _ = check_stack(stack, quadratic_loss)
         assert isinstance(report, GradCheckReport)
         assert report.passed
         assert report.max_rel_err < 1e-8
@@ -514,29 +592,41 @@ class TestGradCheck:
             return loss, grads
 
         stack = random_stack(np.random.default_rng(23))
-        report = check_stack(stack, corrupted)
+        report, _ = check_stack(stack, corrupted)
         assert not report.passed
         assert report.n_flagged >= 1
         assert report.worst_param == "layer0.weight[0]"
 
+    def test_flags_entry_by_its_name(self):
+        # Layer 0 holds a (3, 4) weight and a (3,) bias, 15 entries, so
+        # entry 16 of the vector is the second entry of layer 1's weight.
+        stack = random_stack(np.random.default_rng(31), (4, 3, 2))
+        vec, packed, names = stack_params(stack)
+        grads = quadratic_loss(packed)[1]
+        analytic = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
+        analytic[16] += 1.0
+        loss = lambda: quadratic_loss(packed)[0]
+        report = check_gradients(vec, analytic, loss, names)
+        assert [label for label, _ in report.flagged] == ["layer1.weight[1]"]
+
     def test_rejects_nonfinite_loss(self):
-        stack = random_stack(np.random.default_rng(24))
-        params, _ = stack_params(stack)
+        vec, _, names = stack_params(random_stack(np.random.default_rng(24)))
         with pytest.raises(ValueError, match="non-finite"):
-            check_gradients_arrays(params, params, lambda: float("nan"))
+            check_gradients(vec, vec, lambda: float("nan"), names)
 
     def test_probing_restores_params(self):
         stack = random_stack(np.random.default_rng(25))
-        before = [l.weight.copy() for l in stack.layers]
-        check_stack(stack, quadratic_loss)
-        for b, layer in zip(before, stack.layers):
-            assert_array_equal(layer.weight, b)
+        before, _, _ = stack_params(stack)
+        _, probed = check_stack(stack, quadratic_loss)
+        assert probed.tobytes() == before.tobytes()
 
     def test_arrays_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            check_gradients_arrays([np.ones(2)], [], lambda: 0.0)
+            check_gradients(np.ones(2), np.ones(3), lambda: 0.0, ["a", "b"])
         with pytest.raises(ShapeError):
-            check_gradients_arrays([np.ones(2)], [np.ones(3)], lambda: 0.0)
+            check_gradients(np.ones((2, 2)), np.ones((2, 2)), lambda: 0.0, ["a"] * 4)
+        with pytest.raises(ShapeError):
+            check_gradients(np.ones(2), np.ones(2), lambda: 0.0, ["a"])
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")
