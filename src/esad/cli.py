@@ -1,4 +1,4 @@
-"""Command-line entry points: run experiments, sweeps, and self-checks.
+"""Command-line entry points: run experiments, sweeps, and the gradient self-check.
 
 Exit code 0 means every requested seed (or check) completed; 1 means some
 failed; argparse reports usage problems with its own code 2.
@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .harness import (
     ExperimentConfig,
@@ -29,7 +26,7 @@ from .harness import (
     write_sweep_jsonl,
 )
 from .model import save_model
-from .scoring import auc, auc_pairwise, export_scores_csv
+from .scoring import export_scores_csv
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
@@ -101,42 +98,6 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _random_tied_instance(rng: np.random.Generator, max_n: int):
-    n = int(rng.integers(10, max_n + 1))
-    n_anom = int(rng.integers(1, n))
-    labels = np.zeros(n, dtype=np.int64)
-    labels[rng.choice(n, size=n_anom, replace=False)] = 1
-    # Coarse score grid guarantees plenty of exact ties, including across classes.
-    scores = rng.integers(0, 8, size=n) / 4.0 + rng.integers(0, 2, size=n) * labels
-    return scores, labels
-
-
-def _cmd_bench_auc(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    mismatches = 0
-    for i in range(args.instances):
-        scores, labels = _random_tied_instance(rng, args.max_n)
-        fast = auc(scores, labels)
-        slow = auc_pairwise(scores, labels)
-        if fast.auc != slow.auc:
-            mismatches += 1
-            print(
-                f"instance {i}: sort-based {fast.auc!r} != pairwise {slow.auc!r}"
-            )
-    scores, labels = _random_tied_instance(rng, args.max_n)
-    t0 = time.perf_counter()
-    reps = 200
-    for _ in range(reps):
-        auc(scores, labels)
-    per_call = (time.perf_counter() - t0) / reps
-    print(
-        f"bench-auc: {args.instances - mismatches}/{args.instances} instances "
-        f"match the pairwise reference exactly; sort-based call on "
-        f"N={scores.size} takes {per_call * 1e6:.1f} us"
-    )
-    return 1 if mismatches else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esad",
@@ -181,15 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--models", type=int, default=20)
     gc.add_argument("--tolerance", type=float, default=1e-4)
     gc.set_defaults(fn=_cmd_gradcheck)
-
-    ba = sub.add_parser(
-        "bench-auc",
-        help="verify the sort-based AUC against pairwise counting and time it",
-    )
-    ba.add_argument("--instances", type=int, default=100)
-    ba.add_argument("--max-n", type=int, default=500)
-    ba.add_argument("--seed", type=int, default=0)
-    ba.set_defaults(fn=_cmd_bench_auc)
     return parser
 
 

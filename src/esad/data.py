@@ -98,12 +98,16 @@ def load_csv(path, name: str | None = None) -> RawDataset:
     p = Path(path)
     rows: list[list[float]] = []
     labels: list[int] = []
+    skipped: list[int] = []  # blank and comment line numbers, ascending
     width: int | None = None
     with open(p, newline="") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if record[0].lstrip().startswith("#"):
+            if (
+                not record
+                or (len(record) == 1 and not record[0].strip())
+                or record[0].lstrip().startswith("#")
+            ):
+                skipped.append(lineno)
                 continue
             if len(record) < 2:
                 raise ParseError(
@@ -128,7 +132,14 @@ def load_csv(path, name: str | None = None) -> RawDataset:
             labels.append(int(label))
     if not rows:
         raise ParseError(f"{p}: no data rows")
-    return RawDataset(name or p.stem, np.array(rows), np.array(labels))
+    x = np.array(rows)
+    if not np.isfinite(x).all():
+        # Data row k sits on line k + 1 plus the skipped lines before it.
+        lineno = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0]) + 1
+        for skip in skipped:
+            lineno += skip <= lineno
+        raise ParseError(f"{p}:{lineno}: non-finite feature value")
+    return RawDataset(name or p.stem, x, np.array(labels))
 
 
 def verify_benchmark_stats(ds: RawDataset) -> None:
@@ -392,15 +403,10 @@ def standardize(semi: SemiDataset, std_floor: float = 1e-12) -> SemiDataset:
             dropped.tolist(),
         )
     transform = FeatureTransform(mean[kept], std[kept], kept)
-    x_test = (
-        transform.apply(semi.x_test)
-        if semi.x_test.shape[0]
-        else semi.x_test[:, kept]
-    )
     return replace(
         semi,
         x_train=transform.apply(semi.x_train),
-        x_test=x_test,
+        x_test=transform.apply(semi.x_test),
         transform=transform,
     )
 

@@ -123,22 +123,29 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         for name in ("epsilon", "phi_sigma"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        for name in ("lambda1", "lambda2", "clip_norm"):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("lambda1", "lambda2", "clip_norm", "synth_separation"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
         for name in ("gamma_l", "gamma_p"):
             value = getattr(self, name)
             if not 0 <= value < 1:
                 raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        for name in ("hidden_dim", "rep_dim"):
+        for name, least in (
+            ("hidden_dim", 1), ("rep_dim", 1), ("synth_dim", 1), ("synth_seed", 0),
+            ("synth_normal", 2), ("synth_anom", 2),  # split_60_40 needs 2 per class
+        ):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 _CONFIG_KEYS = {
@@ -179,8 +186,6 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed list {text!r}") from None
     if not seeds:
         raise ConfigError("empty seed list")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"duplicate seeds in {text!r}")
     return seeds
 
 
@@ -240,8 +245,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_echo(config: ExperimentConfig) -> dict:
-    """JSON-ready flat snapshot of a config, keyed like the config file;
-    inverse of config_from_echo."""
+    """JSON-ready flat snapshot of a config, keyed like the config file."""
     echo: dict = {}
     for key in _CONFIG_KEYS:
         if key in _SGD_KEYS:
@@ -253,16 +257,6 @@ def config_echo(config: ExperimentConfig) -> dict:
         else:
             echo[key] = getattr(config, key)
     return echo
-
-
-def config_from_echo(echo: dict) -> ExperimentConfig:
-    plain = [k for k in _CONFIG_KEYS if k not in _SGD_KEYS + ("phi", "seeds")]
-    return ExperimentConfig(
-        seeds=tuple(echo["seeds"]),
-        sgd=SgdConfig(**{k: echo[k] for k in _SGD_KEYS}),
-        phi_kind=PhiKind(echo["phi"]),
-        **{k: echo[k] for k in plain},
-    )
 
 
 class ChildSeeds(NamedTuple):
@@ -754,9 +748,10 @@ def _sweep(
         raise ConfigError("sweep needs at least one value")
     if len(set(vals)) != len(vals):
         raise ConfigError(f"duplicate sweep values in {vals}")
+    configs = [replace(config, **{field: v}) for v in vals]  # reject before any run
     if raw is None:
         raw = load_dataset(config)
-    return [(v, run_experiment(replace(config, **{field: v}), raw)) for v in vals]
+    return [(v, run_experiment(c, raw)) for v, c in zip(vals, configs)]
 
 
 def sweep_lambda1(

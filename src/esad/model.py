@@ -37,9 +37,8 @@ def default_rep_dim(input_dim: int) -> int:
     return max(2, min(input_dim, 32))
 
 
-def default_hidden_dim(input_dim: int, rep_dim: int) -> int:
+def default_hidden_dim(rep_dim: int) -> int:
     """Hidden width: max(32, 2 * rep_dim)."""
-    del input_dim  # width depends only on the latent size
     return max(32, 2 * rep_dim)
 
 
@@ -72,14 +71,6 @@ class EsadModel:
             [self.enc1, self.dec, self.enc2]
         )
 
-    @property
-    def input_dim(self) -> int:
-        return self.enc1.in_dim
-
-    @property
-    def rep_dim(self) -> int:
-        return self.enc1.out_dim
-
     def stacks(self) -> list[tuple[str, MlpStack]]:
         return [("enc1", self.enc1), ("dec", self.dec), ("enc2", self.enc2)]
 
@@ -100,7 +91,7 @@ def new_model(
     encoders start from different weights despite equal shapes.
     """
     r = default_rep_dim(input_dim) if rep_dim is None else rep_dim
-    h = default_hidden_dim(input_dim, r) if hidden_dim is None else hidden_dim
+    h = default_hidden_dim(r) if hidden_dim is None else hidden_dim
     if r < 1 or h < 1:
         raise ShapeError(f"hidden/rep dims must be positive, got h={h} r={r}")
     rng = np.random.default_rng(seed)

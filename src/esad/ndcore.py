@@ -241,8 +241,10 @@ class SgdConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        if not self.initial_lr > 0:
-            raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError(
+                f"initial_lr must be positive and finite, got {self.initial_lr}"
+            )
         if self.decay_every < 1:
             raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
         if not 0 < self.decay_factor <= 1:

@@ -134,8 +134,7 @@ class TestRun:
         assert code == 0
         capsys.readouterr()
         model = load_model(ckpt_dir / "model_seed0.ckpt")
-        assert model.input_dim == 4
-        assert model.rep_dim == 3
+        assert (model.enc1.in_dim, model.enc1.out_dim) == (4, 3)
 
     def test_checkpoint_dir_rejected_for_baseline(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -155,9 +154,13 @@ class TestRun:
         assert "svdd" in out
 
     def test_partial_run_exits_one(self, tmp_path, capsys):
-        # One anomaly total: every seed fails at the stratified split.
+        # Two anomalies total leave one per train split, but labeling plus
+        # pollution need two: every seed fails at the scenario step.
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(QUICK_CONFIG.replace("synth_anom = 25", "synth_anom = 1"))
+        cfg.write_text(
+            QUICK_CONFIG.replace("synth_anom = 25", "synth_anom = 2")
+            + "gamma_p = 0.05\n"
+        )
         code = main(["run", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == 1
@@ -165,10 +168,19 @@ class TestRun:
 
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("momentum = 0.9\n")
-        code = main(["run", "--config", str(cfg)])
-        assert code == 1
-        assert "unknown key" in capsys.readouterr().err
+        # Bad values fail at load, before any seed prints a row.
+        for text, message in [
+            ("momentum = 0.9\n", "unknown key"),
+            (QUICK_CONFIG.replace("synth_anom = 25", "synth_anom = 1"),
+             "exp.cfg: synth_anom must be >= 2"),
+            (QUICK_CONFIG + "lambda1 = inf\n", "exp.cfg: lambda1 must be"),
+        ]:
+            cfg.write_text(text)
+            code = main(["run", "--config", str(cfg)])
+            out, err = capsys.readouterr()
+            assert code == 1
+            assert out == ""
+            assert message in err
 
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
@@ -235,12 +247,6 @@ class TestSelfChecks:
         out = capsys.readouterr().out
         assert code == 0
         assert "3/3 models passed" in out
-
-    def test_bench_auc(self, capsys):
-        code = main(["bench-auc", "--instances", "25", "--max-n", "200"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "25/25 instances match" in out
 
 
 def test_console_script_entry_point(tmp_path):

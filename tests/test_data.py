@@ -66,9 +66,15 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_non_numeric_names_line(self, tmp_path):
-        path = write_csv(tmp_path, "1,2,0\n1,oops,1\n")
-        with pytest.raises(ParseError, match=r"data\.csv:2"):
-            load_csv(path)
+        for text, line in [
+            ("1,2,0\n1,oops,1\n", 2),
+            # Non-finite values are caught after parsing; skipped lines count.
+            ("# nf\n1,2,0\n\n3,inf,1\n4,5,0\n", 4),
+            ("1,2,0\n-inf,nan,1\n", 2),
+        ]:
+            path = write_csv(tmp_path, text)
+            with pytest.raises(ParseError, match=rf"data\.csv:{line}:"):
+                load_csv(path)
 
     def test_header_row_rejected(self, tmp_path):
         # Benchmark CSVs carry no header; a header reads as non-numeric.

@@ -30,7 +30,6 @@ from esad.harness import (
     _batches,
     child_seeds,
     config_echo,
-    config_from_echo,
     format_report_table,
     format_sweep_table,
     full_loss_grad_check,
@@ -182,6 +181,20 @@ class TestConfigParsing:
             ("phi_sigma = 0", "phi_sigma"),
             ("phi_sigma = -1", "phi_sigma"),
             ("initial_lr = nan", "initial_lr"),
+            ("lambda1 = inf", "lambda1"),
+            ("lambda2 = inf", "lambda2"),
+            ("epsilon = inf", "epsilon"),
+            ("phi_sigma = inf", "phi_sigma"),
+            ("clip_norm = inf", "clip_norm"),
+            ("initial_lr = inf", "initial_lr"),
+            ("synth_separation = inf", "synth_separation"),
+            ("synth_separation = nan", "synth_separation"),
+            ("synth_separation = -1", "synth_separation"),
+            ("synth_normal = 1", "synth_normal"),
+            ("synth_anom = 1", "synth_anom"),
+            ("synth_dim = 0", "synth_dim"),
+            ("synth_seed = -1", "synth_seed"),
+            ("seeds = 0,-1", "seeds"),
         ]:
             path.write_text(line + "\n")
             with pytest.raises(ConfigError, match=f"exp.cfg: {key} must be"):
@@ -193,17 +206,25 @@ class TestConfigParsing:
         assert parse_seed_list("0,1,2") == (0, 1, 2)
         assert parse_seed_list("5 9") == (5, 9)
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_seed_list("1,1")
+            parse_config_text("seeds = 1,1")
+        with pytest.raises(ConfigError, match="duplicate"):
+            ExperimentConfig(seeds=(1, 1))
         with pytest.raises(ConfigError):
             parse_seed_list("")
         with pytest.raises(ConfigError):
             parse_seed_list("a,b")
 
     def test_echo_roundtrip(self):
+        # The echo is itself a valid config file for the same config.
         cfg = parse_config_text(FULL_CONFIG)
-        assert config_from_echo(config_echo(cfg)) == cfg
         echo = config_echo(cfg)
         json.dumps(echo)  # must be JSON-serializable as-is
+        lines = []
+        for key, value in echo.items():
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {'' if value is None else value}")
+        assert parse_config_text("\n".join(lines)) == cfg
 
 
 class TestChildSeeds:
@@ -622,12 +643,21 @@ class TestSweeps:
         for _, report in rows:
             assert not report.partial
 
-    def test_sweep_validation(self):
+    def test_sweep_validation(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the values were checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.setattr(harness, "load_dataset", no_run)
         cfg = quick_config()
         with pytest.raises(ConfigError, match="at least one"):
             sweep_lambda1(cfg, [])
         with pytest.raises(ConfigError, match="duplicate"):
             sweep_pollution(cfg, [0.1, 0.1])
+        with pytest.raises(ConfigError, match="lambda1 must be"):
+            sweep_lambda1(cfg, [0.5, float("inf")])
+        with pytest.raises(ConfigError, match="gamma_p must be"):
+            sweep_pollution(cfg, [0.1, 1.0])
 
     def test_sweep_table_and_jsonl(self, tmp_path):
         cfg = quick_config(seeds=(0,))

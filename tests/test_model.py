@@ -70,8 +70,8 @@ class TestConstruction:
         assert default_rep_dim(6) == 6
         assert default_rep_dim(50) == 32
         assert default_rep_dim(1) == 2
-        assert default_hidden_dim(6, 6) == 32
-        assert default_hidden_dim(50, 32) == 64
+        assert default_hidden_dim(6) == 32
+        assert default_hidden_dim(32) == 64
         with pytest.raises(ShapeError):
             default_rep_dim(0)
 
@@ -80,7 +80,6 @@ class TestConstruction:
         assert (model.enc1.in_dim, model.enc1.out_dim) == (10, 4)
         assert (model.dec.in_dim, model.dec.out_dim) == (4, 10)
         assert (model.enc2.in_dim, model.enc2.out_dim) == (10, 4)
-        assert model.input_dim == 10 and model.rep_dim == 4
         assert [name for name, _ in model.stacks()] == ["enc1", "dec", "enc2"]
 
     def test_new_model_deterministic(self):
@@ -157,9 +156,9 @@ class TestBackwardPipeline:
     def test_full_chain_matches_central_differences(self):
         model, x = kink_free_instance(seed=0)
         rng = np.random.default_rng(1)
-        g_z = rng.normal(size=(4, model.rep_dim))
-        g_xhat = rng.normal(size=(4, model.input_dim))
-        g_zhat = rng.normal(size=(4, model.rep_dim))
+        g_z = rng.normal(size=(4, model.enc1.out_dim))
+        g_xhat = rng.normal(size=(4, model.enc1.in_dim))
+        g_zhat = rng.normal(size=(4, model.enc1.out_dim))
 
         def objective():
             cur = forward_pipeline(model, x)
@@ -227,7 +226,7 @@ class TestBackwardPipeline:
     def test_one_training_step_moves_every_stack(self):
         model, x = kink_free_instance(seed=4)
         tags = np.array([0, 0, 1, 2])
-        phi = PhiConfig.permutation(model.input_dim, seed=0)
+        phi = PhiConfig.permutation(model.enc1.in_dim, seed=0)
         out = forward_pipeline(model, x)
         _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
             x, out.z, out.x_hat, out.z_hat, tags, phi
@@ -314,7 +313,7 @@ class TestCheckpoint:
         # A (2^32-1) x (2^32-1) layer claims more bytes than an int64 holds.
         huge = struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)
         # A well-formed file whose first encoder has a zero-width hidden layer.
-        r = model.rep_dim
+        r = model.enc1.out_dim
         hollow = MlpStack(
             [
                 DenseLayer(np.zeros((0, 5)), np.zeros(0)),

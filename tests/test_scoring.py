@@ -97,7 +97,7 @@ class TestAnomalyScore:
 
     def test_sad_scores_reject_nan_rows_and_non_finite_scores(self):
         base = new_model(4, seed=7)
-        model = SadModel(base.enc1, base.dec, np.zeros(base.rep_dim))
+        model = SadModel(base.enc1, base.dec, np.zeros(base.enc1.out_dim))
         x = np.random.default_rng(8).normal(size=(3, 4))
         nan_row = x.copy()
         nan_row[1] = np.nan
