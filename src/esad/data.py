@@ -12,9 +12,9 @@ function is a pure function of its arguments.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -89,57 +89,77 @@ class RawDataset:
         return int(self.y.sum())
 
 
+def _is_data_line(line: str) -> bool:
+    """False for blank and whitespace-only lines and for '#' comment lines."""
+    text = line.lstrip()
+    return bool(text) and text[0] != "#"
+
+
+def _read_rows(lines) -> np.ndarray:
+    """A 2-D float64 table from comma-separated lines, by numpy's C reader."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _first_fault(p: Path, detail: str) -> ParseError:
+    """The ParseError for the earliest faulty line of p.
+
+    Re-reads the file and checks each data line on its own, with the reader
+    load_csv uses, so both accept exactly the same cells. detail says why
+    the whole-file parse failed; it is reported if no single line is at
+    fault.
+    """
+    width: int | None = None
+    with open(p) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not _is_data_line(line):
+                continue
+            where = f"{p}:{lineno}"
+            n_cols = line.count(",") + 1
+            if n_cols < 2:
+                return ParseError(f"{where}: need at least one feature and a label")
+            if width is None:
+                width = n_cols
+            elif n_cols != width:
+                return ParseError(f"{where}: expected {width} columns, got {n_cols}")
+            try:
+                row = _read_rows([line])[0]
+            except ValueError as exc:
+                reason = str(exc).replace(" at row 0,", " in")
+                return ParseError(f"{where}: non-numeric value ({reason})")
+            if row[-1] not in (0.0, 1.0):
+                return ParseError(
+                    f"{where}: label column must be 0 or 1, got {float(row[-1])!r}"
+                )
+            if not np.isfinite(row[:-1]).all():
+                return ParseError(f"{where}: non-finite feature value")
+    return ParseError(f"{p}: {detail}")
+
+
 def load_csv(path, name: str | None = None) -> RawDataset:
     """Parse a label-last CSV into a RawDataset, preserving row order.
 
-    Blank lines and lines starting with '#' are skipped. Any malformed row
-    raises ParseError naming the file and 1-based line number.
+    Fields are unquoted numbers. Blank lines and lines whose first
+    non-blank character is '#' are skipped. Any malformed row raises
+    ParseError naming the file and 1-based line number.
     """
     p = Path(path)
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    skipped: list[int] = []  # blank and comment line numbers, ascending
-    width: int | None = None
-    with open(p, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if (
-                not record
-                or (len(record) == 1 and not record[0].strip())
-                or record[0].lstrip().startswith("#")
-            ):
-                skipped.append(lineno)
-                continue
-            if len(record) < 2:
-                raise ParseError(
-                    f"{p}:{lineno}: need at least one feature and a label"
-                )
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise ParseError(
-                    f"{p}:{lineno}: expected {width} columns, got {len(record)}"
-                )
-            try:
-                values = [float(tok) for tok in record]
-            except ValueError as exc:
-                raise ParseError(f"{p}:{lineno}: non-numeric value ({exc})") from None
-            label = values[-1]
-            if label not in (0.0, 1.0):
-                raise ParseError(
-                    f"{p}:{lineno}: label column must be 0 or 1, got {label!r}"
-                )
-            rows.append(values[:-1])
-            labels.append(int(label))
-    if not rows:
-        raise ParseError(f"{p}: no data rows")
-    x = np.array(rows)
-    if not np.isfinite(x).all():
-        # Data row k sits on line k + 1 plus the skipped lines before it.
-        lineno = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0]) + 1
-        for skip in skipped:
-            lineno += skip <= lineno
-        raise ParseError(f"{p}:{lineno}: non-finite feature value")
-    return RawDataset(name or p.stem, x, np.array(labels))
+    with open(p) as fh:
+        lines = filter(_is_data_line, fh)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{p}: no data rows")
+        try:
+            table = _read_rows(chain([first], lines))
+        except ValueError as exc:
+            raise _first_fault(p, str(exc)) from None
+    x, labels = table[:, :-1], table[:, -1]
+    if (
+        table.shape[1] < 2
+        or not ((labels == 0.0) | (labels == 1.0)).all()
+        or not np.isfinite(x).all()
+    ):
+        raise _first_fault(p, "a row failed the column, label or finite check")
+    return RawDataset(name or p.stem, np.ascontiguousarray(x), labels.astype(np.int64))
 
 
 def verify_benchmark_stats(ds: RawDataset) -> None:
@@ -417,12 +437,12 @@ def synth_gaussians(
     """Isotropic Gaussian toy data: normals at the origin, anomalies at
     separation along every coordinate. separation=0 makes the classes
     indistinguishable."""
-    if n_normal < 1 or n_anom < 1:
-        raise ValueError(f"counts must be >= 1, got {n_normal}/{n_anom}")
+    if n_normal < 2 or n_anom < 2:  # split_60_40 needs 2 per class
+        raise ValueError(f"counts must be >= 2, got {n_normal}/{n_anom}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if separation < 0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not 0 <= separation < np.inf:
+        raise ValueError(f"separation must be >= 0 and finite, got {separation}")
     rng = np.random.default_rng(seed)
     x_norm = rng.normal(0.0, 1.0, size=(n_normal, dim))
     x_anom = rng.normal(separation, 1.0, size=(n_anom, dim))

@@ -510,7 +510,7 @@ def train_sad_baseline(
         x_hat, cache_d = forward(dec, z)
         rec = loss_sad_rec(xb, x_hat)
         _, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat), grads[n_enc:])
-        backward(enc, cache_e, g_z, grads[:n_enc])
+        backward(enc, cache_e, g_z, grads[:n_enc], input_grad=False)
         return {"rec": rec}
 
     n_stage1 = n_enc + len(dec.layers)
@@ -522,7 +522,7 @@ def train_sad_baseline(
         z, cache_e = forward(enc, x[idx])
         svdd = loss_svdd(z, tags[idx], center, config.epsilon)
         g = grad_svdd(z, tags[idx], center, config.epsilon)
-        backward(enc, cache_e, g, grads)
+        backward(enc, cache_e, g, grads, input_grad=False)
         return {"svdd": svdd}
 
     _sgd_epochs(

@@ -138,7 +138,9 @@ def backward_pipeline(
     _, g_z_chain = backward(
         model.dec, out.cache_dec, g_xhat_chain + grad_x_hat, grads[n1:nd]
     )
-    backward(model.enc1, out.cache_enc1, g_z_chain + grad_z, grads[:n1])
+    backward(
+        model.enc1, out.cache_enc1, g_z_chain + grad_z, grads[:n1], input_grad=False
+    )
 
 
 # Checkpoint layout (all little-endian):

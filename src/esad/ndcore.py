@@ -200,14 +200,20 @@ def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
 
 
 def backward(
-    stack: MlpStack, cache: ForwardCache, grad_out, out: StackGrads
-) -> tuple[StackGrads, np.ndarray]:
+    stack: MlpStack,
+    cache: ForwardCache,
+    grad_out,
+    out: StackGrads,
+    *,
+    input_grad: bool = True,
+) -> tuple[StackGrads, np.ndarray | None]:
     """Backpropagate grad_out through the stack.
 
     grad_out matches the forward output shape. Each layer's parameter
     gradients, summed over batch rows, are written into out: (weight, bias)
     arrays aligned with stack.layers, such as param_views of a gradient
-    vector. Returns out and the gradient with respect to the stack input.
+    vector. Returns out and the gradient with respect to the stack input,
+    or None with input_grad=False, which skips that product.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.pres[-1].shape:
@@ -222,6 +228,8 @@ def backward(
         gw, gb = out[i]
         np.matmul(g_pre.T, cache.inputs[i], out=gw)
         g_pre.sum(axis=0, out=gb)
+        if i == 0 and not input_grad:
+            return out, None
         g = g_pre @ stack.layers[i].weight
     return out, g
 

@@ -5,7 +5,9 @@ produced arrays: class tallies, multiset identity through row hashing, and
 realized label/pollution fractions recomputed from the hidden ground truth.
 """
 
+import csv
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -61,9 +63,12 @@ class TestLoadCsv:
         assert ds.n_samples == 2
 
     def test_empty_file(self, tmp_path):
-        path = write_csv(tmp_path, "")
-        with pytest.raises(ParseError, match="no data rows"):
-            load_csv(path)
+        # Comment-only and blank-only files too. pytest turns warnings into
+        # errors, so numpy's "input contained no data" would fail here.
+        for text in ["", "# only\n  # comments\n", "\n  \n\t\r\n"]:
+            path = write_csv(tmp_path, text)
+            with pytest.raises(ParseError, match="no data rows"):
+                load_csv(path)
 
     def test_non_numeric_names_line(self, tmp_path):
         for text, line in [
@@ -71,6 +76,12 @@ class TestLoadCsv:
             # Non-finite values are caught after parsing; skipped lines count.
             ("# nf\n1,2,0\n\n3,inf,1\n4,5,0\n", 4),
             ("1,2,0\n-inf,nan,1\n", 2),
+            # Fields are unquoted numbers in numpy's spelling: quotes and
+            # Python-only forms such as 1_0 are non-numeric, and so is a
+            # '#' anywhere but the start of a line.
+            ('1,2,0\n"1.5",2,0\n', 2),
+            ("1,2,0\n1_0,2,0\n", 2),
+            ("1,2,0\n1,2,0 # note\n", 2),
         ]:
             path = write_csv(tmp_path, text)
             with pytest.raises(ParseError, match=rf"data\.csv:{line}:"):
@@ -96,6 +107,139 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "1\n")
         with pytest.raises(ParseError, match="at least one feature"):
             load_csv(path)
+
+
+def reference_load_csv(path):
+    """A csv.reader and float() parser: (x, y) or ParseError.
+
+    An independent oracle for load_csv's numpy-reader parse. It reports a
+    non-finite feature only after every other check has passed on every
+    line.
+    """
+    rows, labels, skipped, width = [], [], [], None
+    with open(path, newline="") as fh:
+        for lineno, record in enumerate(csv.reader(fh), start=1):
+            if (
+                not record
+                or (len(record) == 1 and not record[0].strip())
+                or record[0].lstrip().startswith("#")
+            ):
+                skipped.append(lineno)
+                continue
+            if len(record) < 2:
+                raise ParseError(f"{path}:{lineno}: need at least one feature")
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} columns")
+            try:
+                values = [float(tok) for tok in record]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+            if values[-1] not in (0.0, 1.0):
+                raise ParseError(f"{path}:{lineno}: label column must be 0 or 1")
+            rows.append(values[:-1])
+            labels.append(int(values[-1]))
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    x = np.array(rows)
+    if not np.isfinite(x).all():
+        lineno = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0]) + 1
+        for skip in skipped:
+            lineno += skip <= lineno
+        raise ParseError(f"{path}:{lineno}: non-finite feature value")
+    return x, np.array(labels)
+
+
+def error_line(load, path) -> int:
+    with pytest.raises(ParseError) as info:
+        load(path)
+    return int(re.search(r"\.csv:(\d+):", str(info.value)).group(1))
+
+
+FAULTS = {
+    "short": lambda cells: cells[:1],
+    "ragged": lambda cells: cells + ["0"],
+    "non-numeric": lambda cells: ["oops"] + cells[1:],
+    "empty field": lambda cells: [""] + cells[1:],
+    "label": lambda cells: cells[:-1] + ["2"],
+    "non-finite": lambda cells: ["inf"] + cells[1:],
+}
+
+
+class TestLoadCsvMatchesReference:
+    """load_csv against reference_load_csv on seeded random tables, written
+    the two ways README and the benchmark write them (%.17g and %.5f), with
+    blank, whitespace-only and comment lines, CRLF endings and files with no
+    final newline."""
+
+    @staticmethod
+    def random_table(rng):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 7))
+        scale = 10.0 ** rng.integers(-8, 12, size=(n, d))
+        x = rng.normal(size=(n, d)) * scale
+        x[rng.random((n, d)) < 0.05] = -0.0
+        x[rng.random((n, d)) < 0.05] = 5e-324
+        y = rng.integers(0, 2, size=n)
+        fmt = "%.17g" if rng.random() < 0.5 else "%.5f"
+        cells = [[fmt % v for v in row] + [fmt % label] for row, label in zip(x, y)]
+        for row in cells:
+            if rng.random() < 0.1:
+                row[0] = f" {row[0]}\t"
+        return cells
+
+    @staticmethod
+    def write(tmp_path, rng, cells, faults=()):
+        """Write cells with noise lines; return the file and, for each faulty
+        row, its 1-based line number."""
+        extras = ["", "   ", "\t", "# comment, 1, 2", "  # indented"]
+        lines, fault_lines = [], []
+        for i, row in enumerate(cells):
+            while rng.random() < 0.2:
+                lines.append(extras[rng.integers(len(extras))])
+            kind = dict(faults).get(i)
+            if kind is not None:
+                row = FAULTS[kind](row)
+                fault_lines.append(len(lines) + 1)
+            lines.append(",".join(row))
+        eol = "\r\n" if rng.random() < 0.3 else "\n"
+        text = eol.join(lines) + (eol if rng.random() < 0.7 else "")
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode())
+        return path, fault_lines
+
+    def test_same_bytes_on_valid_tables(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            path, _ = self.write(tmp_path, rng, self.random_table(rng))
+            x, y = reference_load_csv(path)
+            ds = load_csv(path)
+            assert ds.x.tobytes() == x.tobytes()
+            assert ds.y.tobytes() == y.tobytes()
+
+    def test_same_line_for_each_single_fault(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        for kind in FAULTS:
+            for _ in range(15):
+                cells = self.random_table(rng)
+                row = int(rng.integers(1, len(cells)))
+                path, (line,) = self.write(tmp_path, rng, cells, [(row, kind)])
+                assert error_line(reference_load_csv, path) == line, kind
+                assert error_line(load_csv, path) == line, kind
+
+    def test_earlier_of_two_faults_is_named(self, tmp_path):
+        # The reference names a later parse fault ahead of an earlier
+        # non-finite value; load_csv names the earliest faulty line.
+        rng = np.random.default_rng(2026)
+        kinds = list(FAULTS)
+        for _ in range(60):
+            cells = self.random_table(rng)
+            if len(cells) < 3:
+                continue
+            rows = sorted(rng.choice(np.arange(1, len(cells)), 2, replace=False))
+            faults = [(int(row), kinds[rng.integers(len(kinds))]) for row in rows]
+            path, (line, _) = self.write(tmp_path, rng, cells, faults)
+            assert error_line(load_csv, path) == line, faults
 
 
 class TestRawDataset:
@@ -388,3 +532,9 @@ class TestSynth:
             synth_gaussians(5, 5, 0, 1.0, seed=0)
         with pytest.raises(ValueError):
             synth_gaussians(5, 5, 3, -1.0, seed=0)
+        # split_60_40 needs two rows of each class.
+        with pytest.raises(ValueError, match="counts"):
+            synth_gaussians(800, 1, 8, 1.0, 0)
+        for separation in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="separation"):
+                synth_gaussians(5, 5, 3, separation, seed=0)

@@ -259,6 +259,23 @@ class TestBackward:
         expected = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in fresh])
         assert vec.tobytes() == expected.tobytes()
 
+    def test_input_grad_false_skips_only_the_input_gradient(self):
+        # Callers that drop the input gradient get the same parameter
+        # gradients bit for bit, and None in its place.
+        rng = np.random.default_rng(27)
+        for sizes in ((5, 9, 4, 3), (6, 2)):
+            stack = random_stack(rng, sizes)
+            x = rng.normal(size=(7, stack.in_dim))
+            grad_out = rng.normal(size=(7, stack.out_dim))
+            _, cache = forward(stack, x)
+            full, _ = backward(stack, cache, grad_out, fresh_grads(stack.layers))
+            out = fresh_grads(stack.layers)
+            written, grad_in = backward(stack, cache, grad_out, out, input_grad=False)
+            assert written is out and grad_in is None
+            for (fw, fb), (gw, gb) in zip(full, written):
+                assert fw.tobytes() == gw.tobytes()
+                assert fb.tobytes() == gb.tobytes()
+
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(10)
         stack = random_stack(rng)
