@@ -7,6 +7,7 @@ failed; argparse reports usage problems with its own code 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -98,6 +99,20 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esad",
@@ -139,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gradcheck",
         help="finite-difference check of the full objective on random models",
     )
-    gc.add_argument("--models", type=int, default=20)
-    gc.add_argument("--tolerance", type=float, default=1e-4)
+    gc.add_argument("--models", type=_at_least_one, default=20)
+    gc.add_argument("--tolerance", type=_positive_finite, default=1e-4)
     gc.set_defaults(fn=_cmd_gradcheck)
     return parser
 

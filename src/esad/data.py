@@ -150,16 +150,15 @@ def load_csv(path, name: str | None = None) -> RawDataset:
             raise ParseError(f"{p}: no data rows")
         try:
             table = _read_rows(chain([first], lines))
+            x, labels = table[:, :-1], table[:, -1]
+            # Labels are checked as floats: the int64 cast would turn 0.5 into 0.
+            if not ((labels == 0.0) | (labels == 1.0)).all():
+                raise ValueError("label column must be 0 or 1")
+            # RawDataset checks the column count and finiteness.
+            y = labels.astype(np.int64)
+            return RawDataset(name or p.stem, np.ascontiguousarray(x), y)
         except ValueError as exc:
             raise _first_fault(p, str(exc)) from None
-    x, labels = table[:, :-1], table[:, -1]
-    if (
-        table.shape[1] < 2
-        or not ((labels == 0.0) | (labels == 1.0)).all()
-        or not np.isfinite(x).all()
-    ):
-        raise _first_fault(p, "a row failed the column, label or finite check")
-    return RawDataset(name or p.stem, np.ascontiguousarray(x), labels.astype(np.int64))
 
 
 def verify_benchmark_stats(ds: RawDataset) -> None:
@@ -182,7 +181,8 @@ def load_benchmark(name: str, path) -> RawDataset:
 
 
 def load_manifest(path) -> dict[str, Path]:
-    """Parse `name = path` lines; relative paths resolve against the manifest."""
+    """Parse `name = path` lines, where '#' starts a comment. Relative paths
+    resolve against the manifest's directory."""
     p = Path(path)
     out: dict[str, Path] = {}
     with open(p) as fh:
@@ -193,7 +193,7 @@ def load_manifest(path) -> dict[str, Path]:
             if "=" not in stripped:
                 raise ParseError(f"{p}:{lineno}: expected `name = path`")
             name, _, value = stripped.partition("=")
-            name, value = name.strip(), value.strip()
+            name, value = name.strip(), value.split("#", 1)[0].strip()
             if not name or not value:
                 raise ParseError(f"{p}:{lineno}: empty name or path")
             if name in out:

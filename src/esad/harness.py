@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -381,22 +381,15 @@ class EsadTrainResult:
     epoch_losses: list[LossBreakdown]
 
 
-def _pool_breakdown(
-    model: EsadModel, semi: SemiDataset, phi, config: ExperimentConfig
-) -> LossBreakdown:
-    out = forward_pipeline(model, semi.x_train)
-    breakdown, _, _, _ = semi_loss_and_grads(
-        semi.x_train,
-        out.z,
-        out.x_hat,
-        out.z_hat,
-        semi.tags,
-        phi,
-        config.lambda1,
-        config.lambda2,
-        config.epsilon,
+def _esad_objective(model: EsadModel, x, tags, phi, config: ExperimentConfig):
+    """The pipeline's forward pass on rows x, then the esad loss breakdown and
+    its gradients with respect to z, x_hat and z_hat."""
+    out = forward_pipeline(model, x)
+    breakdown, *g_out = semi_loss_and_grads(
+        x, out.z, out.x_hat, out.z_hat, tags, phi,
+        config.lambda1, config.lambda2, config.epsilon,
     )
-    return breakdown
+    return out, breakdown, g_out
 
 
 def train_esad(
@@ -419,26 +412,17 @@ def train_esad(
     phi = _build_phi(config, dim, streams.phi, tags)
 
     def loss_and_grad(idx, grads):
-        xb = x[idx]
-        out = forward_pipeline(model, xb)
-        breakdown, g_z, g_xhat, g_zhat = semi_loss_and_grads(
-            xb,
-            out.z,
-            out.x_hat,
-            out.z_hat,
-            tags[idx],
-            phi,
-            config.lambda1,
-            config.lambda2,
-            config.epsilon,
-        )
-        backward_pipeline(model, out, g_z, g_xhat, g_zhat, grads)
+        out, breakdown, g_out = _esad_objective(model, x[idx], tags[idx], phi, config)
+        backward_pipeline(model, out, *g_out, grads)
         return _components(breakdown)
+
+    def pool_breakdown() -> LossBreakdown:
+        return _esad_objective(model, x, tags, phi, config)[1]
 
     epoch_losses: list[LossBreakdown] = []
 
     def track_epoch():
-        epoch_losses.append(_pool_breakdown(model, semi, phi, config))
+        epoch_losses.append(pool_breakdown())
 
     _sgd_epochs(
         config,
@@ -450,7 +434,7 @@ def train_esad(
         config.sgd.epochs,
         after_epoch=track_epoch if track_epoch_loss else None,
     )
-    final = _pool_breakdown(model, semi, phi, config)
+    final = pool_breakdown()
     _check_finite(_components(final), config.sgd.epochs, -1)
     return EsadTrainResult(model, final, epoch_losses)
 
@@ -659,41 +643,30 @@ class RunReport:
         return float(np.std([r.auc for r in done]))  # population std; 0 for one run
 
 
-def _failed(seed: int, start: float, exc: Exception) -> SeedResult:
-    """An expected per-seed error, recorded so that the run continues.
-
-    Data, scenario and AUC errors are ValueErrors; divergence has its own
-    type. Anything else is a bug and is left to propagate.
-    """
-    return SeedResult(
-        seed, None, {}, time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
-    )
-
-
-def run_prepared(
+def run_seed(
     config: ExperimentConfig,
-    semi: SemiDataset,
+    raw: RawDataset,
     seed: int,
     artifact_hook=None,
 ) -> SeedResult:
-    """Train and evaluate on an already-built scenario.
+    """Prepare, train, score and evaluate one seed of a run.
 
     artifact_hook(seed, semi, model, scores) fires after a successful seed,
-    letting callers export scores or checkpoints without re-running.
+    letting callers export scores or checkpoints without re-running. An
+    expected per-seed error is recorded in the result so that the run
+    continues: data, scenario and AUC errors are ValueErrors, and divergence
+    has its own type. Anything else is a bug and propagates.
     """
     start = time.perf_counter()
     try:
+        semi = prepare_scenario(raw, config, seed)
         model: EsadModel | SadModel
         if config.method == Method.ESAD:
             trained = train_esad(config, semi, seed)
             model = trained.model
             scores = score_dataset(model, semi.x_test, config.lambda1)
-            loss = {
-                "rec": trained.final_loss.rec,
-                "norm": trained.final_loss.norm,
-                "ass": trained.final_loss.ass,
-                "total": trained.final_loss.total,
-            }
+            loss = _components(trained.final_loss)
+            loss["total"] = trained.final_loss.total
         else:
             trained_sad = train_sad_baseline(config, semi, seed)
             model = trained_sad.model
@@ -703,23 +676,9 @@ def run_prepared(
         if artifact_hook is not None:
             artifact_hook(seed, semi, model, scores)
     except (ValueError, TrainingDiverged) as exc:
-        return _failed(seed, start, exc)
+        error = f"{type(exc).__name__}: {exc}"
+        return SeedResult(seed, None, {}, time.perf_counter() - start, error)
     return SeedResult(seed, value, loss, time.perf_counter() - start)
-
-
-def run_seed(
-    config: ExperimentConfig,
-    raw: RawDataset,
-    seed: int,
-    artifact_hook=None,
-) -> SeedResult:
-    start = time.perf_counter()
-    try:
-        semi = prepare_scenario(raw, config, seed)
-    except ValueError as exc:
-        return _failed(seed, start, exc)
-    result = run_prepared(config, semi, seed, artifact_hook)
-    return replace(result, wall_time_s=time.perf_counter() - start)
 
 
 def run_experiment(
@@ -776,20 +735,8 @@ def sweep_pollution(
 def write_report_jsonl(report: RunReport, path) -> None:
     with open(Path(path), "w") as fh:
         for r in report.results:
-            fh.write(
-                json.dumps(
-                    {
-                        "record": "seed",
-                        "seed": r.seed,
-                        "auc": r.auc,
-                        "loss": r.loss,
-                        "wall_time_s": r.wall_time_s,
-                        "error": r.error,
-                    },
-                    allow_nan=False,
-                )
-                + "\n"
-            )
+            record = {"record": "seed", **asdict(r)}
+            fh.write(json.dumps(record, allow_nan=False) + "\n")
         fh.write(
             json.dumps(
                 {
@@ -823,12 +770,8 @@ def read_report_jsonl(path) -> RunReport:
                 summary = record
     if summary is None:
         raise ValueError(f"{path}: no summary record")
-    results = tuple(
-        SeedResult(
-            r["seed"], r["auc"], r["loss"], r["wall_time_s"], error=r["error"]
-        )
-        for r in seed_records
-    )
+    names = [f.name for f in fields(SeedResult)]
+    results = tuple(SeedResult(**{n: r[n] for n in names}) for r in seed_records)
     return RunReport(summary["config"], results, summary["wall_time_s"])
 
 

@@ -58,8 +58,8 @@ class PhiConfig:
     """Corruption applied to labeled-anomalous reconstruction targets.
 
     Permutation shuffles coordinates through a fixed-point-free permutation;
-    Gaussian adds a noise vector that is a pure function of (seed, dim), so
-    repeated application is bit-exact.
+    Gaussian adds a noise vector that is a pure function of (seed, dim,
+    sigma), drawn once, so repeated application is bit-exact.
     """
 
     kind: PhiKind
@@ -67,6 +67,7 @@ class PhiConfig:
     seed: int
     sigma: float = 1.0
     perm: np.ndarray | None = None
+    noise: np.ndarray | None = None
 
     @staticmethod
     def permutation(dim: int, seed: int) -> "PhiConfig":
@@ -86,7 +87,8 @@ class PhiConfig:
             raise ValueError(f"sigma must be positive, got {sigma}")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        return PhiConfig(PhiKind.GAUSSIAN_NOISE, dim, seed, sigma=sigma)
+        noise = np.random.default_rng(seed).normal(0.0, sigma, size=dim)
+        return PhiConfig(PhiKind.GAUSSIAN_NOISE, dim, seed, sigma=sigma, noise=noise)
 
 
 def phi_apply(cfg: PhiConfig, x) -> np.ndarray:
@@ -100,8 +102,9 @@ def phi_apply(cfg: PhiConfig, x) -> np.ndarray:
         if cfg.perm is None:
             raise ValueError("permutation phi missing its permutation")
         return arr[..., cfg.perm]
-    noise = np.random.default_rng(cfg.seed).normal(0.0, cfg.sigma, size=cfg.dim)
-    return arr + noise
+    if cfg.noise is None:
+        raise ValueError("gaussian phi missing its noise vector")
+    return arr + cfg.noise
 
 
 def _matrix(a, name: str) -> np.ndarray:

@@ -334,12 +334,15 @@ def check_gradients(
     params (1-D) is mutated in place during probing and restored afterwards.
     eval_loss() recomputes the scalar loss from the current parameter values.
     names labels each entry. Relative error per entry is
-    |a - n| / max(|a|, |n|, 1e-6).
+    |a - n| / max(|a|, |n|, 1e-6); an entry is flagged above tolerance,
+    which must be positive and finite.
     """
     if params.ndim != 1 or analytic.shape != params.shape:
         raise ShapeError(f"gradient {analytic.shape} vs params {params.shape}")
     if len(names) != params.size:
         raise ShapeError(f"{len(names)} names for {params.size} params")
+    if not 0 < tolerance < math.inf:  # a NaN tolerance would flag nothing
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     max_rel = 0.0
     worst = ""
     flagged: list[tuple[str, float]] = []

@@ -248,6 +248,27 @@ class TestSelfChecks:
         assert code == 0
         assert "3/3 models passed" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--models", "0", "must be >= 1"),
+            ("--models", "-2", "must be >= 1"),
+            ("--models", "two", "invalid"),
+            ("--tolerance", "nan", "positive and finite"),
+            ("--tolerance", "inf", "positive and finite"),
+            ("--tolerance", "0", "positive and finite"),
+            ("--tolerance", "-1e-4", "positive and finite"),
+        ],
+    )
+    def test_gradcheck_rejects_vacuous_bounds(self, flag, value, reason, capsys):
+        # No model checked, nothing flagged, or everything flagged.
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert captured.out == ""
+
 
 def test_console_script_entry_point(tmp_path):
     cfg = tmp_path / "exp.cfg"

@@ -286,10 +286,12 @@ class TestManifest:
         manifest = sub / "manifest.txt"
         manifest.write_text(
             "# comment\nthyroid = thyroid.csv\ncardio=/abs/cardio.csv\n\n"
+            "toy = toy.csv  # main table\n"
         )
         got = load_manifest(manifest)
         assert got["thyroid"] == sub / "thyroid.csv"
         assert str(got["cardio"]) == "/abs/cardio.csv"
+        assert got["toy"] == sub / "toy.csv"
 
     def test_duplicate_name(self, tmp_path):
         path = write_csv(tmp_path, "a = x.csv\na = y.csv\n", name="m.txt")

@@ -7,6 +7,7 @@ on average over data draws; the baseline's frozen center must equal the
 value an independent replica of stage one computes.
 """
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -40,7 +41,7 @@ from esad.harness import (
     prepare_scenario,
     read_report_jsonl,
     run_experiment,
-    run_prepared,
+    run_seed,
     sad_scores,
     sweep_lambda1,
     sweep_pollution,
@@ -328,8 +329,7 @@ class TestTrainEsad:
 
     def test_separable_data_scores_high(self):
         cfg = quick_config(sgd=SgdConfig(epochs=30, batch_size=64))
-        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
-        result = run_prepared(cfg, semi, seed=0)
+        result = run_seed(cfg, load_dataset(cfg), seed=0)
         assert result.completed
         assert result.auc is not None and result.auc >= 0.95
 
@@ -384,8 +384,7 @@ class TestTrainBaseline:
 
     def test_separable_data_scores_high(self):
         cfg = quick_config(method=Method.DEEP_SAD, sgd=SgdConfig(epochs=30, batch_size=64))
-        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
-        result = run_prepared(cfg, semi, seed=0)
+        result = run_seed(cfg, load_dataset(cfg), seed=0)
         assert result.completed
         assert result.auc is not None and result.auc >= 0.95
 
@@ -604,6 +603,27 @@ class TestReportSerialization:
         loaded = read_report_jsonl(path)
         assert loaded.partial
         assert loaded.results[0].error == report.results[0].error
+
+    def test_jsonl_bytes_are_pinned(self, tmp_path):
+        # Key order, float text and the summary fields are part of the report
+        # format: any change to the bytes fails here.
+        config = {"dataset": "synthetic", "method": "esad", "lambda1": 0.1}
+        esad_loss = {"rec": 0.125, "norm": 1 / 3, "ass": 2.5e-7, "total": 1.4583335833}
+        report = RunReport(
+            {**config, "seeds": [0, 1, 2]},
+            (
+                SeedResult(0, 0.9300000000000002, esad_loss, 1.2345678901234567),
+                SeedResult(1, 0.875, {"rec": 0.3, "svdd": 12.0}, 0.5),
+                SeedResult(2, None, {}, 0.015625, 'ScenarioError: pool "u" needs 3 rows'),
+            ),
+            3.75,
+        )
+        path = tmp_path / "report.jsonl"
+        write_report_jsonl(report, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "68b17e87cd1d9c4ef5e459c1899093a5ca5a11f223ef30a1ee3bce890ffa3218"
+        )
+        assert read_report_jsonl(path) == report
 
     def test_missing_summary_rejected(self, tmp_path):
         path = tmp_path / "report.jsonl"

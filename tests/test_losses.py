@@ -250,6 +250,15 @@ class TestPhi:
         assert_allclose(offsets, np.broadcast_to(offsets[0], offsets.shape))
         assert float(np.abs(offsets[0]).max()) > 0
 
+    @pytest.mark.parametrize("dim, seed, sigma", [(1, 0, 1.0), (4, 7, 0.5), (274, 3, 2.0)])
+    def test_gaussian_matches_per_call_draw(self, dim, seed, sigma):
+        # Oracle: the noise vector redrawn from a fresh generator on each call.
+        cfg = PhiConfig.gaussian(dim, seed, sigma)
+        x = np.random.default_rng(seed + 1).normal(size=(5, dim))
+        noise = np.random.default_rng(seed).normal(0.0, sigma, size=dim)
+        assert phi_apply(cfg, x).tobytes() == (x + noise).tobytes()
+        assert phi_apply(cfg, x[0]).tobytes() == (x[0] + noise).tobytes()
+
     def test_gaussian_validation(self):
         with pytest.raises(ValueError):
             PhiConfig.gaussian(4, seed=0, sigma=0.0)

@@ -631,6 +631,12 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="non-finite"):
             check_gradients(vec, vec, lambda: float("nan"), names)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_rejects_tolerance_that_flags_nothing_or_everything(self, tolerance):
+        vec, _, names = stack_params(random_stack(np.random.default_rng(26)))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            check_gradients(vec, vec, lambda: 0.0, names, tolerance)
+
     def test_probing_restores_params(self):
         stack = random_stack(np.random.default_rng(25))
         before, _, _ = stack_params(stack)
