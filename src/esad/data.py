@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +70,9 @@ class RawDataset:
             raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} rows")
         if not np.all(np.isfinite(x)):
             raise ValueError(f"dataset {self.name!r} has non-finite features")
-        bad = set(np.unique(y)) - {0, 1}
-        if bad:
+        # A range check; the set of bad labels is built only for the message.
+        if y.min() < 0 or y.max() > 1:
+            bad = set(np.unique(y)) - {0, 1}
             raise ValueError(f"labels must be 0/1, got {sorted(bad)}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -100,38 +101,82 @@ def _read_rows(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
+def _line_fault(where: str, line: str, width: int) -> ParseError | None:
+    """The ParseError for one data line of a table width columns wide, or
+    None when the line is sound."""
+    n_cols = line.count(",") + 1
+    if n_cols < 2:
+        return ParseError(f"{where}: need at least one feature and a label")
+    if n_cols != width:
+        return ParseError(f"{where}: expected {width} columns, got {n_cols}")
+    try:
+        row = _read_rows([line])[0]
+    except ValueError as exc:
+        reason = str(exc).replace(" at row 0,", " in")
+        return ParseError(f"{where}: non-numeric value ({reason})")
+    if row[-1] not in (0.0, 1.0):
+        return ParseError(
+            f"{where}: label column must be 0 or 1, got {float(row[-1])!r}"
+        )
+    if not np.isfinite(row[:-1]).all():
+        return ParseError(f"{where}: non-finite feature value")
+    return None
+
+
+# Data lines _first_fault reads and parses at once.
+_FAULT_BLOCK = 4096
+
+
+def _sound(block: list[tuple[int, str]]) -> bool:
+    """Whether numbered data lines of one width parse as a table with 0/1
+    labels and finite features."""
+    try:
+        table = _read_rows([line for _, line in block])
+    except ValueError:
+        return False
+    labels = table[:, -1]
+    return bool(
+        ((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(table[:, :-1]).all()
+    )
+
+
 def _first_fault(p: Path, detail: str) -> ParseError:
     """The ParseError for the earliest faulty line of p.
 
-    Re-reads the file and checks each data line on its own, with the reader
-    load_csv uses, so both accept exactly the same cells. detail says why
+    Re-reads the file with the reader load_csv uses, so both accept exactly
+    the same cells, and names the first data line that fails a check on its
+    own. The reader parses rows independently, so lines of one width are
+    sound together exactly when each is sound alone. The search reads
+    blocks of data lines, parses each block's lines of the first line's
+    width as one table, and halves the first unsound block down to its
+    first line, instead of parsing every line on its own. detail says why
     the whole-file parse failed; it is reported if no single line is at
     fault.
     """
-    width: int | None = None
+    width = 0
     with open(p) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not _is_data_line(line):
-                continue
-            where = f"{p}:{lineno}"
-            n_cols = line.count(",") + 1
-            if n_cols < 2:
-                return ParseError(f"{where}: need at least one feature and a label")
-            if width is None:
-                width = n_cols
-            elif n_cols != width:
-                return ParseError(f"{where}: expected {width} columns, got {n_cols}")
-            try:
-                row = _read_rows([line])[0]
-            except ValueError as exc:
-                reason = str(exc).replace(" at row 0,", " in")
-                return ParseError(f"{where}: non-numeric value ({reason})")
-            if row[-1] not in (0.0, 1.0):
-                return ParseError(
-                    f"{where}: label column must be 0 or 1, got {float(row[-1])!r}"
-                )
-            if not np.isfinite(row[:-1]).all():
-                return ParseError(f"{where}: non-finite feature value")
+        data = ((n, line) for n, line in enumerate(fh, start=1) if _is_data_line(line))
+        while block := list(islice(data, _FAULT_BLOCK)):
+            widths = [line.count(",") + 1 for _, line in block]
+            width = width or widths[0]
+            # The first line of another width is at fault unless an earlier
+            # one is; with too few columns, the first line is.
+            end = 0 if width < 2 else next(
+                (i for i, w in enumerate(widths) if w != width), len(block)
+            )
+            if end and not _sound(block[:end]):
+                lo = 0
+                while end - lo > 1:  # block[lo:end] holds the first fault
+                    mid = (lo + end) // 2
+                    if _sound(block[lo:mid]):
+                        lo = mid
+                    else:
+                        end = mid
+                end = lo
+            if end < len(block):
+                lineno, line = block[end]
+                fault = _line_fault(f"{p}:{lineno}", line, width)
+                return fault or ParseError(f"{p}: {detail}")
     return ParseError(f"{p}: {detail}")
 
 

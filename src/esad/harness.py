@@ -37,6 +37,7 @@ from .losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
+    batch_groups,
     grad_sad_rec,
     grad_svdd,
     loss_sad_rec,
@@ -311,10 +312,13 @@ def prepare_scenario(
     return standardize(make_scenario(train_raw, scenario, test_raw))
 
 
-def _batches(n_rows: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n_rows)
-    for start in range(0, n_rows, batch_size):
-        yield perm[start : start + batch_size]
+def _batches(tags: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """One epoch's batches of rows with label codes tags, shuffled through
+    rng: (row indices, their entry of batch_groups) for each batch."""
+    perm = rng.permutation(tags.size)
+    groups = batch_groups(tags[perm], batch_size)
+    for start, batch in zip(range(0, tags.size, batch_size), groups):
+        yield perm[start : start + batch_size], batch
 
 
 def _build_phi(
@@ -338,7 +342,7 @@ def _sgd_epochs(
     model: EsadModel,
     n_layers: int,
     loss_and_grad,
-    n_rows: int,
+    tags: np.ndarray,
     rng: np.random.Generator,
     epochs: int,
     first_epoch: int = 0,
@@ -346,12 +350,13 @@ def _sgd_epochs(
 ) -> None:
     """The one SGD loop behind every method and stage; it trains the first
     n_layers of model.layers(), a prefix of model.params. Each epoch
-    reshuffles the rows through rng and steps at the schedule's rate for
-    that epoch, counted from 0. loss_and_grad(idx, grads) writes the batch
-    gradients into grads, views of one vector aligned with those layers, and
-    returns the named loss components. A non-finite one aborts with
-    TrainingDiverged, whose epoch counts from first_epoch. Otherwise the
-    vector is clipped and applied in place.
+    reshuffles the rows, whose label codes are tags, through rng and steps
+    at the schedule's rate for that epoch, counted from 0.
+    loss_and_grad(idx, groups, grads) gets the batch's rows and label groups
+    (see _batches), writes the batch gradients into grads, views of one
+    vector aligned with those layers, and returns the named loss components.
+    A non-finite one aborts with TrainingDiverged, whose epoch counts from
+    first_epoch. Otherwise the vector is clipped and applied in place.
     """
     layers = model.layers()[:n_layers]
     bounds = layer_bounds(layers)
@@ -360,10 +365,10 @@ def _sgd_epochs(
     grads = param_views(layers, grad)
     for epoch in range(epochs):
         lr = lr_at_epoch(config.sgd, epoch)
-        for batch_no, idx in enumerate(
-            _batches(n_rows, config.sgd.batch_size, rng)
+        for batch_no, (idx, groups) in enumerate(
+            _batches(tags, config.sgd.batch_size, rng)
         ):
-            losses = loss_and_grad(idx, grads)
+            losses = loss_and_grad(idx, groups, grads)
             _check_finite(losses, first_epoch + epoch, batch_no)
             sgd_step(params, clip_global_norm(grad, bounds, config.clip_norm), lr)
         if after_epoch is not None:
@@ -381,12 +386,13 @@ class EsadTrainResult:
     epoch_losses: list[LossBreakdown]
 
 
-def _esad_objective(model: EsadModel, x, tags, phi, config: ExperimentConfig):
+def _esad_objective(model: EsadModel, x, labels, phi, config: ExperimentConfig):
     """The pipeline's forward pass on rows x, then the esad loss breakdown and
-    its gradients with respect to z, x_hat and z_hat."""
+    its gradients with respect to z, x_hat and z_hat. labels are taken as
+    semi_loss_and_grads takes them."""
     out = forward_pipeline(model, x)
     breakdown, *g_out = semi_loss_and_grads(
-        x, out.z, out.x_hat, out.z_hat, tags, phi,
+        x, out.z, out.x_hat, out.z_hat, labels, phi,
         config.lambda1, config.lambda2, config.epsilon,
     )
     return out, breakdown, g_out
@@ -411,8 +417,8 @@ def train_esad(
     model = new_model(dim, config.hidden_dim, config.rep_dim, seed=streams.init)
     phi = _build_phi(config, dim, streams.phi, tags)
 
-    def loss_and_grad(idx, grads):
-        out, breakdown, g_out = _esad_objective(model, x[idx], tags[idx], phi, config)
+    def loss_and_grad(idx, groups, grads):
+        out, breakdown, g_out = _esad_objective(model, x[idx], groups, phi, config)
         backward_pipeline(model, out, *g_out, grads)
         return _components(breakdown)
 
@@ -429,7 +435,7 @@ def train_esad(
         model,
         len(model.layers()),
         loss_and_grad,
-        x.shape[0],
+        tags,
         np.random.default_rng(streams.shuffle),
         config.sgd.epochs,
         after_epoch=track_epoch if track_epoch_loss else None,
@@ -488,7 +494,7 @@ def train_sad_baseline(
     stage1 = config.sgd.epochs // 2
     n_enc = len(enc.layers)
 
-    def rec_loss_and_grad(idx, grads):
+    def rec_loss_and_grad(idx, _groups, grads):
         xb = x[idx]
         z, cache_e = forward(enc, xb)
         x_hat, cache_d = forward(dec, z)
@@ -498,14 +504,14 @@ def train_sad_baseline(
         return {"rec": rec}
 
     n_stage1 = n_enc + len(dec.layers)
-    _sgd_epochs(config, base, n_stage1, rec_loss_and_grad, x.shape[0], rng, stage1)
+    _sgd_epochs(config, base, n_stage1, rec_loss_and_grad, tags, rng, stage1)
     z_all, _ = forward(enc, x)
     center = svdd_center(z_all)
 
-    def svdd_loss_and_grad(idx, grads):
+    def svdd_loss_and_grad(idx, groups, grads):
         z, cache_e = forward(enc, x[idx])
-        svdd = loss_svdd(z, tags[idx], center, config.epsilon)
-        g = grad_svdd(z, tags[idx], center, config.epsilon)
+        svdd = loss_svdd(z, groups, center, config.epsilon)
+        g = grad_svdd(z, groups, center, config.epsilon)
         backward(enc, cache_e, g, grads, input_grad=False)
         return {"svdd": svdd}
 
@@ -514,7 +520,7 @@ def train_sad_baseline(
         base,
         n_enc,
         svdd_loss_and_grad,
-        x.shape[0],
+        tags,
         rng,
         config.sgd.epochs - stage1,
         first_epoch=stage1,

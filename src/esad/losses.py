@@ -124,28 +124,55 @@ def _pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Groups(NamedTuple):
-    """A batch's row masks and group sizes, built once per batch."""
+    """A batch's row masks and group sizes (see batch_groups)."""
 
     unl: np.ndarray
     nrm: np.ndarray
     anm: np.ndarray
-    n: int  # unlabeled rows
-    n_nrm: int
-    n_anm: int
-    m: int  # labeled rows, n_nrm + n_anm
+    n: np.int64  # unlabeled rows
+    n_nrm: np.int64
+    n_anm: np.int64
+    m: np.int64  # labeled rows, n_nrm + n_anm
     div: np.ndarray  # per row, the size of its group: n or m, as float64
 
 
 def _group_masks(labels, rows: int) -> _Groups:
-    codes = label_codes(labels)
-    if codes.size != rows:
-        raise ShapeError(f"{codes.size} labels for {rows} rows")
+    """The groups of a batch of rows. labels are the rows' label codes, built
+    into groups as a one-batch epoch, or their entry of batch_groups, which
+    is returned as it is."""
+    if not isinstance(labels, _Groups):
+        codes = label_codes(labels)
+        if codes.size != rows:
+            raise ShapeError(f"{codes.size} labels for {rows} rows")
+        return batch_groups(codes, rows)[0]
+    if labels.div.size != rows:
+        raise ShapeError(f"groups of {labels.div.size} rows for {rows} rows")
+    return labels
+
+
+def batch_groups(codes, batch_size: int) -> list[_Groups]:
+    """The groups of every batch of an epoch, built in one pass.
+
+    codes lists the epoch's label codes in batch order; batch k holds rows
+    k * batch_size up to (k + 1) * batch_size, the last one possibly short.
+    Its masks and div are views into arrays shared by the whole epoch, and
+    its counts are np.int64 on every numpy version.
+    """
+    codes = label_codes(codes)
     unl, nrm, anm = codes == 0, codes == 1, codes == 2  # SemiLabel codes
-    n, n_nrm = np.count_nonzero(unl), np.count_nonzero(nrm)
-    n_anm = np.count_nonzero(anm)
+    starts = np.arange(0, codes.size, batch_size)
+    n, n_nrm, n_anm = (
+        np.add.reduceat(g, starts, dtype=np.int64) for g in (unl, nrm, anm)
+    )
     m = n_nrm + n_anm
-    div = np.where(unl, float(n), float(m))
-    return _Groups(unl, nrm, anm, n, n_nrm, n_anm, m, div)
+    sizes = np.diff(starts, append=codes.size)
+    div = np.where(unl, np.repeat(n, sizes), np.repeat(m, sizes)).astype(np.float64)
+    return [
+        _Groups(unl[s:e], nrm[s:e], anm[s:e], *counts, div[s:e])
+        for s, e, *counts in zip(
+            starts.tolist(), (starts + batch_size).tolist(), n, n_nrm, n_anm, m
+        )
+    ]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -228,8 +255,10 @@ def semi_loss_and_grads(
       origin, shrinking unlabeled and normal rows and inflating anomalies.
     - ass: mean squared distance between z and its re-encoding z_hat.
 
-    Returns (breakdown, grad_z, grad_x_hat, grad_z_hat) with the lambda
-    weights already folded into the gradients, ready for backpropagation.
+    labels holds the rows' label codes, or the batch's entry of
+    batch_groups. Returns (breakdown, grad_z, grad_x_hat, grad_z_hat) with
+    the lambda weights already folded into the gradients, ready for
+    backpropagation.
     """
     xm, xh = _pair(x, x_hat, "x", "x_hat")
     zm, zh = _pair(z, z_hat, "z", "z_hat")
@@ -300,13 +329,15 @@ def loss_svdd(z, labels, center, eps: float = 1e-6) -> float:
     labeled anomalies out through an inverse distance.
 
     center is fixed after pretraining (see svdd_center); the labeled term
-    carries the same unit weight as the unlabeled one.
+    carries the same unit weight as the unlabeled one. labels holds the
+    rows' label codes, or the batch's entry of batch_groups.
     """
     _, dists, groups = _center_distances(z, labels, center)
     return _distance_loss(dists, groups, eps)
 
 
 def grad_svdd(z, labels, center, eps: float = 1e-6) -> np.ndarray:
-    """d(loss_svdd)/dz; rows sitting exactly at the center get zero gradient."""
+    """d(loss_svdd)/dz; rows sitting exactly at the center get zero gradient.
+    labels are taken as loss_svdd takes them."""
     diff, dists, groups = _center_distances(z, labels, center)
     return _distance_grad(diff, dists, groups, eps)

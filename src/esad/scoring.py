@@ -107,8 +107,9 @@ def auc(scores, labels) -> AucResult:
         raise ShapeError("empty score list")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores contain non-finite values")
-    bad = set(np.unique(y)) - {0, 1}
-    if bad:
+    # A range check; the set of bad labels is built only for the message.
+    if y.min() < 0 or y.max() > 1:
+        bad = set(np.unique(y)) - {0, 1}
         raise ValueError(f"labels must be 0/1, got extra values {sorted(bad)}")
     n_anom = int(y.sum())
     n_norm = int(y.size - n_anom)

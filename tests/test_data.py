@@ -167,6 +167,40 @@ FAULTS = {
 }
 
 
+def scan_first_fault(p, detail):
+    """load_csv's error for p as a scan of one line at a time finds it.
+
+    The line-by-line search load_csv used before it bisected, kept as the
+    oracle for the error text: it parses each data line on its own.
+    """
+    width = None
+    with open(p) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.lstrip()
+            if not text or text[0] == "#":
+                continue
+            where = f"{p}:{lineno}"
+            n_cols = line.count(",") + 1
+            if n_cols < 2:
+                return ParseError(f"{where}: need at least one feature and a label")
+            if width is None:
+                width = n_cols
+            elif n_cols != width:
+                return ParseError(f"{where}: expected {width} columns, got {n_cols}")
+            try:
+                row = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0]
+            except ValueError as exc:
+                reason = str(exc).replace(" at row 0,", " in")
+                return ParseError(f"{where}: non-numeric value ({reason})")
+            if row[-1] not in (0.0, 1.0):
+                return ParseError(
+                    f"{where}: label column must be 0 or 1, got {float(row[-1])!r}"
+                )
+            if not np.isfinite(row[:-1]).all():
+                return ParseError(f"{where}: non-finite feature value")
+    return ParseError(f"{p}: {detail}")
+
+
 class TestLoadCsvMatchesReference:
     """load_csv against reference_load_csv on seeded random tables, written
     the two ways README and the benchmark write them (%.17g and %.5f), with
@@ -227,6 +261,58 @@ class TestLoadCsvMatchesReference:
                 assert error_line(reference_load_csv, path) == line, kind
                 assert error_line(load_csv, path) == line, kind
 
+    def test_one_column_table_names_first_line(self, tmp_path):
+        # Every line is one 0/1 cell, so the lines parse together as labels
+        # with no features; the first line is still the one at fault.
+        path = tmp_path / "table.csv"
+        path.write_text("1\n0\n\n1\n1\n0\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == str(scan_first_fault(path, "no line at fault"))
+        assert "table.csv:1: need at least one feature" in str(info.value)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("kind", [*FAULTS, "nan label", "narrow"])
+    def test_fault_text_matches_line_scan(self, tmp_path, monkeypatch, kind, block):
+        # The block-and-bisect search names the same line, with the same
+        # text, as a scan of one line at a time, for a fault on the first, a
+        # middle and the last data line, whatever the block size.
+        monkeypatch.setattr("esad.data._FAULT_BLOCK", block)
+        faults = {
+            **FAULTS,
+            "nan label": lambda cells: cells[:-1] + ["nan"],
+            "narrow": lambda cells: cells[:-1],
+        }
+        rng = np.random.default_rng(2027)
+        cells = self.random_table(rng)
+        while len(cells) < 300:
+            cells += self.random_table(rng)
+        width = min(len(row) for row in cells)
+        cells = [row[-width:] for row in cells]
+        for row in (0, len(cells) // 2, len(cells) - 1):
+            faulty = list(cells)
+            faulty[row] = faults[kind](faulty[row])
+            path, _ = self.write(tmp_path, rng, faulty)
+            with pytest.raises(ParseError) as info:
+                load_csv(path)
+            want = str(scan_first_fault(path, "no line at fault"))
+            assert str(info.value) == want, (kind, row)
+            assert "table.csv:" in want
+
+    def test_earlier_of_two_faults_in_small_blocks(self, tmp_path, monkeypatch):
+        # Faults in different blocks: the search stops at the first.
+        monkeypatch.setattr("esad.data._FAULT_BLOCK", 3)
+        rng = np.random.default_rng(2028)
+        kinds = list(FAULTS)
+        for _ in range(30):
+            cells = self.random_table(rng)
+            if len(cells) < 10:
+                continue
+            rows = sorted(rng.choice(np.arange(1, len(cells)), 2, replace=False))
+            faults = [(int(row), kinds[rng.integers(len(kinds))]) for row in rows]
+            path, (line, _) = self.write(tmp_path, rng, cells, faults)
+            assert error_line(load_csv, path) == line, faults
+
     def test_earlier_of_two_faults_is_named(self, tmp_path):
         # The reference names a later parse fault ahead of an earlier
         # non-finite value; load_csv names the earliest faulty line.
@@ -252,6 +338,14 @@ class TestRawDataset:
             RawDataset("d", np.array([[np.inf]]), np.array([0]))
         with pytest.raises(ValueError, match="0/1"):
             RawDataset("d", np.ones((1, 1)), np.array([5]))
+
+    def test_bad_labels_named_in_message(self):
+        # Labels are range-checked; the message lists each bad value once.
+        for labels, bad in (([2, 0, -3, 2], [-3, 2]), ([0, 1, -1, 1], [-1])):
+            with pytest.raises(ValueError) as info:
+                RawDataset("d", np.ones((4, 1)), np.array(labels))
+            bad = sorted({np.int64(v) for v in bad})
+            assert str(info.value) == f"labels must be 0/1, got {bad}"
 
 
 class TestBenchmarkStats:

@@ -273,9 +273,10 @@ class TestDataPlumbing:
 
     def test_batches_cover_all_rows(self):
         rng = np.random.default_rng(0)
-        seen = np.concatenate(list(_batches(10, 3, rng)))
+        tags = np.zeros(10, dtype=np.int64)
+        seen = np.concatenate([idx for idx, _ in _batches(tags, 3, rng)])
         assert sorted(seen.tolist()) == list(range(10))
-        sizes = [len(b) for b in _batches(10, 3, np.random.default_rng(1))]
+        sizes = [len(idx) for idx, _ in _batches(tags, 3, np.random.default_rng(1))]
         assert sizes == [3, 3, 3, 1]
 
 
@@ -350,7 +351,7 @@ class TestTrainBaseline:
         bounds = layer_bounds(enc.layers + dec.layers)
         rng = np.random.default_rng(streams.shuffle)
         lr = lr_at_epoch(cfg.sgd, 0)
-        for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+        for idx, _ in _batches(semi.tags, cfg.sgd.batch_size, rng):
             xb = x[idx]
             z, cache_e = forward(enc, xb)
             x_hat, cache_d = forward(dec, z)
@@ -415,7 +416,7 @@ class TestListSgdOracle:
         fired = steps = 0
         for epoch in range(cfg.sgd.epochs):
             lr = lr_at_epoch(cfg.sgd, epoch)
-            for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+            for idx, _ in _batches(tags, cfg.sgd.batch_size, rng):
                 xb = x[idx]
                 out = forward_pipeline(model, xb)
                 _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
@@ -461,7 +462,7 @@ class TestListSgdOracle:
 
         for epoch in range(cfg.sgd.epochs // 2):
             lr = lr_at_epoch(cfg.sgd, epoch)
-            for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+            for idx, _ in _batches(tags, cfg.sgd.batch_size, rng):
                 xb = x[idx]
                 z, cache_e = forward(enc, xb)
                 x_hat, cache_d = forward(dec, z)
@@ -475,7 +476,7 @@ class TestListSgdOracle:
         assert center.tobytes() == trained.center.tobytes()
         for epoch in range(cfg.sgd.epochs - cfg.sgd.epochs // 2):
             lr = lr_at_epoch(cfg.sgd, epoch)
-            for idx in _batches(x.shape[0], cfg.sgd.batch_size, rng):
+            for idx, _ in _batches(tags, cfg.sgd.batch_size, rng):
                 z, cache_e = forward(enc, x[idx])
                 g = grad_svdd(z, tags[idx], center, cfg.epsilon)
                 g_enc, _ = backward(enc, cache_e, g, fresh_grads(enc.layers))

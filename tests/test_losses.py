@@ -20,6 +20,9 @@ from esad.losses import (
     PhiConfig,
     PhiKind,
     SemiLabel,
+    _group_masks,
+    _Groups,
+    batch_groups,
     grad_sad_rec,
     grad_svdd,
     label_codes,
@@ -206,6 +209,84 @@ class TestLabels:
             label_codes([0, 7, -1, 7])
         with pytest.raises(ShapeError):
             label_codes([])
+
+
+def group_masks_reference(labels) -> _Groups:
+    """The per-batch group builder that batch_groups replaced, kept verbatim
+    (bar its row-count check) as the reference."""
+    codes = label_codes(labels)
+    unl, nrm, anm = codes == 0, codes == 1, codes == 2  # SemiLabel codes
+    n, n_nrm = np.count_nonzero(unl), np.count_nonzero(nrm)
+    n_anm = np.count_nonzero(anm)
+    m = n_nrm + n_anm
+    div = np.where(unl, float(n), float(m))
+    return _Groups(unl, nrm, anm, n, n_nrm, n_anm, m, div)
+
+
+class TestBatchGroups:
+    """batch_groups builds an epoch's groups at once; each entry must equal
+    the groups the old per-batch builder gives that batch's codes alone."""
+
+    @staticmethod
+    def assert_same_groups(got, want):
+        for field in _Groups._fields:
+            g, w = getattr(got, field), getattr(want, field)
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype and g.shape == w.shape, field
+                assert g.tobytes() == w.tobytes(), field
+            else:
+                # The reference's np.count_nonzero gives a Python int on
+                # numpy 1.x and a numpy integer on 2.x; counts are pinned.
+                assert type(g) is np.int64 and g == w, field
+
+    @pytest.mark.parametrize("rows", [1, 6, 32, 64, 100, 233])
+    def test_matches_reference_on_every_slice(self, rows):
+        rng = np.random.default_rng(rows)
+        epochs = [
+            rng.integers(0, 3, size=rows),
+            rng.choice([0, 0, 0, 0, 1, 2], size=rows),
+            np.zeros(rows, dtype=np.int64),  # no labeled rows
+            np.full(rows, 2),  # no unlabeled rows
+        ]
+        for codes in epochs:
+            self.assert_same_groups(
+                _group_masks(codes, rows), group_masks_reference(codes)
+            )
+            # One past the row count gives a single batch of every row.
+            for b in (1, 7, 32, rows + 1):
+                groups = batch_groups(codes, b)
+                assert len(groups) == -(-rows // b)
+                for k, got in enumerate(groups):
+                    batch = codes[k * b : (k + 1) * b]
+                    self.assert_same_groups(got, group_masks_reference(batch))
+
+    def test_rejects_bad_codes_as_label_codes_does(self):
+        for bad in ([0, 3], [0, 7, -1, 7], [2, 1, 5]):
+            with pytest.raises(ValueError) as want:
+                label_codes(bad)
+            with pytest.raises(ValueError) as got:
+                batch_groups(bad, 2)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ShapeError):
+            batch_groups([], 4)
+
+    def test_losses_take_groups_for_codes(self):
+        rng = np.random.default_rng(40)
+        tags = np.array([U, N, A, U, U, A, N])
+        groups = batch_groups(tags, tags.size)[0]
+        assert _group_masks(groups, tags.size) is groups
+        with pytest.raises(ShapeError, match="groups of 7 rows for 6 rows"):
+            _group_masks(groups, 6)
+        z, center = rng.normal(size=(7, 3)), rng.normal(size=3)
+        assert loss_svdd(z, groups, center) == loss_svdd(z, tags, center)
+        assert_same_bits(grad_svdd(z, groups, center), grad_svdd(z, tags, center))
+        x, x_hat = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+        z_hat = rng.normal(size=(7, 3))
+        by_groups = semi_loss_and_grads(x, z, x_hat, z_hat, groups, SWAP)
+        by_codes = semi_loss_and_grads(x, z, x_hat, z_hat, tags, SWAP)
+        assert by_groups[0] == by_codes[0]
+        for got, want in zip(by_groups[1:], by_codes[1:]):
+            assert_same_bits(got, want)
 
 
 class TestPhi:

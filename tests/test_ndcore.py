@@ -6,6 +6,7 @@ against central differences computed right here in the test. Library code is onl
 trusted once it agrees with these.
 """
 
+import math
 import os
 import platform
 import subprocess
@@ -478,6 +479,101 @@ def grad_vector(rng, stack):
     """A random gradient vector laid out like stack, with its bounds."""
     bounds = layer_bounds(stack.layers)
     return rng.normal(size=bounds[-1][2]), bounds
+
+
+def clip_exact(grad, bounds, max_norm):
+    """clip_global_norm as it was before its one-sum bound test: every call
+    sums the squares per layer. The oracle for the bound test's decisions."""
+    if max_norm <= 0:
+        return grad
+    sq = grad * grad
+    total = 0.0
+    for start, mid, end in bounds:
+        total += float(sq[start:mid].sum()) + float(sq[mid:end].sum())
+    norm = math.sqrt(total)
+    if norm <= max_norm:
+        return grad
+    return (max_norm / norm) * grad
+
+
+def assert_clip_as_exact(grad, bounds, max_norm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = clip_exact(grad, bounds, max_norm)
+        got = clip_global_norm(grad, bounds, max_norm)
+    assert (got is grad) == (want is grad), max_norm
+    assert got.tobytes() == want.tobytes(), max_norm
+
+
+class TestClipBoundTest:
+    """clip_global_norm skips the per-layer sums when one sum over the
+    vector shows the gradient well inside the ball. Around the edge of that
+    test, and past overflow, it must decide exactly as the per-layer norm
+    does, returning grad itself or the same rescaled bits."""
+
+    # Steps of 2^-52 relative to the norm, up to several times the margin
+    # n * 2^-50 a gradient of up to 100 entries gets on its squared norm.
+    STEPS = sorted({0, *range(-900, 901, 37), *range(-40, 41)})
+
+    def test_norms_around_the_bound(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            dims = rng.integers(1, 6, size=rng.integers(2, 4)).tolist()
+            grad, bounds = grad_vector(rng, random_stack(rng, dims))
+            grad *= 10.0 ** rng.uniform(-3, 3)
+            norm = math.sqrt(float(sum(float(v) ** 2 for v in grad)))
+            for k in self.STEPS:
+                assert_clip_as_exact(grad, bounds, norm * (1 + k * 2.0**-52))
+
+    def test_margin_covers_reordered_sums(self):
+        # One sum over this vector gives 1 + 22 ulp and the per-layer sums
+        # give 1 + 32 ulp (see TestClipping.test_reduction_order_is_per_layer).
+        # At max_norm = 1 + 14 ulp, between their roots, a bound test with
+        # no margin would keep a gradient that the per-layer norm clips.
+        tiny = 1.25 * 2.0**-27
+        layers = [DenseLayer(np.array([[1.0]]), np.array([tiny]))] + [
+            DenseLayer(np.array([[tiny]]), np.array([tiny])) for _ in range(32)
+        ]
+        bounds = layer_bounds(layers)
+        flat = np.array([1.0] + [tiny] * 65)
+        cap = 1.0 + 14 * 2.0**-52
+        assert float((flat * flat).sum()) < cap * cap
+        assert clip_global_norm(flat, bounds, cap) is not flat
+        for k in range(-5, 60):
+            assert_clip_as_exact(flat, bounds, 1.0 + k * 2.0**-52)
+
+    def test_zero_and_non_finite_entries(self):
+        rng = np.random.default_rng(32)
+        grad, bounds = grad_vector(rng, random_stack(rng))
+        for cap in (1e-3, 1.0, 1e200):
+            assert_clip_as_exact(np.zeros_like(grad), bounds, cap)
+            for bad in (np.inf, -np.inf, np.nan):
+                for at in (0, grad.size // 2, grad.size - 1):
+                    broken = grad.copy()
+                    broken[at] = bad
+                    assert_clip_as_exact(broken, bounds, cap)
+
+    def test_huge_cap_and_overflowing_squares(self):
+        # With max_norm = 1e200, max_norm^2 overflows; the squared norm
+        # itself can sit just under, at or past the largest double.
+        rng = np.random.default_rng(33)
+        biggest = np.finfo(np.float64).max
+        for _ in range(20):
+            grad, bounds = grad_vector(rng, random_stack(rng))
+            unit = grad / math.sqrt(float(np.dot(grad, grad)))
+            for k in self.STEPS:
+                scaled = unit * (math.sqrt(biggest) * (1 + k * 2.0**-52))
+                assert_clip_as_exact(scaled, bounds, 1e200)
+            for scale in (1e100, 1e150, 1e160, 1e200, 1e300):
+                assert_clip_as_exact(unit * scale, bounds, 1e200)
+
+    def test_tiny_caps(self):
+        # max_norm^2 in the subnormal range or below skips the bound test.
+        rng = np.random.default_rng(34)
+        grad, bounds = grad_vector(rng, random_stack(rng))
+        unit = grad / math.sqrt(float(np.dot(grad, grad)))
+        for cap in (1e-150, 1e-155, 1e-160, 1e-170, 5e-324):
+            for scale in (0.5, 1.0, 2.0):
+                assert_clip_as_exact(unit * (cap * scale), bounds, cap)
 
 
 class TestClipping:

@@ -176,6 +176,18 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [0, 2])
 
+    def test_bad_labels_named_in_message(self):
+        # Labels are range-checked; the message lists each bad value once.
+        for labels, bad in (
+            ([0, 2, -1, 2], [-1, 2]),
+            ([0, 1, -1, 1], [-1]),
+            ([0, 1, 1, 3], [3]),
+        ):
+            with pytest.raises(ValueError) as info:
+                auc([0.1, 0.2, 0.3, 0.4], labels)
+            bad = sorted({np.int64(v) for v in bad})
+            assert str(info.value) == f"labels must be 0/1, got extra values {bad}"
+
     def test_result_validation(self):
         with pytest.raises(ValueError):
             AucResult(1.5, 1, 1)
