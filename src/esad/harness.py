@@ -573,9 +573,14 @@ def full_loss_grad_check(
             and float(np.min(np.linalg.norm(out.z, axis=1))) > 0.05
         )
         # The smallest |pre-activation| of a ReLU layer (all but a stack's
-        # last). One probe of size `step` moves it by far less than 100 steps.
+        # last), recomputed from its cached input as forward computes it.
+        # One probe of size `step` moves it by far less than 100 steps.
         caches = (out.cache_enc1, out.cache_dec, out.cache_enc2)
-        margin = min(float(np.min(np.abs(p))) for c in caches for p in c.pres[:-1])
+        margin = min(
+            float(np.min(np.abs(c.inputs[i] @ layer.weight.T + layer.bias)))
+            for (_, stack), c in zip(model.stacks(), caches)
+            for i, layer in enumerate(stack.layers[:-1])
+        )
         if margin > 100 * step and norms_ok:
             break
     else:

@@ -207,8 +207,13 @@ def _distance_grad(
     Each row's unit vector is scaled by -1 / (dist + eps)^2 on anomalous
     rows (by 1.0 on the others) and divided by the size of the row's group.
     """
-    pos = dists > 0.0
-    units = np.where(pos[:, None], rows / np.where(pos, dists, 1.0)[:, None], 0.0)
+    # A row at distance 0 (or whose norm underflows to 0) is rare, so the
+    # guard runs only when one is present. A NaN minimum takes it too.
+    if dists.min() > 0.0:
+        units = rows / dists[:, None]
+    else:
+        pos = (dists > 0.0)[:, None]
+        units = np.divide(rows, dists[:, None], out=np.zeros_like(rows), where=pos)
     if groups.n_anm:
         shifted = dists + eps
         coef = np.divide(

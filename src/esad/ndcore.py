@@ -171,14 +171,20 @@ def pack_stacks(stacks: list[MlpStack]) -> tuple[np.ndarray, list[MlpStack]]:
 
 @dataclass
 class ForwardCache:
-    """Intermediates needed by backward: per-layer inputs and pre-activations."""
+    """What backward needs: each layer's input. A hidden layer's ReLU output
+    is the next layer's input, and it is positive exactly where the layer's
+    pre-activation is (NaN and -0.0 included), so it also gives backward the
+    ReLU's mask."""
 
     inputs: list[np.ndarray]
-    pres: list[np.ndarray]
 
 
 def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a batch (b, in_dim); one sample is a one-row batch."""
+    """Run the stack on a batch (b, in_dim); one sample is a one-row batch.
+
+    Each layer makes one array: ReLU is applied in place, since the
+    pre-activation is not kept.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"input must be a 2-D batch, got shape {arr.shape}")
@@ -187,16 +193,16 @@ def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
             f"input width {arr.shape[1]} does not match stack in_dim "
             f"{stack.in_dim}"
         )
-    inputs, pres = [], []
+    inputs = []
     cur = arr
     last = len(stack.layers) - 1
     for i, layer in enumerate(stack.layers):
         inputs.append(cur)
-        pre = cur @ layer.weight.T
-        pre += layer.bias
-        pres.append(pre)
-        cur = pre if i == last else np.maximum(pre, 0.0)
-    return cur, ForwardCache(inputs, pres)
+        cur = cur @ layer.weight.T
+        cur += layer.bias
+        if i != last:
+            np.maximum(cur, 0.0, out=cur)
+    return cur, ForwardCache(inputs)
 
 
 def backward(
@@ -216,15 +222,14 @@ def backward(
     or None with input_grad=False, which skips that product.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.shape != cache.pres[-1].shape:
-        raise ShapeError(
-            f"grad shape {g.shape} does not match output {cache.pres[-1].shape}"
-        )
+    shape = (cache.inputs[0].shape[0], stack.out_dim)
+    if g.shape != shape:
+        raise ShapeError(f"grad shape {g.shape} does not match output {shape}")
     last = len(stack.layers) - 1
     for i in range(last, -1, -1):
         # The last layer passes g on unchanged. ReLU passes g where its
         # input was positive; the subgradient at exactly 0 is taken as 0.
-        g_pre = g if i == last else g * (cache.pres[i] > 0.0)
+        g_pre = g if i == last else g * (cache.inputs[i + 1] > 0.0)
         gw, gb = out[i]
         np.matmul(g_pre.T, cache.inputs[i], out=gw)
         g_pre.sum(axis=0, out=gb)

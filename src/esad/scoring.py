@@ -22,12 +22,23 @@ class SingleClassError(ValueError):
     """Raised when AUC is requested for a single-class label set."""
 
 
+# Rows per forward pass in score_dataset. On 274 features a block's largest
+# array, x_hat, is 4.5 MB instead of 22 MB for a 10,000-row batch in one
+# pass. A batch of up to one block scores as one pass would. In a larger
+# batch a few rows can differ from one pass in their last bit, since
+# OpenBLAS picks its tail kernels by a call's row count: 33 of 537,540 rows
+# on six 274-wide models (70 with blocks of 1,024), at most 2.2e-16 relative.
+_SCORE_ROWS = 2048
+
+
 def _scores(
     x: np.ndarray, x_hat: np.ndarray, z_hat: np.ndarray, lambda1: float
 ) -> np.ndarray:
-    sq = x_hat - x
-    sq *= sq  # in place: a batch can be large, so no second (rows, dim) array
-    return sq.sum(axis=1) + lambda1 * np.sqrt((z_hat * z_hat).sum(axis=1))
+    """The score formula. Squares the reconstruction error into x_hat, so
+    that no second (rows, dim) array is made."""
+    x_hat -= x
+    x_hat *= x_hat
+    return x_hat.sum(axis=1) + lambda1 * np.sqrt((z_hat * z_hat).sum(axis=1))
 
 
 def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
@@ -36,6 +47,7 @@ def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
 
     Higher means more anomalous. lambda1 must match the training weight or
     the two terms are balanced differently than the model was optimized for.
+    The arrays passed in are left unchanged.
     """
     xm = as_matrix(x, "x")
     xhm = as_matrix(x_hat, "x_hat")
@@ -44,18 +56,23 @@ def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
         raise ShapeError(
             f"row mismatch: x {xm.shape}, x_hat {xhm.shape}, z_hat {zhm.shape}"
         )
-    return _scores(xm, xhm, zhm, lambda1)
+    return _scores(xm, xhm.copy(), zhm, lambda1)
 
 
 def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
     """Score every row of x with the model. Output order equals input order.
 
-    x is scanned for NaN/inf once. x_hat and z_hat are not scanned: a
-    non-finite entry in either yields a non-finite score, which is rejected.
+    x is scanned for NaN/inf once, then run through the model in blocks of
+    _SCORE_ROWS rows. x_hat and z_hat are not scanned: a non-finite entry in
+    either yields a non-finite score, which is rejected.
     """
     xm = as_matrix(x, "x")
-    out = forward_pipeline(model, xm)
-    scores = _scores(xm, out.x_hat, out.z_hat, lambda1)
+    scores = np.empty(xm.shape[0])
+    # An empty x still makes one pass, so that its width is checked.
+    for start in range(0, max(xm.shape[0], 1), _SCORE_ROWS):
+        block = xm[start : start + _SCORE_ROWS]
+        out = forward_pipeline(model, block)
+        scores[start : start + _SCORE_ROWS] = _scores(block, out.x_hat, out.z_hat, lambda1)
     if not np.isfinite(scores).all():
         raise ValueError("model produced non-finite scores")
     return scores

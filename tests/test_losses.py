@@ -21,6 +21,7 @@ from esad.losses import (
     PhiKind,
     SemiLabel,
     _group_masks,
+    _distance_grad,
     _Groups,
     batch_groups,
     grad_sad_rec,
@@ -287,6 +288,50 @@ class TestBatchGroups:
         assert by_groups[0] == by_codes[0]
         for got, want in zip(by_groups[1:], by_codes[1:]):
             assert_same_bits(got, want)
+
+
+def distance_grad_reference(rows, dists, groups, eps):
+    """_distance_grad as it was before its zero-row guard became a fast path
+    plus a fallback: two np.where passes over every batch."""
+    pos = dists > 0.0
+    units = np.where(pos[:, None], rows / np.where(pos, dists, 1.0)[:, None], 0.0)
+    if groups.n_anm:
+        shifted = dists + eps
+        coef = np.divide(
+            -1.0, shifted * shifted, out=np.ones_like(dists), where=groups.anm
+        )
+        units = coef[:, None] * units
+    return units / groups.div[:, None]
+
+
+class TestDistanceGradGuard:
+    """Rows at distance 0 get zero gradient, on the fast path and off it."""
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 1e-200, None])
+    def test_matches_reference(self, zero):
+        # 1e-200 squares to 0, so such a row's norm underflows to 0 as well.
+        rng = np.random.default_rng(41)
+        for rows in (1, 5, 32):
+            rows_ = rng.normal(size=(rows, 4))
+            codes = rng.integers(0, 3, size=rows)
+            if zero is not None:
+                rows_[rng.random(rows) < 0.4] = zero
+                rows_[-1] = zero
+            dists = np.sqrt((rows_ * rows_).sum(axis=1))
+            assert (dists.min() > 0.0) == (zero is None)
+            groups = batch_groups(codes, rows)[0]
+            for eps in (1e-6, 0.5):
+                got = _distance_grad(rows_, dists, groups, eps)
+                assert_same_bits(got, distance_grad_reference(rows_, dists, groups, eps))
+
+    def test_nan_and_infinite_distances_match_reference(self):
+        rows = np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0], [3.0, 4.0]])
+        dists = np.sqrt((rows * rows).sum(axis=1))
+        groups = batch_groups([U, N, A, A], 4)[0]
+        with np.errstate(invalid="ignore"):
+            got = _distance_grad(rows, dists, groups, 1e-6)
+            want = distance_grad_reference(rows, dists, groups, 1e-6)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPhi:

@@ -54,11 +54,14 @@ def kink_free_instance(seed: int, rows=4, dim=5, h=8, r=3, margin=1e-3):
         model = new_model(dim, h, r, seed=int(rng.integers(0, 2**32)))
         x = rng.normal(size=(rows, dim))
         out = forward_pipeline(model, x)
-        # Every layer but a stack's last is ReLU.
+        # Every layer but a stack's last is ReLU. forward keeps only the
+        # activations, so each pre-activation is recomputed from its input.
         pres = [
-            p
-            for cache in (out.cache_enc1, out.cache_dec, out.cache_enc2)
-            for p in cache.pres[:-1]
+            cache.inputs[i] @ layer.weight.T + layer.bias
+            for (_, stack), cache in zip(
+                model.stacks(), (out.cache_enc1, out.cache_dec, out.cache_enc2)
+            )
+            for i, layer in enumerate(stack.layers[:-1])
         ]
         if min(float(np.abs(p).min()) for p in pres) > margin:
             return model, x

@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.ndcore import (
     DenseLayer,
+    ForwardCache,
     GradCheckReport,
     MlpStack,
     SgdConfig,
@@ -102,12 +103,21 @@ def random_stack(rng, dims=(4, 7, 3)):
     return init_stack(list(dims), rng)
 
 
+def hidden_pres(stack, cache):
+    """The ReLU layers' pre-activations, recomputed from their cached inputs
+    as forward computes them (it keeps only the activations)."""
+    return [
+        cache.inputs[i] @ layer.weight.T + layer.bias
+        for i, layer in enumerate(stack.layers[:-1])
+    ]
+
+
 def kink_free_batch(stack, rng, rows, margin=1e-3):
     """Draw inputs whose ReLU pre-activations all sit clear of zero."""
     for _ in range(200):
         x = rng.normal(0.0, 1.0, size=(rows, stack.in_dim))
         _, cache = forward(stack, x)
-        pres = cache.pres[:-1]  # the ReLU layers
+        pres = hidden_pres(stack, cache)
         if not pres or min(float(np.abs(p).min()) for p in pres) > margin:
             return x
     raise RuntimeError("no kink-free batch found")
@@ -330,6 +340,94 @@ class TestBackward:
             backward(
                 stack, cache, np.ones((2, stack.out_dim)), fresh_grads(stack.layers)
             )
+
+
+def forward_reference(stack, x):
+    """forward as it was before ReLU went in place: every pre-activation is
+    its own array, kept next to each layer's input. Returns (out, inputs,
+    pres)."""
+    inputs, pres = [], []
+    cur = np.asarray(x, dtype=np.float64)
+    last = len(stack.layers) - 1
+    for i, layer in enumerate(stack.layers):
+        inputs.append(cur)
+        pre = cur @ layer.weight.T
+        pre += layer.bias
+        pres.append(pre)
+        cur = pre if i == last else np.maximum(pre, 0.0)
+    return cur, inputs, pres
+
+
+def backward_reference(stack, inputs, pres, grad_out):
+    """backward as it was, taking each ReLU's mask from its pre-activation."""
+    grads = fresh_grads(stack.layers)
+    g = grad_out
+    last = len(stack.layers) - 1
+    for i in range(last, -1, -1):
+        g_pre = g if i == last else g * (pres[i] > 0.0)
+        gw, gb = grads[i]
+        np.matmul(g_pre.T, inputs[i], out=gw)
+        g_pre.sum(axis=0, out=gb)
+        g = g_pre @ stack.layers[i].weight
+    return grads, g
+
+
+def assert_same_pass(stack, cache, out, grad_out, inputs, pres):
+    """forward's output and backward's gradients, from cache, equal the
+    reference's, from inputs and pres, bit for bit."""
+    with np.errstate(invalid="ignore"):
+        got, got_in = backward(stack, cache, grad_out, fresh_grads(stack.layers))
+        want, want_in = backward_reference(stack, inputs, pres, grad_out)
+    assert out.tobytes() == pres[-1].tobytes()
+    assert got_in.tobytes() == want_in.tobytes()
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert gw.tobytes() == ww.tobytes()
+        assert gb.tobytes() == wb.tobytes()
+
+
+class TestReluInPlace:
+    """forward keeps each hidden layer's ReLU output only, and backward
+    takes the ReLU's mask from it; both must match the reference that keeps
+    the pre-activations, bit for bit, on kinks and NaN too."""
+
+    def test_matches_reference_through_kinks_and_nan(self):
+        rng = np.random.default_rng(60)
+        for dims in ((4, 7, 5, 3), (3, 6, 2), (5, 4)):
+            stack = random_stack(rng, dims)
+            for layer in stack.layers[:-1]:
+                # Zero rows put those units' pre-activations exactly at 0.
+                layer.weight[rng.random(layer.out_dim) < 0.3] = 0.0
+            x = rng.normal(size=(9, stack.in_dim))
+            x[4, 0] = np.nan  # a NaN row through every layer
+            grad_out = rng.normal(size=(9, stack.out_dim))
+            with np.errstate(invalid="ignore"):
+                out, cache = forward(stack, x)
+            _, inputs, pres = forward_reference(stack, x)
+            if len(pres) > 1:
+                hidden = np.concatenate([p.ravel() for p in pres[:-1]])
+                assert (hidden == 0.0).any() and np.isnan(hidden).any()
+            assert len(cache.inputs) == len(inputs)
+            for a, b in zip(cache.inputs, inputs):
+                assert a.tobytes() == b.tobytes()
+            assert_same_pass(stack, cache, out, grad_out, inputs, pres)
+
+    def test_mask_from_activation_on_signed_zeros_and_nan(self):
+        # A matrix product never yields -0.0, so these pre-activations are
+        # built by hand; the cache holds their ReLU, as forward's would.
+        rng = np.random.default_rng(61)
+        stack = random_stack(rng, (3, 8, 2))
+        x = rng.normal(size=(4, 3))
+        specials = [-0.0, 0.0, np.nan, 5e-324, -5e-324, 1.5, -2.0, np.inf, -np.inf]
+        pre = rng.choice(specials, size=(4, 8))
+        act = np.maximum(pre, 0.0)
+        assert_array_equal(act > 0.0, pre > 0.0)
+        layer = stack.layers[1]
+        with np.errstate(invalid="ignore"):
+            out = act @ layer.weight.T + layer.bias
+        grad_out = rng.normal(size=(4, 2))
+        assert_same_pass(
+            stack, ForwardCache([x, act]), out, grad_out, [x, act], [pre, out]
+        )
 
 
 # layer and stack construction

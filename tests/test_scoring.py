@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from esad import scoring
 from esad.harness import SadModel, sad_scores
-from esad.model import new_model
+from esad.model import forward_pipeline, new_model
 from esad.scoring import (
     AucResult,
     SingleClassError,
@@ -114,6 +115,81 @@ class TestAnomalyScore:
         assert_allclose(
             score_dataset(model, x[perm]), score_dataset(model, x)[perm], rtol=1e-15
         )
+
+
+BLOCK = 2048  # rows per forward pass in score_dataset
+
+
+def one_call_scores(model, x, lambda1=1.0):
+    """The whole batch through one forward pass, scored as one array."""
+    out = forward_pipeline(model, x)
+    return anomaly_scores(x, out.x_hat, out.z_hat, lambda1=lambda1)
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """Row counts of the forward passes score_dataset makes."""
+    rows = []
+
+    def counted(model, x):
+        rows.append(x.shape[0])
+        return forward_pipeline(model, x)
+
+    monkeypatch.setattr(scoring, "forward_pipeline", counted)
+    return rows
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("dim", [5, 274])
+    def test_blocks_score_as_separate_one_call_batches(self, dim, pipeline_calls):
+        model = new_model(dim, seed=dim)
+        rng = np.random.default_rng(dim)
+        for rows in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17):
+            x = rng.normal(size=(rows, dim))
+            pipeline_calls.clear()
+            got = score_dataset(model, x, lambda1=0.7)
+            # An empty batch still makes one pass, which checks its width.
+            sizes = [min(BLOCK, rows - s) for s in range(0, max(rows, 1), BLOCK)]
+            assert pipeline_calls == sizes
+            want = [
+                one_call_scores(model, x[s : s + BLOCK], lambda1=0.7)
+                for s in range(0, max(rows, 1), BLOCK)
+            ]
+            assert got.shape == (rows,)
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_wide_batch_agrees_with_one_call(self):
+        model = new_model(274, seed=3)
+        x = np.random.default_rng(4).normal(size=(10_000, 274))
+        assert_allclose(score_dataset(model, x), one_call_scores(model, x), rtol=1e-15)
+
+    def test_nan_rejected_before_any_forward_pass(self, pipeline_calls):
+        model = new_model(6, seed=5)
+        x = np.random.default_rng(6).normal(size=(10_000, 6))
+        x[5000, 3] = np.nan
+        with pytest.raises(ValueError, match="x contains non-finite"):
+            score_dataset(model, x)
+        assert pipeline_calls == []
+
+    def test_non_finite_score_in_last_block_rejected(self, pipeline_calls):
+        model = new_model(6, seed=7)
+        x = np.random.default_rng(8).normal(size=(2 * BLOCK + 17, 6))
+        x[-1] = 1e300  # finite, but its reconstruction error overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^model produced non-finite scores$"):
+                score_dataset(model, x)
+        assert pipeline_calls == [BLOCK, BLOCK, 17]
+
+    def test_wrong_width_rejected_on_empty_batch(self):
+        with pytest.raises(ShapeError, match="does not match"):
+            score_dataset(new_model(6, seed=9), np.empty((0, 5)))
+
+    def test_anomaly_scores_leave_inputs_unchanged(self):
+        rng = np.random.default_rng(10)
+        x, x_hat, z_hat = rng.normal(size=(7, 4)), rng.normal(size=(7, 4)), rng.normal(size=(7, 3))
+        before = [a.tobytes() for a in (x, x_hat, z_hat)]
+        anomaly_scores(x, x_hat, z_hat, lambda1=0.5)
+        assert [a.tobytes() for a in (x, x_hat, z_hat)] == before
 
 
 class TestAuc:
