@@ -312,12 +312,17 @@ def prepare_scenario(
     return standardize(make_scenario(train_raw, scenario, test_raw))
 
 
-def _batches(tags: np.ndarray, batch_size: int, rng: np.random.Generator):
+def _batches(
+    tags: np.ndarray, batch_size: int, rng: np.random.Generator, labeled: bool = True
+):
     """One epoch's batches of rows with label codes tags, shuffled through
-    rng: (row indices, their entry of batch_groups) for each batch."""
+    rng: (row indices, their entry of batch_groups) for each batch. With
+    labeled=False no groups are built, and each batch's entry is None; the
+    shuffle is drawn the same way."""
     perm = rng.permutation(tags.size)
-    groups = batch_groups(tags[perm], batch_size)
-    for start, batch in zip(range(0, tags.size, batch_size), groups):
+    starts = range(0, tags.size, batch_size)
+    groups = batch_groups(tags[perm], batch_size) if labeled else [None] * len(starts)
+    for start, batch in zip(starts, groups):
         yield perm[start : start + batch_size], batch
 
 
@@ -347,13 +352,15 @@ def _sgd_epochs(
     epochs: int,
     first_epoch: int = 0,
     after_epoch=None,
+    labeled: bool = True,
 ) -> None:
     """The one SGD loop behind every method and stage; it trains the first
     n_layers of model.layers(), a prefix of model.params. Each epoch
     reshuffles the rows, whose label codes are tags, through rng and steps
     at the schedule's rate for that epoch, counted from 0.
     loss_and_grad(idx, groups, grads) gets the batch's rows and label groups
-    (see _batches), writes the batch gradients into grads, views of one
+    (see _batches; None with labeled=False, for a loss that takes no
+    labels), writes the batch gradients into grads, views of one
     vector aligned with those layers, and returns the named loss components.
     A non-finite one aborts with TrainingDiverged, whose epoch counts from
     first_epoch. Otherwise the vector is clipped and applied in place.
@@ -366,7 +373,7 @@ def _sgd_epochs(
     for epoch in range(epochs):
         lr = lr_at_epoch(config.sgd, epoch)
         for batch_no, (idx, groups) in enumerate(
-            _batches(tags, config.sgd.batch_size, rng)
+            _batches(tags, config.sgd.batch_size, rng, labeled)
         ):
             losses = loss_and_grad(idx, groups, grads)
             _check_finite(losses, first_epoch + epoch, batch_no)
@@ -504,7 +511,9 @@ def train_sad_baseline(
         return {"rec": rec}
 
     n_stage1 = n_enc + len(dec.layers)
-    _sgd_epochs(config, base, n_stage1, rec_loss_and_grad, tags, rng, stage1)
+    _sgd_epochs(
+        config, base, n_stage1, rec_loss_and_grad, tags, rng, stage1, labeled=False
+    )
     z_all, _ = forward(enc, x)
     center = svdd_center(z_all)
 

@@ -4,13 +4,20 @@ Everything here is deterministic. Given the same inputs (and the same rng for
 initialization) every function returns bit-identical results across calls.
 Batch rows are independent samples; `backward` sums gradients over rows, so
 callers bake any 1/n averaging weights into the incoming gradient rows.
+
+`forward` runs a batch of more than CHUNK_ROWS rows in CHUNK_ROWS-row chunks
+on a small thread pool, and numpy's OpenBLAS is pinned to one thread at
+import. Every BLAS call then has the same operands at any pool size and
+core count, so results do not depend on the machine's thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +51,107 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's OpenBLAS on one thread, for the whole process.
+
+    With a thread per core, OpenBLAS splits a large product differently at
+    each thread count, so trained weights and scores on 274 features
+    differed between OPENBLAS_NUM_THREADS=1 and 2. Large batches get their
+    parallelism from forward's chunks instead. The library is found among
+    the process's mappings under the symbol names of numpy's wheels
+    (scipy_openblas or openblas, with or without the 64_ suffix); where
+    there is none, nothing is changed.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {p[5] for p in map(str.split, fh) if len(p) >= 6 and "openblas" in p[5]}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if set_threads is not None:
+                    set_threads.argtypes = [ctypes.c_int]
+                    set_threads.restype = None
+                    set_threads(1)
+                    return
+
+
+_pin_blas_threads()
+
+# Rows per chunk of a forward pass. On 274 features a chunk's largest array
+# is 4.5 MB. A chunk's bits depend only on its own rows, but not always on
+# the batch around it: OpenBLAS picks its tail kernels by a call's row count,
+# so against one pass over 2,049 to 29,999 rows, 33 of 537,540 rows on six
+# 274-wide models moved in their last bit (70 with chunks of 1,024), at most
+# 2.2e-16 relative.
+CHUNK_ROWS = 2048
+# Threads a multi-chunk batch runs on: the CPUs this process may use, at most
+# _MAX_WORKERS. The pool is made on the first multi-chunk call.
+_MAX_WORKERS = 4
+_pool_size = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    _MAX_WORKERS,
+)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: it makes its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def pool_size() -> int:
+    """Threads that a batch's chunks are spread over."""
+    return _pool_size
+
+
+def each_chunk(rows: int, fn) -> None:
+    """Call fn(start, stop) for every CHUNK_ROWS-row chunk of range(rows).
+
+    One chunk, or a pool of one, runs on the calling thread, in order;
+    otherwise the chunks run on the pool, under the caller's numpy error
+    state, which is per thread. There every chunk finishes before the first
+    chunk's error, if any, is raised, so no worker still writes into the
+    caller's arrays once this returns. fn must call only numpy and private
+    code: perfbench's tracer keeps one span stack, for the calling thread.
+    """
+    starts = range(0, rows, CHUNK_ROWS)
+    if len(starts) <= 1 or _pool_size == 1:
+        for start in starts:
+            fn(start, min(start + CHUNK_ROWS, rows))
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="esad-chunk")
+        pool = _pool
+    err, call = np.geterr(), np.geterrcall()
+
+    def run(start: int) -> None:
+        with np.errstate(call=call, **err):
+            fn(start, min(start + CHUNK_ROWS, rows))
+
+    futures = [pool.submit(run, start) for start in starts]
+    for future in futures:
+        future.exception()  # waits for the chunk; raises nothing
+    for future in futures:
+        future.result()
 
 
 class ShapeError(ValueError):
@@ -179,30 +287,50 @@ class ForwardCache:
     inputs: list[np.ndarray]
 
 
+def _run_layers(
+    layers: list[DenseLayer], x: np.ndarray, outs: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows x through the layers: the last layer's output and each layer's
+    input. Layer i writes into outs[i], or into a new array when outs is
+    None. ReLU is applied in place, since the pre-activation is not kept."""
+    inputs = []
+    cur = x
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        inputs.append(cur)
+        if outs is None:
+            cur = cur @ layer.weight.T
+        else:
+            cur = np.matmul(cur, layer.weight.T, out=outs[i])
+        cur += layer.bias
+        if i != last:
+            np.maximum(cur, 0.0, out=cur)
+    return cur, inputs
+
+
 def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on a batch (b, in_dim); one sample is a one-row batch.
 
-    Each layer makes one array: ReLU is applied in place, since the
-    pre-activation is not kept.
+    Each layer makes one array. A batch of more than CHUNK_ROWS rows runs
+    every layer on each CHUNK_ROWS-row chunk, the chunks spread over the
+    pool (see each_chunk), writing into arrays made for the whole batch.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"input must be a 2-D batch, got shape {arr.shape}")
-    if arr.shape[1] != stack.in_dim:
+    layers = stack.layers
+    if arr.shape[1] != layers[0].in_dim:
         raise ShapeError(
             f"input width {arr.shape[1]} does not match stack in_dim "
             f"{stack.in_dim}"
         )
-    inputs = []
-    cur = arr
-    last = len(stack.layers) - 1
-    for i, layer in enumerate(stack.layers):
-        inputs.append(cur)
-        cur = cur @ layer.weight.T
-        cur += layer.bias
-        if i != last:
-            np.maximum(cur, 0.0, out=cur)
-    return cur, ForwardCache(inputs)
+    rows = arr.shape[0]
+    if rows <= CHUNK_ROWS:
+        out, inputs = _run_layers(layers, arr)
+        return out, ForwardCache(inputs)
+    outs = [np.empty((rows, layer.out_dim)) for layer in layers]
+    each_chunk(rows, lambda s, e: _run_layers(layers, arr[s:e], [o[s:e] for o in outs]))
+    return outs[-1], ForwardCache([arr, *outs[:-1]])
 
 
 def backward(

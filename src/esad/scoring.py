@@ -15,20 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .model import EsadModel, forward_pipeline
-from .ndcore import ShapeError, as_matrix
+from .ndcore import CHUNK_ROWS, ShapeError, as_matrix, each_chunk, pool_size
 
 
 class SingleClassError(ValueError):
     """Raised when AUC is requested for a single-class label set."""
-
-
-# Rows per forward pass in score_dataset. On 274 features a block's largest
-# array, x_hat, is 4.5 MB instead of 22 MB for a 10,000-row batch in one
-# pass. A batch of up to one block scores as one pass would. In a larger
-# batch a few rows can differ from one pass in their last bit, since
-# OpenBLAS picks its tail kernels by a call's row count: 33 of 537,540 rows
-# on six 274-wide models (70 with blocks of 1,024), at most 2.2e-16 relative.
-_SCORE_ROWS = 2048
 
 
 def _scores(
@@ -63,19 +54,33 @@ def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
     """Score every row of x with the model. Output order equals input order.
 
     x is scanned for NaN/inf once, then run through the model in blocks of
-    _SCORE_ROWS rows. x_hat and z_hat are not scanned: a non-finite entry in
-    either yields a non-finite score, which is rejected.
+    CHUNK_ROWS * pool_size() rows: one forward_pipeline call per block, on
+    the calling thread, whose passes and score formula each spread the
+    block's CHUNK_ROWS-row chunks over the pool. Every row's bits are those
+    of its chunk alone, at any pool size. x_hat and z_hat are not scanned:
+    a non-finite entry in either yields a non-finite score, which is
+    rejected.
     """
     xm = as_matrix(x, "x")
     scores = np.empty(xm.shape[0])
+    step = CHUNK_ROWS * pool_size()
     # An empty x still makes one pass, so that its width is checked.
-    for start in range(0, max(xm.shape[0], 1), _SCORE_ROWS):
-        block = xm[start : start + _SCORE_ROWS]
-        out = forward_pipeline(model, block)
-        scores[start : start + _SCORE_ROWS] = _scores(block, out.x_hat, out.z_hat, lambda1)
+    for start in range(0, max(xm.shape[0], 1), step):
+        _score_block(model, xm[start : start + step], lambda1, scores[start : start + step])
     if not np.isfinite(scores).all():
         raise ValueError("model produced non-finite scores")
     return scores
+
+
+def _score_block(model: EsadModel, x: np.ndarray, lambda1: float, out: np.ndarray) -> None:
+    """Scores of the rows x, written into out. The block's arrays are freed
+    on return, before the next block's forward pass."""
+    res = forward_pipeline(model, x)
+
+    def chunk(s: int, e: int) -> None:
+        out[s:e] = _scores(x[s:e], res.x_hat[s:e], res.z_hat[s:e], lambda1)
+
+    each_chunk(x.shape[0], chunk)
 
 
 @dataclass(frozen=True)

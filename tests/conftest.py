@@ -8,6 +8,7 @@ to the README when a file is absent.
 
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +80,29 @@ def sgd_oracle(params, grads, lr: float) -> None:
     for (w, b), (gw, gb) in zip(params, grads):
         w -= lr * gw
         b -= lr * gb
+
+
+@contextmanager
+def forced_pool(size: int):
+    """Forward's chunk pool forced to size threads: made afresh at that size,
+    shut down on exit, and the previous pool restored."""
+    from esad import ndcore
+
+    saved = ndcore._pool_size, ndcore._pool
+    ndcore._pool_size, ndcore._pool = size, None
+    try:
+        yield size
+    finally:
+        if ndcore._pool is not None:
+            ndcore._pool.shutdown()
+        ndcore._pool_size, ndcore._pool = saved
+
+
+POOL_SIZES = (1, 2, 3)
+
+
+@pytest.fixture(params=POOL_SIZES, ids=lambda n: f"pool{n}")
+def pool_size(request):
+    """Each test run at forward's chunk pool forced to 1, 2 and 3 threads."""
+    with forced_pool(request.param) as size:
+        yield size

@@ -52,6 +52,7 @@ from esad.harness import (
 )
 from esad.losses import (
     PhiKind,
+    batch_groups,
     grad_sad_rec,
     grad_svdd,
     semi_loss_and_grads,
@@ -279,6 +280,17 @@ class TestDataPlumbing:
         sizes = [len(idx) for idx, _ in _batches(tags, 3, np.random.default_rng(1))]
         assert sizes == [3, 3, 3, 1]
 
+    def test_unlabeled_batches_draw_the_same_shuffle(self):
+        tags = np.random.default_rng(2).integers(0, 3, size=23)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):  # three epochs from each stream
+            with_groups = list(_batches(tags, 5, a))
+            without = list(_batches(tags, 5, b, labeled=False))
+            assert [i.tobytes() for i, _ in with_groups] == [i.tobytes() for i, _ in without]
+            assert all(g is not None for _, g in with_groups)
+            assert all(g is None for _, g in without)
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestTrainEsad:
     def test_bit_identical_across_retrains(self):
@@ -364,6 +376,21 @@ class TestTrainBaseline:
             sgd_step(base.params[: bounds[-1][2]], grad, lr)
         z_all, _ = forward(enc, x)
         assert_array_equal(svdd_center(z_all), result.model.center)
+
+    def test_stage_one_builds_no_label_groups(self, monkeypatch):
+        # Stage one's reconstruction loss takes no labels: only stage two's
+        # epochs build their batches' groups.
+        built = []
+
+        def counted(codes, batch_size):
+            built.append(len(codes))
+            return batch_groups(codes, batch_size)
+
+        monkeypatch.setattr(harness, "batch_groups", counted)
+        cfg = quick_config(method=Method.DEEP_SAD, sgd=SgdConfig(epochs=5))
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
+        train_sad_baseline(cfg, semi, seed=0)
+        assert built == [semi.tags.size] * 3
 
     def test_bit_identical_across_retrains(self):
         cfg = quick_config(method=Method.DEEP_SAD)

@@ -5,10 +5,12 @@ Python; the sort-based implementation must agree exactly, ties included,
 because both sides reduce to the same dyadic rationals.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import POOL_SIZES, forced_pool
 from numpy.testing import assert_allclose, assert_array_equal
 
 from esad import scoring
@@ -117,7 +119,7 @@ class TestAnomalyScore:
         )
 
 
-BLOCK = 2048  # rows per forward pass in score_dataset
+BLOCK = 2048  # rows per chunk of a forward pass (ndcore.CHUNK_ROWS)
 
 
 def one_call_scores(model, x, lambda1=1.0):
@@ -139,18 +141,27 @@ def pipeline_calls(monkeypatch):
     return rows
 
 
+def block_sizes(rows: int, pool: int) -> list[int]:
+    """Rows of each forward_pipeline call score_dataset makes: blocks of
+    BLOCK rows per pool thread. An empty batch still makes one pass, which
+    checks its width."""
+    step = BLOCK * pool
+    return [min(step, rows - s) for s in range(0, max(rows, 1), step)]
+
+
 class TestBlockedScoring:
     @pytest.mark.parametrize("dim", [5, 274])
     def test_blocks_score_as_separate_one_call_batches(self, dim, pipeline_calls):
         model = new_model(dim, seed=dim)
         rng = np.random.default_rng(dim)
-        for rows in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17):
+        for rows, pool in itertools.product(
+            (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17), POOL_SIZES
+        ):
             x = rng.normal(size=(rows, dim))
             pipeline_calls.clear()
-            got = score_dataset(model, x, lambda1=0.7)
-            # An empty batch still makes one pass, which checks its width.
-            sizes = [min(BLOCK, rows - s) for s in range(0, max(rows, 1), BLOCK)]
-            assert pipeline_calls == sizes
+            with forced_pool(pool):
+                got = score_dataset(model, x, lambda1=0.7)
+            assert pipeline_calls == block_sizes(rows, pool)
             want = [
                 one_call_scores(model, x[s : s + BLOCK], lambda1=0.7)
                 for s in range(0, max(rows, 1), BLOCK)
@@ -175,10 +186,12 @@ class TestBlockedScoring:
         model = new_model(6, seed=7)
         x = np.random.default_rng(8).normal(size=(2 * BLOCK + 17, 6))
         x[-1] = 1e300  # finite, but its reconstruction error overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="^model produced non-finite scores$"):
-                score_dataset(model, x)
-        assert pipeline_calls == [BLOCK, BLOCK, 17]
+        for pool in POOL_SIZES:
+            pipeline_calls.clear()
+            with forced_pool(pool), np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="^model produced non-finite scores$"):
+                    score_dataset(model, x)
+            assert pipeline_calls == block_sizes(2 * BLOCK + 17, pool)
 
     def test_wrong_width_rejected_on_empty_batch(self):
         with pytest.raises(ShapeError, match="does not match"):
