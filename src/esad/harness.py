@@ -57,12 +57,14 @@ from .ndcore import (
     SgdConfig,
     as_matrix,
     backward,
+    blas_pinned,
     check_gradients,
     clip_global_norm,
     forward,
     layer_bounds,
     lr_at_epoch,
     param_views,
+    pool_size,
     sgd_step,
 )
 from .scoring import auc, score_dataset
@@ -471,10 +473,14 @@ def sad_scores(model: SadModel, x) -> np.ndarray:
     """Baseline anomaly score: distance of the embedding from the center.
 
     Checked like score_dataset: x is scanned for NaN/inf once, and a
-    non-finite score is rejected.
+    non-finite score is rejected. Each chunk's distances are taken on the
+    thread that ran its encoder pass (see forward).
     """
-    z, _ = forward(model.encoder, as_matrix(x, "x"))
-    scores = np.sqrt(np.sum((z - model.center) ** 2, axis=1))
+    scores = forward(
+        model.encoder,
+        as_matrix(x, "x"),
+        lambda _x, z: np.sqrt(np.sum((z - model.center) ** 2, axis=1)),
+    )
     if not np.isfinite(scores).all():
         raise ValueError("model produced non-finite scores")
     return scores
@@ -503,8 +509,7 @@ def train_sad_baseline(
 
     def rec_loss_and_grad(idx, _groups, grads):
         xb = x[idx]
-        z, cache_e = forward(enc, xb)
-        x_hat, cache_d = forward(dec, z)
+        (z, cache_e), (x_hat, cache_d) = forward([enc, dec], xb)
         rec = loss_sad_rec(xb, x_hat)
         _, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat), grads[n_enc:])
         backward(enc, cache_e, g_z, grads[:n_enc], input_grad=False)
@@ -534,8 +539,7 @@ def train_sad_baseline(
         config.sgd.epochs - stage1,
         first_epoch=stage1,
     )
-    z_final, _ = forward(enc, x)
-    x_hat_final, _ = forward(dec, z_final)
+    (z_final, _), (x_hat_final, _) = forward([enc, dec], x)
     final = {
         "rec": loss_sad_rec(x, x_hat_final),
         "svdd": loss_svdd(z_final, tags, center, config.epsilon),
@@ -634,11 +638,15 @@ class SeedResult:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-seed outcomes plus aggregate statistics for one configuration."""
+    """Per-seed outcomes plus aggregate statistics for one configuration,
+    and the threads the run's seeds computed on: the chunk pool's size
+    (ndcore.pool_size) and whether OpenBLAS was pinned to one thread."""
 
     config: dict
     results: tuple[SeedResult, ...]
     wall_time_s: float
+    chunk_pool: int
+    blas_pinned: bool
 
     @property
     def completed(self) -> list[SeedResult]:
@@ -714,7 +722,8 @@ def run_experiment(
     results = tuple(
         run_seed(config, raw, seed, artifact_hook) for seed in config.seeds
     )
-    return RunReport(config_echo(config), results, time.perf_counter() - start)
+    wall = time.perf_counter() - start
+    return RunReport(config_echo(config), results, wall, pool_size(), blas_pinned)
 
 
 def _sweep(
@@ -768,6 +777,8 @@ def write_report_jsonl(report: RunReport, path) -> None:
                     "mean_auc": report.mean_auc,
                     "std_auc": report.std_auc,
                     "wall_time_s": report.wall_time_s,
+                    "chunk_pool": report.chunk_pool,
+                    "blas_pinned": report.blas_pinned,
                 },
                 allow_nan=False,
             )
@@ -792,7 +803,13 @@ def read_report_jsonl(path) -> RunReport:
         raise ValueError(f"{path}: no summary record")
     names = [f.name for f in fields(SeedResult)]
     results = tuple(SeedResult(**{n: r[n] for n in names}) for r in seed_records)
-    return RunReport(summary["config"], results, summary["wall_time_s"])
+    return RunReport(
+        summary["config"],
+        results,
+        summary["wall_time_s"],
+        summary["chunk_pool"],
+        summary["blas_pinned"],
+    )
 
 
 def format_report_table(report: RunReport) -> str:

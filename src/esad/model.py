@@ -113,11 +113,14 @@ class PipelineOutput:
     cache_enc2: ForwardCache
 
 
-def forward_pipeline(model: EsadModel, x) -> PipelineOutput:
-    """Run the batch x through enc1, dec, enc2."""
-    z, c1 = forward(model.enc1, x)
-    x_hat, cd = forward(model.dec, z)
-    z_hat, c2 = forward(model.enc2, x_hat)
+def forward_pipeline(model: EsadModel, x, per_row=None):
+    """Run the batch x through enc1, dec, enc2, in one forward call. With
+    per_row, returns per_row(x_rows, z, x_hat, z_hat) for every row (see
+    forward) instead of the PipelineOutput."""
+    res = forward([model.enc1, model.dec, model.enc2], x, per_row)
+    if per_row is not None:
+        return res
+    (z, c1), (x_hat, cd), (z_hat, c2) = res
     return PipelineOutput(z, x_hat, z_hat, c1, cd, c2)
 
 

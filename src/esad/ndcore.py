@@ -24,7 +24,7 @@ import numpy as np
 
 # glibc mallopt parameters, and the ceilings its dynamic policy raises the
 # mmap and trim thresholds to on 64-bit systems.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_MAX = 32 << 20
 
 
@@ -38,7 +38,11 @@ def _keep_freed_heap() -> None:
     training seed, scoring a 352-row, 8-feature test split took 116 minor
     page faults and 2.2x the time per call (2-core x86-64 Linux). Fixing
     both thresholds at the ceilings the dynamic policy can reach removes the
-    faults. Other platforms are left alone.
+    faults. Arrays that forward's pool threads allocate would each land in
+    a per-thread arena, whose freed memory the main heap cannot reuse: a
+    loop of 10,000-row, 274-feature score calls then peaked at 150.2 MB
+    against 134.6 MB (+11.6%). So one arena serves every thread. Other
+    platforms are left alone.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -46,15 +50,18 @@ def _keep_freed_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_heap()
 
 
-def _pin_blas_threads() -> None:
-    """Run numpy's OpenBLAS on one thread, for the whole process.
+def _pin_blas_threads() -> bool:
+    """Run numpy's OpenBLAS on one thread, for the whole process; whether
+    it was pinned.
 
     With a thread per core, OpenBLAS splits a large product differently at
     each thread count, so trained weights and scores on 274 features
@@ -68,7 +75,7 @@ def _pin_blas_threads() -> None:
         with open("/proc/self/maps") as fh:
             paths = {p[5] for p in map(str.split, fh) if len(p) >= 6 and "openblas" in p[5]}
     except OSError:
-        return
+        return False
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
@@ -81,10 +88,12 @@ def _pin_blas_threads() -> None:
                     set_threads.argtypes = [ctypes.c_int]
                     set_threads.restype = None
                     set_threads(1)
-                    return
+                    return True
+    return False
 
 
-_pin_blas_threads()
+# Whether import pinned OpenBLAS to one thread; run reports record it.
+blas_pinned = _pin_blas_threads()
 
 # Rows per chunk of a forward pass. On 274 features a chunk's largest array
 # is 4.5 MB. A chunk's bits depend only on its own rows, but not always on
@@ -308,29 +317,66 @@ def _run_layers(
     return cur, inputs
 
 
-def forward(stack: MlpStack, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a batch (b, in_dim); one sample is a one-row batch.
+def _run_chain(
+    chain, x: np.ndarray, outs: list[list[np.ndarray]] | None = None, keep: bool = True
+) -> list:
+    """Rows x through each stack of chain in turn: per stack, its output and
+    a ForwardCache of its layers' inputs, or its output alone with
+    keep=False, which frees each stack's hidden arrays once it is done.
+    Stack k's layers write into outs[k] (see _run_layers)."""
+    results = []
+    for k, stack in enumerate(chain):
+        x, inputs = _run_layers(stack.layers, x, None if outs is None else outs[k])
+        results.append((x, ForwardCache(inputs)) if keep else x)
+    return results
 
-    Each layer makes one array. A batch of more than CHUNK_ROWS rows runs
-    every layer on each CHUNK_ROWS-row chunk, the chunks spread over the
-    pool (see each_chunk), writing into arrays made for the whole batch.
+
+def forward(stacks, x, per_row=None):
+    """Run a stack, or a chain of stacks each taking the one before's output,
+    on a batch (b, in_dim); one sample is a one-row batch.
+
+    Returns (output, ForwardCache) for one stack and a list of them for a
+    chain. With per_row, returns instead per_row(x_rows, *stack_outputs)
+    of every chunk, one value per row, and no chunk's arrays outlive it.
+
+    The batch runs in CHUNK_ROWS-row chunks, each through every stack (and
+    per_row) on one thread, in one each_chunk round. Each layer makes one
+    array per chunk; without per_row, a batch of more than CHUNK_ROWS rows
+    writes into arrays made for the whole batch instead.
     """
+    one = isinstance(stacks, MlpStack)
+    chain = (stacks,) if one else stacks
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"input must be a 2-D batch, got shape {arr.shape}")
-    layers = stack.layers
-    if arr.shape[1] != layers[0].in_dim:
-        raise ShapeError(
-            f"input width {arr.shape[1]} does not match stack in_dim "
-            f"{stack.in_dim}"
-        )
+    width = arr.shape[1]
+    for stack in chain:
+        if width != stack.layers[0].weight.shape[1]:
+            raise ShapeError(
+                f"input width {width} does not match stack in_dim {stack.in_dim}"
+            )
+        width = stack.layers[-1].weight.shape[0]
     rows = arr.shape[0]
+    if per_row is not None:
+        values = np.empty(rows)
+
+        def chunk(s: int, e: int) -> None:
+            values[s:e] = per_row(arr[s:e], *_run_chain(chain, arr[s:e], keep=False))
+
+        each_chunk(rows, chunk)
+        return values
     if rows <= CHUNK_ROWS:
-        out, inputs = _run_layers(layers, arr)
-        return out, ForwardCache(inputs)
-    outs = [np.empty((rows, layer.out_dim)) for layer in layers]
-    each_chunk(rows, lambda s, e: _run_layers(layers, arr[s:e], [o[s:e] for o in outs]))
-    return outs[-1], ForwardCache([arr, *outs[:-1]])
+        pairs = _run_chain(chain, arr)
+    else:
+        bufs = [[np.empty((rows, l.out_dim)) for l in stack.layers] for stack in chain]
+        each_chunk(
+            rows, lambda s, e: _run_chain(chain, arr[s:e], [[b[s:e] for b in bb] for bb in bufs])
+        )
+        pairs, inp = [], arr
+        for bb in bufs:
+            pairs.append((bb[-1], ForwardCache([inp, *bb[:-1]])))
+            inp = bb[-1]
+    return pairs[0] if one else pairs
 
 
 def backward(

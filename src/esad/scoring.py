@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import EsadModel, forward_pipeline
-from .ndcore import CHUNK_ROWS, ShapeError, as_matrix, each_chunk, pool_size
+from .ndcore import ShapeError, as_matrix
 
 
 class SingleClassError(ValueError):
@@ -53,34 +53,21 @@ def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
 def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
     """Score every row of x with the model. Output order equals input order.
 
-    x is scanned for NaN/inf once, then run through the model in blocks of
-    CHUNK_ROWS * pool_size() rows: one forward_pipeline call per block, on
-    the calling thread, whose passes and score formula each spread the
-    block's CHUNK_ROWS-row chunks over the pool. Every row's bits are those
-    of its chunk alone, at any pool size. x_hat and z_hat are not scanned:
-    a non-finite entry in either yields a non-finite score, which is
-    rejected.
+    x is scanned for NaN/inf once, then scored in one forward_pipeline call:
+    each CHUNK_ROWS-row chunk runs enc1, dec, enc2 and the score formula on
+    one pool thread, and its arrays are freed with the chunk. Every row's
+    bits are those of its chunk alone, at any pool size. x_hat and z_hat
+    are not scanned: a non-finite entry in either yields a non-finite
+    score, which is rejected.
     """
-    xm = as_matrix(x, "x")
-    scores = np.empty(xm.shape[0])
-    step = CHUNK_ROWS * pool_size()
-    # An empty x still makes one pass, so that its width is checked.
-    for start in range(0, max(xm.shape[0], 1), step):
-        _score_block(model, xm[start : start + step], lambda1, scores[start : start + step])
+    scores = forward_pipeline(
+        model,
+        as_matrix(x, "x"),
+        lambda xc, _z, x_hat, z_hat: _scores(xc, x_hat, z_hat, lambda1),
+    )
     if not np.isfinite(scores).all():
         raise ValueError("model produced non-finite scores")
     return scores
-
-
-def _score_block(model: EsadModel, x: np.ndarray, lambda1: float, out: np.ndarray) -> None:
-    """Scores of the rows x, written into out. The block's arrays are freed
-    on return, before the next block's forward pass."""
-    res = forward_pipeline(model, x)
-
-    def chunk(s: int, e: int) -> None:
-        out[s:e] = _scores(x[s:e], res.x_hat[s:e], res.z_hat[s:e], lambda1)
-
-    each_chunk(x.shape[0], chunk)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ pool sizes 1, 2 and 3.
 
 import multiprocessing
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,41 @@ class TestEachChunk:
         with np.errstate(over="raise", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 score_dataset(m, x)
+
+
+class TestOneRoundPerBatch:
+    """A score call is one pool round: each chunk runs every stack and its
+    score on one thread, and its arrays die with the chunk."""
+
+    @pytest.mark.parametrize("rows", [2 * CHUNK_ROWS + 17, 10_000])
+    def test_score_call_dispatches_once(self, rows, pool_size, monkeypatch):
+        rounds = []
+        each_chunk = ndcore.each_chunk
+
+        def counted(n, fn):
+            rounds.append(n)
+            return each_chunk(n, fn)
+
+        monkeypatch.setattr(ndcore, "each_chunk", counted)
+        m = new_model(9, seed=11)
+        x = np.random.default_rng(12).normal(size=(rows, 9))
+        score_dataset(m, x)
+        assert rounds == [rows]
+        sad_scores(SadModel(m.enc1, m.dec, np.zeros(m.enc1.out_dim)), x)
+        assert rounds == [rows, rows]
+
+    def test_score_call_peak_memory_is_per_chunk(self, pool_size):
+        m = new_model(274, seed=13)
+        x = np.random.default_rng(14).normal(size=(10_000, 274))
+        chunk_bytes = 8 * CHUNK_ROWS * sum(l.out_dim for l in m.layers())
+        tracemalloc.start()
+        try:
+            scores = score_dataset(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-batch x_hat alone is 10,000 x 274 x 8 bytes = 21.9 MB.
+        assert peak < pool_size * chunk_bytes + scores.nbytes
 
 
 def test_hooked_names_run_on_the_calling_thread(monkeypatch):

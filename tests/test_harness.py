@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT, clip_oracle, fresh_grads, sgd_oracle
+from conftest import REPO_ROOT, clip_oracle, forced_pool, fresh_grads, sgd_oracle
 from numpy.testing import assert_allclose, assert_array_equal
 
 import esad
@@ -623,6 +623,16 @@ class TestReportSerialization:
                 b.error,
             )
 
+    def test_report_records_chunk_pool_and_blas_pin(self, tmp_path):
+        with forced_pool(3):
+            report = run_experiment(quick_config(seeds=(0,)))
+        assert (report.chunk_pool, report.blas_pinned) == (3, esad.ndcore.blas_pinned)
+        path = tmp_path / "report.jsonl"
+        write_report_jsonl(report, path)
+        summary = json.loads(path.read_text().splitlines()[-1])
+        assert (summary["chunk_pool"], summary["blas_pinned"]) == (3, report.blas_pinned)
+        assert read_report_jsonl(path) == report
+
     def test_partial_report_roundtrip(self, tmp_path):
         cfg = quick_config(synth_anom=2, gamma_p=0.05)
         report = run_experiment(cfg)
@@ -645,11 +655,13 @@ class TestReportSerialization:
                 SeedResult(2, None, {}, 0.015625, 'ScenarioError: pool "u" needs 3 rows'),
             ),
             3.75,
+            3,
+            True,
         )
         path = tmp_path / "report.jsonl"
         write_report_jsonl(report, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "68b17e87cd1d9c4ef5e459c1899093a5ca5a11f223ef30a1ee3bce890ffa3218"
+            "83b34d87b90d985e5905fb5b79078042f93f60623dc92d8713c060e0299c90a4"
         )
         assert read_report_jsonl(path) == report
 

@@ -130,23 +130,15 @@ def one_call_scores(model, x, lambda1=1.0):
 
 @pytest.fixture
 def pipeline_calls(monkeypatch):
-    """Row counts of the forward passes score_dataset makes."""
+    """Row counts of the forward_pipeline calls score_dataset makes."""
     rows = []
 
-    def counted(model, x):
+    def counted(model, x, *args, **kwargs):
         rows.append(x.shape[0])
-        return forward_pipeline(model, x)
+        return forward_pipeline(model, x, *args, **kwargs)
 
     monkeypatch.setattr(scoring, "forward_pipeline", counted)
     return rows
-
-
-def block_sizes(rows: int, pool: int) -> list[int]:
-    """Rows of each forward_pipeline call score_dataset makes: blocks of
-    BLOCK rows per pool thread. An empty batch still makes one pass, which
-    checks its width."""
-    step = BLOCK * pool
-    return [min(step, rows - s) for s in range(0, max(rows, 1), step)]
 
 
 class TestBlockedScoring:
@@ -161,7 +153,8 @@ class TestBlockedScoring:
             pipeline_calls.clear()
             with forced_pool(pool):
                 got = score_dataset(model, x, lambda1=0.7)
-            assert pipeline_calls == block_sizes(rows, pool)
+            # One call holds every row; its chunks are the blocks.
+            assert pipeline_calls == [rows]
             want = [
                 one_call_scores(model, x[s : s + BLOCK], lambda1=0.7)
                 for s in range(0, max(rows, 1), BLOCK)
@@ -191,7 +184,7 @@ class TestBlockedScoring:
             with forced_pool(pool), np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="^model produced non-finite scores$"):
                     score_dataset(model, x)
-            assert pipeline_calls == block_sizes(2 * BLOCK + 17, pool)
+            assert pipeline_calls == [2 * BLOCK + 17]
 
     def test_wrong_width_rejected_on_empty_batch(self):
         with pytest.raises(ShapeError, match="does not match"):
