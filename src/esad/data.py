@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import SemiLabel
-from .ndcore import ShapeError
+from .ndcore import ShapeError, as_int_labels
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ class RawDataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64).reshape(-1)
+        y = as_int_labels(self.y)
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
             raise ShapeError(f"feature matrix must be non-empty 2-D, got {x.shape}")
         if y.shape[0] != x.shape[0]:
@@ -342,23 +342,6 @@ class SemiDataset:
     y_test: np.ndarray
     transform: FeatureTransform | None = None
 
-    @property
-    def n_unlabeled(self) -> int:
-        return int((self.tags == SemiLabel.UNLABELED).sum())
-
-    @property
-    def n_labeled(self) -> int:
-        return int((self.tags != SemiLabel.UNLABELED).sum())
-
-    @property
-    def labeled_fraction(self) -> float:
-        return self.n_labeled / self.tags.size
-
-    @property
-    def pollution_fraction(self) -> float:
-        unl = self.tags == SemiLabel.UNLABELED
-        return float(self.y_train_true[unl].mean()) if unl.any() else 0.0
-
 
 def _scenario_counts(
     n_norm: int, n_anom: int, gamma_l: float, gamma_p: float
@@ -447,16 +430,20 @@ def make_scenario(
     )
 
 
-def standardize(semi: SemiDataset, std_floor: float = 1e-12) -> SemiDataset:
+# Features whose training standard deviation falls below this are dropped.
+STD_FLOOR = 1e-12
+
+
+def standardize(semi: SemiDataset) -> SemiDataset:
     """Shift/scale features to zero mean, unit variance on training rows.
 
     Statistics come from the training pool only; test rows reuse them.
-    Features whose training standard deviation falls below std_floor are
+    Features whose training standard deviation falls below STD_FLOOR are
     dropped with a warning.
     """
     mean = semi.x_train.mean(axis=0)
     std = semi.x_train.std(axis=0)
-    kept = std >= std_floor
+    kept = std >= STD_FLOOR
     if not kept.any():
         raise ValueError(f"{semi.name}: every feature is constant on training rows")
     if not kept.all():

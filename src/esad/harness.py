@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +52,7 @@ from .model import (
     new_model,
 )
 from .ndcore import (
+    FD_STEP,
     GradCheckReport,
     MlpStack,
     SgdConfig,
@@ -353,7 +354,6 @@ def _sgd_epochs(
     rng: np.random.Generator,
     epochs: int,
     first_epoch: int = 0,
-    after_epoch=None,
     labeled: bool = True,
 ) -> None:
     """The one SGD loop behind every method and stage; it trains the first
@@ -380,8 +380,6 @@ def _sgd_epochs(
             losses = loss_and_grad(idx, groups, grads)
             _check_finite(losses, first_epoch + epoch, batch_no)
             sgd_step(params, clip_global_norm(grad, bounds, config.clip_norm), lr)
-        if after_epoch is not None:
-            after_epoch()
 
 
 def _components(breakdown: LossBreakdown) -> dict[str, float]:
@@ -392,7 +390,6 @@ def _components(breakdown: LossBreakdown) -> dict[str, float]:
 class EsadTrainResult:
     model: EsadModel
     final_loss: LossBreakdown
-    epoch_losses: list[LossBreakdown]
 
 
 def _esad_objective(model: EsadModel, x, labels, phi, config: ExperimentConfig):
@@ -411,7 +408,6 @@ def train_esad(
     config: ExperimentConfig,
     semi: SemiDataset,
     seed: int = 0,
-    track_epoch_loss: bool = False,
 ) -> EsadTrainResult:
     """Train the full pipeline end to end on a standardized scenario.
 
@@ -431,14 +427,6 @@ def train_esad(
         backward_pipeline(model, out, *g_out, grads)
         return _components(breakdown)
 
-    def pool_breakdown() -> LossBreakdown:
-        return _esad_objective(model, x, tags, phi, config)[1]
-
-    epoch_losses: list[LossBreakdown] = []
-
-    def track_epoch():
-        epoch_losses.append(pool_breakdown())
-
     _sgd_epochs(
         config,
         model,
@@ -447,11 +435,10 @@ def train_esad(
         tags,
         np.random.default_rng(streams.shuffle),
         config.sgd.epochs,
-        after_epoch=track_epoch if track_epoch_loss else None,
     )
-    final = pool_breakdown()
+    final = _esad_objective(model, x, tags, phi, config)[1]
     _check_finite(_components(final), config.sgd.epochs, -1)
-    return EsadTrainResult(model, final, epoch_losses)
+    return EsadTrainResult(model, final)
 
 
 @dataclass
@@ -548,9 +535,7 @@ def train_sad_baseline(
     return SadTrainResult(SadModel(enc, dec, center), final)
 
 
-def full_loss_grad_check(
-    seed: int, tolerance: float = 1e-4, step: float = 1e-5
-) -> GradCheckReport:
+def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
     """Finite-difference check of the complete objective through the pipeline.
 
     Builds a small random model and mixed batch, takes analytic gradients of
@@ -587,14 +572,14 @@ def full_loss_grad_check(
         )
         # The smallest |pre-activation| of a ReLU layer (all but a stack's
         # last), recomputed from its cached input as forward computes it.
-        # One probe of size `step` moves it by far less than 100 steps.
+        # One probe of size FD_STEP moves it by far less than 100 steps.
         caches = (out.cache_enc1, out.cache_dec, out.cache_enc2)
         margin = min(
             float(np.min(np.abs(c.inputs[i] @ layer.weight.T + layer.bias)))
             for (_, stack), c in zip(model.stacks(), caches)
             for i, layer in enumerate(stack.layers[:-1])
         )
-        if margin > 100 * step and norms_ok:
+        if margin > 100 * FD_STEP and norms_ok:
             break
     else:
         raise RuntimeError(f"no kink-free instance found for seed {seed}")
@@ -620,7 +605,7 @@ def full_loss_grad_check(
         for part, arr in (("weight", layer.weight), ("bias", layer.bias))
         for j in range(arr.size)
     ]
-    return check_gradients(model.params, grad, eval_loss, names, tolerance, step)
+    return check_gradients(model.params, grad, eval_loss, names, tolerance)
 
 
 @dataclass(frozen=True)
@@ -784,32 +769,6 @@ def write_report_jsonl(report: RunReport, path) -> None:
             )
             + "\n"
         )
-
-
-def read_report_jsonl(path) -> RunReport:
-    seed_records = []
-    summary = None
-    with open(Path(path)) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record["record"] == "seed":
-                seed_records.append(record)
-            elif record["record"] == "summary":
-                summary = record
-    if summary is None:
-        raise ValueError(f"{path}: no summary record")
-    names = [f.name for f in fields(SeedResult)]
-    results = tuple(SeedResult(**{n: r[n] for n in names}) for r in seed_records)
-    return RunReport(
-        summary["config"],
-        results,
-        summary["wall_time_s"],
-        summary["chunk_pool"],
-        summary["blas_pinned"],
-    )
 
 
 def format_report_table(report: RunReport) -> str:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ndcore import ShapeError
+from .ndcore import ShapeError, as_int_labels
 
 
 class MissingPhiError(ValueError):
@@ -37,7 +37,7 @@ class SemiLabel(enum.IntEnum):
 
 def label_codes(labels) -> np.ndarray:
     """Normalize a label sequence to an int array, validating values."""
-    arr = np.asarray(labels, dtype=np.int64).reshape(-1)
+    arr = as_int_labels(labels, "label codes")
     if arr.size == 0:
         raise ShapeError("empty label sequence")
     # The valid codes are exactly 0..2, so a range check suffices; the set of

@@ -193,6 +193,8 @@ def _read_stack(fh, name: str) -> MlpStack:
         if out_dim < 1 or in_dim < 1:
             raise CheckpointError(f"layer widths must be positive, got {out_dim}x{in_dim}")
         wb = np.frombuffer(_read_exact(fh, 8 * out_dim * (in_dim + 1)), dtype="<f8")
+        if not np.isfinite(wb).all():
+            raise CheckpointError(f"{name} layer {i}: non-finite weight or bias")
         layers.append(DenseLayer(wb[:-out_dim].reshape(out_dim, in_dim), wb[-out_dim:]))
     return MlpStack(layers)
 

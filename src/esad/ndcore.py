@@ -177,6 +177,22 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     return out
 
 
+def as_int_labels(values, name: str = "labels") -> np.ndarray:
+    """values as a flat int64 array. Integer and bool arrays pass as they
+    are; any other dtype must hold int64 integers only, or a ValueError lists
+    the values that are not, rather than truncating them."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    num = arr.astype(np.float64)
+    # NaN fails both tests, and +-inf and other floats past int64 the second.
+    whole = (np.trunc(num) == num) & (np.abs(num) < 2.0**63)
+    if not whole.all():
+        bad = np.unique(num[~whole]).tolist()
+        raise ValueError(f"{name} must be integers, got {bad}")
+    return num.astype(np.int64)
+
+
 @dataclass
 class DenseLayer:
     """Affine map x @ weight.T + bias, followed by ReLU unless the layer is
@@ -501,6 +517,10 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
     params -= lr * grad
 
 
+# The central-difference probe of check_gradients, in parameter units.
+FD_STEP = 1e-5
+
+
 @dataclass
 class GradCheckReport:
     """Outcome of comparing analytic gradients against central differences."""
@@ -522,9 +542,9 @@ def check_gradients(
     eval_loss,
     names: list[str],
     tolerance: float = 1e-4,
-    step: float = 1e-5,
 ) -> GradCheckReport:
-    """Central-difference check of an analytic gradient vector.
+    """Central-difference check of an analytic gradient vector, probing each
+    entry by +-FD_STEP.
 
     params (1-D) is mutated in place during probing and restored afterwards.
     eval_loss() recomputes the scalar loss from the current parameter values.
@@ -543,14 +563,14 @@ def check_gradients(
     flagged: list[tuple[str, float]] = []
     for idx, label in enumerate(names):
         orig = params[idx]
-        params[idx] = orig + step
+        params[idx] = orig + FD_STEP
         up = eval_loss()
-        params[idx] = orig - step
+        params[idx] = orig - FD_STEP
         down = eval_loss()
         params[idx] = orig
         if not (np.isfinite(up) and np.isfinite(down)):
             raise ValueError(f"loss non-finite while probing {label}")
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * FD_STEP)
         a = analytic[idx]
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         if rel > max_rel:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import EsadModel, forward_pipeline
-from .ndcore import ShapeError, as_matrix
+from .ndcore import ShapeError, as_int_labels, as_matrix
 
 
 class SingleClassError(ValueError):
@@ -109,7 +109,7 @@ def auc(scores, labels) -> AucResult:
     credit, so the result agrees exactly with exhaustive pair counting.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels).reshape(-1).astype(np.int64)
+    y = as_int_labels(labels)
     if s.shape != y.shape:
         raise ShapeError(f"{s.size} scores for {y.size} labels")
     if s.size == 0:
@@ -140,7 +140,7 @@ def auc_pairwise(scores, labels) -> AucResult:
     cross-check of the sort-based path; the two must agree exactly.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels).reshape(-1).astype(np.int64)
+    y = as_int_labels(labels)
     if s.shape != y.shape:
         raise ShapeError(f"{s.size} scores for {y.size} labels")
     anom = s[y == 1]
@@ -158,7 +158,7 @@ def auc_pairwise(scores, labels) -> AucResult:
 def export_scores_csv(path, scores, labels) -> None:
     """Write `index,score,label` rows with a header, in input order."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels).reshape(-1).astype(np.int64)
+    y = as_int_labels(labels)
     if s.shape != y.shape:
         raise ShapeError(f"{s.size} scores for {y.size} labels")
     with open(Path(path), "w", newline="") as fh:

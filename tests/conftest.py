@@ -6,6 +6,7 @@ them look under $ESAD_DATA_DIR, then <repo>/data, and skip with a pointer
 to the README when a file is absent.
 """
 
+import json
 import math
 import os
 from contextlib import contextmanager
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from esad.data import RawDataset, load_benchmark
+from esad.harness import RunReport, SeedResult
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +48,21 @@ def require_benchmark(name: str) -> RawDataset:
             "converted CSVs under data/; see README section Benchmark data)"
         )
     return load_benchmark(name, path)
+
+
+def report_from_jsonl(path) -> RunReport:
+    """The RunReport a write_report_jsonl file holds, rebuilt from its
+    records: one per seed, then the summary."""
+    *seeds, summary = (json.loads(line) for line in Path(path).read_text().splitlines())
+    assert [r.pop("record") for r in seeds] == ["seed"] * len(seeds)
+    assert summary["record"] == "summary"
+    return RunReport(
+        summary["config"],
+        tuple(SeedResult(**r) for r in seeds),
+        summary["wall_time_s"],
+        summary["chunk_pool"],
+        summary["blas_pinned"],
+    )
 
 
 def fresh_grads(layers):

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import report_from_jsonl
 
 from esad.cli import main
 from esad.data import load_csv
-from esad.harness import read_report_jsonl
 from esad.model import load_model
 from esad.scoring import auc
 
@@ -68,7 +68,7 @@ class TestRun:
         )
         assert code == 0
         assert "report written" in capsys.readouterr().out
-        report = read_report_jsonl(report_path)
+        report = report_from_jsonl(report_path)
         assert [r.seed for r in report.results] == [0]
         assert report.mean_auc is not None
 
@@ -87,7 +87,7 @@ class TestRun:
         )
         assert code == 0
         capsys.readouterr()
-        report = read_report_jsonl(report_path)
+        report = report_from_jsonl(report_path)
         assert [r.seed for r in report.results] == [3, 4]
 
     def test_scores_dir_artifacts_reproduce_auc(
@@ -113,7 +113,7 @@ class TestRun:
         rows = csv_path.read_text().strip().split("\n")[1:]
         scores = np.array([float(r.split(",")[1]) for r in rows])
         labels = np.array([int(r.split(",")[2]) for r in rows])
-        report = read_report_jsonl(report_path)
+        report = report_from_jsonl(report_path)
         assert auc(scores, labels).auc == pytest.approx(
             report.results[0].auc, abs=1e-12
         )

@@ -38,6 +38,27 @@ U = int(SemiLabel.UNLABELED)
 A = int(SemiLabel.LABELED_ANOMALOUS)
 
 
+# A scenario's realized counts and fractions, from its tags and its hidden
+# ground truth.
+
+
+def n_unlabeled(semi: SemiDataset) -> int:
+    return int((semi.tags == U).sum())
+
+
+def n_labeled(semi: SemiDataset) -> int:
+    return int((semi.tags != U).sum())
+
+
+def labeled_fraction(semi: SemiDataset) -> float:
+    return n_labeled(semi) / semi.tags.size
+
+
+def pollution_fraction(semi: SemiDataset) -> float:
+    unl = semi.tags == U
+    return float(semi.y_train_true[unl].mean()) if unl.any() else 0.0
+
+
 def row_keys(x: np.ndarray) -> list[bytes]:
     return [row.tobytes() for row in np.ascontiguousarray(x)]
 
@@ -347,6 +368,13 @@ class TestRawDataset:
             bad = sorted({np.int64(v) for v in bad})
             assert str(info.value) == f"labels must be 0/1, got {bad}"
 
+    def test_fractional_labels_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=re.escape("labels must be integers, got [0.5]")):
+            RawDataset("d", np.ones((3, 1)), [0, 0.5, 1.0])
+        # Whole floats are labels like any other.
+        y = RawDataset("d", np.ones((3, 1)), [0.0, 0.0, 1.0]).y
+        assert y.dtype == np.int64 and y.tolist() == [0, 0, 1]
+
 
 class TestBenchmarkStats:
     def test_recorded_shapes(self):
@@ -459,18 +487,18 @@ class TestScenario:
     def test_unsupervised_scenario_is_all_normal_unlabeled(self):
         raw = self.make_raw(100, 20)
         semi = make_scenario(raw, ScenarioConfig(0.0, 0.0, seed=0))
-        assert semi.n_labeled == 0
-        assert semi.n_unlabeled == 100
+        assert n_labeled(semi) == 0
+        assert n_unlabeled(semi) == 100
         assert semi.y_train_true.sum() == 0
-        assert semi.pollution_fraction == 0.0
+        assert pollution_fraction(semi) == 0.0
 
     def test_labeled_fraction_matches_request(self):
         raw = self.make_raw(990, 100)
         semi = make_scenario(raw, ScenarioConfig(0.01, 0.0, seed=1))
         # m = round(0.01/0.99 * 990) = 10 labeled on 990 unlabeled normals.
-        assert semi.n_labeled == 10
-        assert semi.n_unlabeled == 990
-        assert abs(semi.labeled_fraction - 0.01) <= 1.0 / semi.tags.size
+        assert n_labeled(semi) == 10
+        assert n_unlabeled(semi) == 990
+        assert abs(labeled_fraction(semi) - 0.01) <= 1.0 / semi.tags.size
 
     def test_labeled_rows_are_true_anomalies(self):
         raw = self.make_raw(200, 40)
@@ -486,7 +514,7 @@ class TestScenario:
         hidden = int(semi.y_train_true[unl].sum())
         # u_a = round(0.1/0.9 * 900) = 100 hidden anomalies among 1000.
         assert hidden == 100
-        assert semi.pollution_fraction == pytest.approx(0.1, abs=1e-12)
+        assert pollution_fraction(semi) == pytest.approx(0.1, abs=1e-12)
 
     def test_gamma_l_realized_within_one_over_pool(self):
         rng = np.random.default_rng(4)
@@ -501,13 +529,13 @@ class TestScenario:
                 )
             except ScenarioError:
                 continue
-            assert abs(semi.labeled_fraction - gamma_l) <= 1.0 / semi.tags.size
+            assert abs(labeled_fraction(semi) - gamma_l) <= 1.0 / semi.tags.size
 
     def test_minimum_one_labeled_anomaly(self):
         # Tiny gamma_l still labels one anomaly rather than rounding to zero.
         raw = self.make_raw(50, 5)
         semi = make_scenario(raw, ScenarioConfig(0.001, 0.0, seed=5))
-        assert semi.n_labeled == 1
+        assert n_labeled(semi) == 1
 
     def test_anomaly_budget_shrinks_normal_pool(self, caplog):
         # 10 anomalies cannot pollute 900 normals at 10%; the normal pool
@@ -519,7 +547,7 @@ class TestScenario:
         unl = semi.tags == U
         frac = float(semi.y_train_true[unl].mean())
         assert frac == pytest.approx(0.1, abs=0.006)
-        assert semi.n_unlabeled < 910
+        assert n_unlabeled(semi) < 910
 
     def test_infeasible_scenario_raises(self):
         raw = self.make_raw(100, 0)

@@ -211,6 +211,15 @@ class TestLabels:
         with pytest.raises(ShapeError):
             label_codes([])
 
+    def test_fractional_codes_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=re.escape("label codes must be integers, got [1.5]")):
+            label_codes([0, 1.5, 2.0])
+        with pytest.raises(ValueError, match="must be integers"):
+            batch_groups(np.array([0.0, 2.5, 1.0]), 2)
+        with pytest.raises(ValueError, match=re.escape("got [1e+300, inf, nan]")):
+            label_codes([0.0, np.nan, 1e300, np.inf])
+        assert_array_equal(label_codes([0.0, 1.0, 2.0]), [0, 1, 2])
+
 
 def group_masks_reference(labels) -> _Groups:
     """The per-batch group builder that batch_groups replaced, kept verbatim

@@ -333,6 +333,22 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_model(path)
 
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        # enc1's first weight sits at 25, after the magic, n_stacks, n_layers
+        # and the layer header; the file ends with enc2's last bias.
+        model = new_model(5, hidden_dim=7, rep_dim=3, seed=19)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        blob = path.read_bytes()
+        assert blob[25:33] == model.enc1.layers[0].weight[0, 0].tobytes()
+        assert blob[-8:] == model.enc2.layers[-1].bias[-1].tobytes()
+        for value in (np.nan, np.inf, -np.inf):
+            patch = np.float64(value).tobytes()
+            for offset, where in ((25, "enc1 layer 0"), (len(blob) - 8, "enc2 layer 1")):
+                path.write_bytes(blob[:offset] + patch + blob[offset + 8 :])
+                with pytest.raises(CheckpointError, match=f"{where}: non-finite"):
+                    load_model(path)
+
     def test_rejects_trailing_bytes(self, tmp_path):
         model = new_model(5, seed=15)
         path = tmp_path / "model.ckpt"

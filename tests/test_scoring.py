@@ -6,6 +6,7 @@ because both sides reduce to the same dyadic rationals.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,13 @@ class TestAuc:
             bad = sorted({np.int64(v) for v in bad})
             assert str(info.value) == f"labels must be 0/1, got extra values {bad}"
 
+    @pytest.mark.parametrize("fn", [auc, auc_pairwise])
+    def test_fractional_labels_rejected_not_truncated(self, fn):
+        # Truncated, 0.6 would count as a normal row and the AUC read 1.0.
+        with pytest.raises(ValueError, match=re.escape("labels must be integers, got [0.6]")):
+            fn([0.1, 0.9, 0.5], [0, 1.0, 0.6])
+        assert fn([0.1, 0.9, 0.5], [0.0, 1.0, 0.0]) == fn([0.1, 0.9, 0.5], [0, 1, 0])
+
     def test_result_validation(self):
         with pytest.raises(ValueError):
             AucResult(1.5, 1, 1)
@@ -297,3 +305,9 @@ class TestExport:
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
             export_scores_csv(tmp_path / "x.csv", [1.0], [0, 1])
+
+    def test_fractional_labels_rejected_not_truncated(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape("labels must be integers, got [0.5, 1.7]")):
+            export_scores_csv(path, [0.1, 0.2], [0.5, 1.7])
+        assert not path.exists()
