@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import SemiLabel
-from .ndcore import ShapeError, as_int_labels
+from .ndcore import ShapeError, as_binary_labels, as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -62,18 +62,13 @@ class RawDataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = as_int_labels(self.y)
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
+        x = as_matrix(self.x, f"dataset {self.name!r} feature matrix")
+        if x.size == 0:
             raise ShapeError(f"feature matrix must be non-empty 2-D, got {x.shape}")
+        y = np.asarray(self.y).reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} rows")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"dataset {self.name!r} has non-finite features")
-        # A range check; the set of bad labels is built only for the message.
-        if y.min() < 0 or y.max() > 1:
-            bad = set(np.unique(y)) - {0, 1}
-            raise ValueError(f"labels must be 0/1, got {sorted(bad)}")
+        y = as_binary_labels(y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -114,7 +109,9 @@ def _line_fault(where: str, line: str, width: int) -> ParseError | None:
     except ValueError as exc:
         reason = str(exc).replace(" at row 0,", " in")
         return ParseError(f"{where}: non-numeric value ({reason})")
-    if row[-1] not in (0.0, 1.0):
+    try:
+        as_binary_labels(row[-1:])
+    except ValueError:
         return ParseError(
             f"{where}: label column must be 0 or 1, got {float(row[-1])!r}"
         )
@@ -128,16 +125,14 @@ _FAULT_BLOCK = 4096
 
 
 def _sound(block: list[tuple[int, str]]) -> bool:
-    """Whether numbered data lines of one width parse as a table with 0/1
-    labels and finite features."""
+    """Whether numbered data lines of one width parse as a table that makes
+    a RawDataset, so that load_csv would accept them."""
     try:
         table = _read_rows([line for _, line in block])
+        RawDataset("", table[:, :-1], table[:, -1])
     except ValueError:
         return False
-    labels = table[:, -1]
-    return bool(
-        ((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(table[:, :-1]).all()
-    )
+    return True
 
 
 def _first_fault(p: Path, detail: str) -> ParseError:
@@ -195,13 +190,9 @@ def load_csv(path, name: str | None = None) -> RawDataset:
             raise ParseError(f"{p}: no data rows")
         try:
             table = _read_rows(chain([first], lines))
-            x, labels = table[:, :-1], table[:, -1]
-            # Labels are checked as floats: the int64 cast would turn 0.5 into 0.
-            if not ((labels == 0.0) | (labels == 1.0)).all():
-                raise ValueError("label column must be 0 or 1")
-            # RawDataset checks the column count and finiteness.
-            y = labels.astype(np.int64)
-            return RawDataset(name or p.stem, np.ascontiguousarray(x), y)
+            # RawDataset checks the column count, finiteness and 0/1 labels.
+            x = np.ascontiguousarray(table[:, :-1])
+            return RawDataset(name or p.stem, x, table[:, -1])
         except ValueError as exc:
             raise _first_fault(p, str(exc)) from None
 

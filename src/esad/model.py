@@ -196,7 +196,10 @@ def _read_stack(fh, name: str) -> MlpStack:
         if not np.isfinite(wb).all():
             raise CheckpointError(f"{name} layer {i}: non-finite weight or bias")
         layers.append(DenseLayer(wb[:-out_dim].reshape(out_dim, in_dim), wb[-out_dim:]))
-    return MlpStack(layers)
+    try:
+        return MlpStack(layers)
+    except ShapeError as exc:
+        raise CheckpointError(f"{name}: {exc}") from None
 
 
 def save_model(model: EsadModel, path) -> None:
@@ -220,4 +223,7 @@ def load_model(path) -> EsadModel:
         stacks = [_read_stack(fh, name) for name in ("enc1", "dec", "enc2")]
         if fh.read(1):
             raise CheckpointError("trailing bytes after model data")
-    return EsadModel(*stacks)
+    try:
+        return EsadModel(*stacks)
+    except ShapeError as exc:
+        raise CheckpointError(f"stacks do not fit: {exc}") from None

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import EsadModel, forward_pipeline
-from .ndcore import ShapeError, as_int_labels, as_matrix
+from .ndcore import ShapeError, as_binary_labels, as_matrix
 
 
 class SingleClassError(ValueError):
@@ -101,6 +101,17 @@ def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _scored_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float64 scores, all finite, and as many flat 0/1 int64 labels."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels).reshape(-1)
+    if s.shape != y.shape:
+        raise ShapeError(f"{s.size} scores for {y.size} labels")
+    if not np.isfinite(s).all():
+        raise ValueError("scores contain non-finite values")
+    return s, as_binary_labels(y)
+
+
 def auc(scores, labels) -> AucResult:
     """ROC-AUC via the rank-sum identity with tie-averaged ranks.
 
@@ -108,18 +119,9 @@ def auc(scores, labels) -> AucResult:
     normal when the detector works. Equal scores across classes earn half
     credit, so the result agrees exactly with exhaustive pair counting.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = as_int_labels(labels)
-    if s.shape != y.shape:
-        raise ShapeError(f"{s.size} scores for {y.size} labels")
+    s, y = _scored_labels(scores, labels)
     if s.size == 0:
         raise ShapeError("empty score list")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores contain non-finite values")
-    # A range check; the set of bad labels is built only for the message.
-    if y.min() < 0 or y.max() > 1:
-        bad = set(np.unique(y)) - {0, 1}
-        raise ValueError(f"labels must be 0/1, got extra values {sorted(bad)}")
     n_anom = int(y.sum())
     n_norm = int(y.size - n_anom)
     if n_anom == 0 or n_norm == 0:
@@ -132,6 +134,10 @@ def auc(scores, labels) -> AucResult:
     return AucResult(value, n_norm, n_anom)
 
 
+# Anomalies auc_pairwise compares with every normal at once.
+_PAIR_BLOCK = 64
+
+
 def auc_pairwise(scores, labels) -> AucResult:
     """Quadratic-time reference AUC: count anomalous-over-normal pairs.
 
@@ -139,28 +145,28 @@ def auc_pairwise(scores, labels) -> AucResult:
     (anomalous, normal) pair, ties worth half. Exists as an independent
     cross-check of the sort-based path; the two must agree exactly.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = as_int_labels(labels)
-    if s.shape != y.shape:
-        raise ShapeError(f"{s.size} scores for {y.size} labels")
+    s, y = _scored_labels(scores, labels)
     anom = s[y == 1]
     norm = s[y == 0]
     if anom.size == 0 or norm.size == 0:
         raise SingleClassError(
             f"need both classes, got {norm.size} normal / {anom.size} anomalous"
         )
-    wins = np.sum(anom[:, None] > norm[None, :])
-    ties = np.sum(anom[:, None] == norm[None, :])
+    # Integer counts, summed over blocks of anomalies so that no
+    # (anomalies, normals) matrix is made.
+    wins = ties = 0
+    for start in range(0, anom.size, _PAIR_BLOCK):
+        block = anom[start : start + _PAIR_BLOCK, None]
+        wins += np.count_nonzero(block > norm)
+        ties += np.count_nonzero(block == norm)
     value = (float(wins) + 0.5 * float(ties)) / (anom.size * norm.size)
     return AucResult(value, int(norm.size), int(anom.size))
 
 
 def export_scores_csv(path, scores, labels) -> None:
-    """Write `index,score,label` rows with a header, in input order."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = as_int_labels(labels)
-    if s.shape != y.shape:
-        raise ShapeError(f"{s.size} scores for {y.size} labels")
+    """Write `index,score,label` rows with a header, in input order. Rejects
+    what auc rejects, except an empty or single-class set."""
+    s, y = _scored_labels(scores, labels)
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "score", "label"])

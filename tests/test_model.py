@@ -6,6 +6,7 @@ three stacks with central differences computed in this file.
 """
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -357,3 +358,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_model(path)
 
+    def test_stacks_that_do_not_fit_raise_checkpoint_error(self, tmp_path):
+        # Each stack is a list of layer (out, in) widths, written in the
+        # checkpoint layout with zero weights and biases.
+        def write(path, stacks):
+            with open(path, "wb") as fh:
+                fh.write(b"EDEMLP01" + struct.pack("<I", len(stacks)))
+                for dims in stacks:
+                    fh.write(struct.pack("<I", len(dims)))
+                    for i, (out_dim, in_dim) in enumerate(dims):
+                        last = int(i == len(dims) - 1)
+                        fh.write(struct.pack("<IIB", out_dim, in_dim, last))
+                        fh.write(bytes(8 * out_dim * (in_dim + 1)))
+
+        enc, dec = [(7, 5), (3, 7)], [(7, 3), (5, 7)]
+        path = tmp_path / "model.ckpt"
+        write(path, [enc, dec, enc])
+        assert not load_model(path).params.any()
+        for stacks, message in (
+            ([[(7, 5), (3, 6)], dec, enc], "enc1: layer dims do not chain: 7 -> 6"),
+            ([enc, [(7, 3), (4, 7)], enc], "decoder 3->4 does not mirror encoder 5->3"),
+            ([enc, dec, [(7, 5), (4, 7)]], "second encoder 5->4 does not match"),
+        ):
+            write(path, stacks)
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                load_model(path)

@@ -7,6 +7,7 @@ because both sides reduce to the same dyadic rationals.
 
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,42 @@ class TestAuc:
             scores, labels = random_tied_instance(rng, max_n=300)
             assert auc(scores, labels).auc == auc_pairwise(scores, labels).auc
 
+    def test_pairwise_counts_across_anomaly_blocks(self):
+        # Three full blocks of anomalies and a partial fourth, with ties
+        # across the classes in every block.
+        rng = np.random.default_rng(11)
+        n_anom = 3 * scoring._PAIR_BLOCK + 17
+        labels = np.r_[np.ones(n_anom, dtype=np.int64), np.zeros(500, dtype=np.int64)]
+        rng.shuffle(labels)
+        scores = rng.integers(0, 16, size=labels.size) / 8.0
+        assert auc_pairwise(scores, labels) == auc(scores, labels)
+
+    def test_pairwise_memory_is_bounded_by_one_block(self):
+        # The shape of sad-tall-csv's test split. One (anomalies, normals)
+        # boolean matrix would take 25.6 MB; one block takes 1.2 MB.
+        labels = np.r_[np.ones(1404, dtype=np.int64), np.zeros(18235, dtype=np.int64)]
+        scores = np.random.default_rng(12).normal(size=labels.size)
+        tracemalloc.start()
+        try:
+            auc_pairwise(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("fn", [auc, auc_pairwise])
+    def test_out_of_range_labels_rejected(self, fn):
+        # auc_pairwise used to drop the row labeled 2 and read 1.0.
+        with pytest.raises(ValueError, match=re.escape("labels must be 0/1, got [2]")):
+            fn([0.1, 0.9, 0.5], [0, 1, 2])
+
+    @pytest.mark.parametrize("fn", [auc, auc_pairwise])
+    def test_non_finite_scores_rejected(self, fn):
+        # auc_pairwise used to read 0.0: a NaN wins and ties no pair.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="scores contain non-finite values"):
+                fn([0.1, bad, 0.5], [0, 1, 0])
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(7)
         scores, labels = random_tied_instance(rng, max_n=200)
@@ -268,8 +305,7 @@ class TestAuc:
         ):
             with pytest.raises(ValueError) as info:
                 auc([0.1, 0.2, 0.3, 0.4], labels)
-            bad = sorted({np.int64(v) for v in bad})
-            assert str(info.value) == f"labels must be 0/1, got extra values {bad}"
+            assert str(info.value) == f"labels must be 0/1, got {bad}"
 
     @pytest.mark.parametrize("fn", [auc, auc_pairwise])
     def test_fractional_labels_rejected_not_truncated(self, fn):
@@ -310,4 +346,13 @@ class TestExport:
         path = tmp_path / "x.csv"
         with pytest.raises(ValueError, match=re.escape("labels must be integers, got [0.5, 1.7]")):
             export_scores_csv(path, [0.1, 0.2], [0.5, 1.7])
+        assert not path.exists()
+
+    def test_out_of_range_labels_and_non_finite_scores_rejected(self, tmp_path):
+        # Both used to be written out, as `1,0.2,7` and `0,nan,0`.
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape("labels must be 0/1, got [7]")):
+            export_scores_csv(path, [0.1, 0.2], [0, 7])
+        with pytest.raises(ValueError, match="scores contain non-finite values"):
+            export_scores_csv(path, [np.nan, 0.2], [0, 1])
         assert not path.exists()
