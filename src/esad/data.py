@@ -64,7 +64,7 @@ class RawDataset:
     def __post_init__(self):
         x = as_matrix(self.x, f"dataset {self.name!r} feature matrix")
         if x.size == 0:
-            raise ShapeError(f"feature matrix must be non-empty 2-D, got {x.shape}")
+            raise ShapeError(f"feature matrix must be non-empty, got {x.shape}")
         y = np.asarray(self.y).reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} rows")

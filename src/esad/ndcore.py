@@ -193,12 +193,12 @@ def as_int_labels(values, name: str = "labels") -> np.ndarray:
     return num.astype(np.int64)
 
 
-def as_binary_labels(values, name: str = "labels") -> np.ndarray:
-    """as_int_labels(values, name), all 0 or 1; a ValueError lists the rest."""
-    y = as_int_labels(values, name)
+def as_binary_labels(values) -> np.ndarray:
+    """as_int_labels(values), all 0 or 1; a ValueError lists the rest."""
+    y = as_int_labels(values)
     bad = y[(y < 0) | (y > 1)]
     if bad.size:
-        raise ValueError(f"{name} must be 0/1, got {np.unique(bad).tolist()}")
+        raise ValueError(f"labels must be 0/1, got {np.unique(bad).tolist()}")
     return y
 
 
