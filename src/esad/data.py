@@ -382,7 +382,7 @@ def _scenario_counts(
 
 
 def make_scenario(
-    train: RawDataset, cfg: ScenarioConfig, test: RawDataset | None = None
+    train: RawDataset, cfg: ScenarioConfig, test: RawDataset
 ) -> SemiDataset:
     """Build the semi-supervised training pool from a raw training split.
 
@@ -406,18 +406,13 @@ def make_scenario(
     tags[u_n + u_a :] = int(SemiLabel.LABELED_ANOMALOUS)
     order = rng.permutation(pool_idx.size)
     pool_idx, tags = pool_idx[order], tags[order]
-    if test is None:
-        x_test = np.empty((0, train.n_features))
-        y_test = np.empty((0,), dtype=np.int64)
-    else:
-        x_test, y_test = test.x, test.y
     return SemiDataset(
         name=train.name,
         x_train=train.x[pool_idx],
         tags=tags,
         y_train_true=train.y[pool_idx],
-        x_test=x_test,
-        y_test=y_test,
+        x_test=test.x,
+        y_test=test.y,
     )
 
 

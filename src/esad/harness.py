@@ -56,7 +56,6 @@ from .ndcore import (
     GradCheckReport,
     MlpStack,
     SgdConfig,
-    as_matrix,
     backward,
     blas_pinned,
     check_gradients,
@@ -123,6 +122,12 @@ class ExperimentConfig:
     synth_seed: int = 0
 
     def __post_init__(self):
+        if self.data_path is not None and self.manifest is not None:
+            raise ConfigError("set data_path or manifest, not both")
+        if self.dataset == "synthetic" and {self.data_path, self.manifest} != {None}:
+            raise ConfigError(
+                "dataset synthetic reads no file: unset data_path and manifest"
+            )
         if self.method not in Method.ALL:
             raise ConfigError(f"unknown method {self.method!r}")
         if not self.seeds:
@@ -289,7 +294,7 @@ def load_dataset(config: ExperimentConfig) -> RawDataset:
             config.synth_seed,
         )
     path = config.data_path
-    if path is None and config.manifest is not None:
+    if config.manifest is not None:
         manifest = load_manifest(config.manifest)
         if config.dataset not in manifest:
             raise ConfigError(
@@ -459,13 +464,13 @@ class SadTrainResult:
 def sad_scores(model: SadModel, x) -> np.ndarray:
     """Baseline anomaly score: distance of the embedding from the center.
 
-    Checked like score_dataset: x is scanned for NaN/inf once, and a
-    non-finite score is rejected. Each chunk's distances are taken on the
-    thread that ran its encoder pass (see forward).
+    Checked like score_dataset: each chunk scans its rows of x for NaN/inf,
+    and a non-finite score is rejected. Each chunk's distances are taken on
+    the thread that ran its encoder pass (see forward).
     """
     scores = forward(
         model.encoder,
-        as_matrix(x, "x"),
+        x,
         lambda _x, z: np.sqrt(np.sum((z - model.center) ** 2, axis=1)),
     )
     if not np.isfinite(scores).all():
@@ -526,7 +531,10 @@ def train_sad_baseline(
         config.sgd.epochs - stage1,
         first_epoch=stage1,
     )
-    (z_final, _), (x_hat_final, _) = forward([enc, dec], x)
+    # Two calls, so the encoder's hidden array is freed before the decoder
+    # runs: one chain call would hold every layer of both stacks at once.
+    z_final, _ = forward(enc, x)
+    x_hat_final, _ = forward(dec, z_final)
     final = {
         "rec": loss_sad_rec(x, x_hat_final),
         "svdd": loss_svdd(z_final, tags, center, config.epsilon),

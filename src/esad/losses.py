@@ -1,9 +1,12 @@
 """Semi-supervised training objectives and their analytic gradients.
 
-Batches mix three kinds of rows: unlabeled, labeled normal and labeled
-anomalous. Throughout, n is the number of unlabeled rows in the batch and m
-the number of labeled rows (normal plus anomalous); each group is averaged
-separately and a group absent from the batch contributes nothing.
+Rows carry one of three label codes: unlabeled (0), labeled normal (1) and
+labeled anomalous (2). Training batches hold only codes 0 and 2, since
+data.make_scenario labels anomalies alone; code 1 is accepted for library
+callers, and the full-objective gradient check uses it. Throughout, n is
+the number of unlabeled rows in the batch and m the number of labeled rows
+(normal plus anomalous); each group is averaged separately and a group
+absent from the batch contributes nothing.
 
 Norm-style terms raise labeled-anomalous distances through an inverse, which
 blows up near zero; a small eps guards only those inverse branches. At an

@@ -5,10 +5,12 @@ initialization) every function returns bit-identical results across calls.
 Batch rows are independent samples; `backward` sums gradients over rows, so
 callers bake any 1/n averaging weights into the incoming gradient rows.
 
-`forward` runs a batch of more than CHUNK_ROWS rows in CHUNK_ROWS-row chunks
-on a small thread pool, and numpy's OpenBLAS is pinned to one thread at
-import. Every BLAS call then has the same operands at any pool size and
-core count, so results do not depend on the machine's thread count.
+A per-row `forward` pass (one value per row, such as a score) runs a batch
+of more than CHUNK_ROWS rows in CHUNK_ROWS-row chunks on a small thread
+pool; a pass that keeps its caches runs in one piece on the calling thread.
+numpy's OpenBLAS is pinned to one thread at import. Every BLAS call then has
+the same operands at any pool size and core count, so results do not depend
+on the machine's thread count.
 """
 
 from __future__ import annotations
@@ -95,12 +97,13 @@ def _pin_blas_threads() -> bool:
 # Whether import pinned OpenBLAS to one thread; run reports record it.
 blas_pinned = _pin_blas_threads()
 
-# Rows per chunk of a forward pass. On 274 features a chunk's largest array
-# is 4.5 MB. A chunk's bits depend only on its own rows, but not always on
-# the batch around it: OpenBLAS picks its tail kernels by a call's row count,
-# so against one pass over 2,049 to 29,999 rows, 33 of 537,540 rows on six
-# 274-wide models moved in their last bit (70 with chunks of 1,024), at most
-# 2.2e-16 relative.
+# Rows per chunk of a per-row forward pass. On 274 features a chunk's largest
+# array is 4.5 MB. A chunk's bits depend only on its own rows, but not always
+# on the batch around it: OpenBLAS picks its tail kernels by a call's row
+# count, so against one pass over 2,049 to 29,999 rows, 33 of 537,540 rows on
+# six 274-wide models moved in their last bit (70 with chunks of 1,024), at
+# most 2.2e-16 relative. A pass that keeps its caches is one pass, so a batch
+# of more than CHUNK_ROWS rows can differ in those bits between the two kinds.
 CHUNK_ROWS = 2048
 # Threads a multi-chunk batch runs on: the CPUs this process may use, at most
 # _MAX_WORKERS. The pool is made on the first multi-chunk call.
@@ -322,36 +325,29 @@ class ForwardCache:
 
 
 def _run_layers(
-    layers: list[DenseLayer], x: np.ndarray, outs: list[np.ndarray] | None = None
+    layers: list[DenseLayer], x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Rows x through the layers: the last layer's output and each layer's
-    input. Layer i writes into outs[i], or into a new array when outs is
-    None. ReLU is applied in place, since the pre-activation is not kept."""
+    input. ReLU is applied in place, since the pre-activation is not kept."""
     inputs = []
     cur = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
         inputs.append(cur)
-        if outs is None:
-            cur = cur @ layer.weight.T
-        else:
-            cur = np.matmul(cur, layer.weight.T, out=outs[i])
+        cur = cur @ layer.weight.T
         cur += layer.bias
         if i != last:
             np.maximum(cur, 0.0, out=cur)
     return cur, inputs
 
 
-def _run_chain(
-    chain, x: np.ndarray, outs: list[list[np.ndarray]] | None = None, keep: bool = True
-) -> list:
+def _run_chain(chain, x: np.ndarray, keep: bool = True) -> list:
     """Rows x through each stack of chain in turn: per stack, its output and
     a ForwardCache of its layers' inputs, or its output alone with
-    keep=False, which frees each stack's hidden arrays once it is done.
-    Stack k's layers write into outs[k] (see _run_layers)."""
+    keep=False, which frees each stack's hidden arrays once it is done."""
     results = []
-    for k, stack in enumerate(chain):
-        x, inputs = _run_layers(stack.layers, x, None if outs is None else outs[k])
+    for stack in chain:
+        x, inputs = _run_layers(stack.layers, x)
         results.append((x, ForwardCache(inputs)) if keep else x)
     return results
 
@@ -361,13 +357,13 @@ def forward(stacks, x, per_row=None):
     on a batch (b, in_dim); one sample is a one-row batch.
 
     Returns (output, ForwardCache) for one stack and a list of them for a
-    chain. With per_row, returns instead per_row(x_rows, *stack_outputs)
-    of every chunk, one value per row, and no chunk's arrays outlive it.
+    chain, from one pass over the whole batch on the calling thread.
 
-    The batch runs in CHUNK_ROWS-row chunks, each through every stack (and
-    per_row) on one thread, in one each_chunk round. Each layer makes one
-    array per chunk; without per_row, a batch of more than CHUNK_ROWS rows
-    writes into arrays made for the whole batch instead.
+    With per_row, returns instead per_row(x_rows, *stack_outputs) of every
+    CHUNK_ROWS-row chunk, one value per row. Each chunk checks that its rows
+    are finite, then runs every stack and per_row on one thread, in one
+    each_chunk round, and no chunk's arrays outlive it. A non-finite row
+    fails the call: no value is returned.
     """
     one = isinstance(stacks, MlpStack)
     chain = (stacks,) if one else stacks
@@ -381,27 +377,19 @@ def forward(stacks, x, per_row=None):
                 f"input width {width} does not match stack in_dim {stack.in_dim}"
             )
         width = stack.layers[-1].weight.shape[0]
-    rows = arr.shape[0]
-    if per_row is not None:
-        values = np.empty(rows)
-
-        def chunk(s: int, e: int) -> None:
-            values[s:e] = per_row(arr[s:e], *_run_chain(chain, arr[s:e], keep=False))
-
-        each_chunk(rows, chunk)
-        return values
-    if rows <= CHUNK_ROWS:
+    if per_row is None:
         pairs = _run_chain(chain, arr)
-    else:
-        bufs = [[np.empty((rows, l.out_dim)) for l in stack.layers] for stack in chain]
-        each_chunk(
-            rows, lambda s, e: _run_chain(chain, arr[s:e], [[b[s:e] for b in bb] for bb in bufs])
-        )
-        pairs, inp = [], arr
-        for bb in bufs:
-            pairs.append((bb[-1], ForwardCache([inp, *bb[:-1]])))
-            inp = bb[-1]
-    return pairs[0] if one else pairs
+        return pairs[0] if one else pairs
+    values = np.empty(arr.shape[0])
+
+    def chunk(s: int, e: int) -> None:
+        rows = arr[s:e]
+        if not np.isfinite(rows).all():
+            raise ValueError("x contains non-finite entries")
+        values[s:e] = per_row(rows, *_run_chain(chain, rows, keep=False))
+
+    each_chunk(arr.shape[0], chunk)
+    return values
 
 
 def backward(

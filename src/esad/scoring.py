@@ -53,17 +53,15 @@ def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
 def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
     """Score every row of x with the model. Output order equals input order.
 
-    x is scanned for NaN/inf once, then scored in one forward_pipeline call:
-    each CHUNK_ROWS-row chunk runs enc1, dec, enc2 and the score formula on
-    one pool thread, and its arrays are freed with the chunk. Every row's
-    bits are those of its chunk alone, at any pool size. x_hat and z_hat
-    are not scanned: a non-finite entry in either yields a non-finite
-    score, which is rejected.
+    x is scored in one forward_pipeline call: each CHUNK_ROWS-row chunk
+    checks its rows for NaN/inf, then runs enc1, dec, enc2 and the score
+    formula on one pool thread, and its arrays are freed with the chunk.
+    Every row's bits are those of its chunk alone, at any pool size. x_hat
+    and z_hat are not scanned: a non-finite entry in either yields a
+    non-finite score, which is rejected.
     """
     scores = forward_pipeline(
-        model,
-        as_matrix(x, "x"),
-        lambda xc, _z, x_hat, z_hat: _scores(xc, x_hat, z_hat, lambda1),
+        model, x, lambda xc, _z, x_hat, z_hat: _scores(xc, x_hat, z_hat, lambda1)
     )
     if not np.isfinite(scores).all():
         raise ValueError("model produced non-finite scores")

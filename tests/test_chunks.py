@@ -1,10 +1,12 @@
-"""Chunked forward passes: results must not depend on the pool size.
+"""Forward passes at every pool size: results must not depend on it.
 
-A batch of more than CHUNK_ROWS rows runs in CHUNK_ROWS-row chunks spread
-over a thread pool. The oracle makes one call per chunk, each small enough
-to run inline on the calling thread, and stitches the results together;
-every forward output, cache array and score must equal it bit for bit at
-pool sizes 1, 2 and 3.
+A per-row pass (a score call) over more than CHUNK_ROWS rows runs in
+CHUNK_ROWS-row chunks spread over a thread pool. Its oracle makes one call
+per chunk, each small enough to run inline on the calling thread, and
+stitches the results together. A pass that keeps its caches runs in one
+piece on the calling thread; its oracle is the layers applied one by one to
+the whole batch. Every forward output, cache array and score must equal its
+oracle bit for bit at pool sizes 1, 2 and 3.
 """
 
 import multiprocessing
@@ -31,10 +33,14 @@ def chunk_slices(rows: int) -> list[slice]:
 
 
 def forward_oracle(stack, x):
-    parts = [forward(stack, x[sl]) for sl in chunk_slices(x.shape[0])]
-    out = np.concatenate([o for o, _ in parts])
-    inputs = [np.concatenate(arrs) for arrs in zip(*(c.inputs for _, c in parts))]
-    return out, inputs
+    """One pass: each layer on the whole batch, ReLU after all but the last."""
+    inputs, cur = [], x
+    for i, layer in enumerate(stack.layers):
+        inputs.append(cur)
+        cur = cur @ layer.weight.T + layer.bias
+        if i < len(stack.layers) - 1:
+            cur = np.maximum(cur, 0.0)
+    return cur, inputs
 
 
 def score_oracle(m, x, lambda1):
@@ -98,6 +104,17 @@ class TestPoolSizeKeepsBits:
         _, cache = forward(m.enc1, x)
         assert cache.inputs[0] is x
 
+    def test_cached_pass_runs_in_one_piece(self, pool_size, monkeypatch):
+        def no_chunks(rows, fn):
+            raise AssertionError(f"a cached pass of {rows} rows went to each_chunk")
+
+        monkeypatch.setattr(ndcore, "each_chunk", no_chunks)
+        m = new_model(5, seed=1)
+        x = np.random.default_rng(3).normal(size=(2 * CHUNK_ROWS + 17, 5))
+        (z, _), (x_hat, _), (z_hat, _) = forward([m.enc1, m.dec, m.enc2], x)
+        assert z.shape[0] == x_hat.shape[0] == z_hat.shape[0] == x.shape[0]
+        assert same_bytes(forward(m.enc1, x)[0], z)
+
 
 class TestEachChunk:
     def test_chunks_cover_rows_once(self, pool_size):
@@ -134,16 +151,16 @@ class TestEachChunk:
     def test_forward_chunk_error_reaches_caller(self, pool_size, monkeypatch):
         run_layers = ndcore._run_layers
 
-        def failing(layers, x, outs=None):
+        def failing(layers, x):
             if x.shape[0] == 17:
                 raise RuntimeError("last chunk failed")
-            return run_layers(layers, x, outs)
+            return run_layers(layers, x)
 
         monkeypatch.setattr(ndcore, "_run_layers", failing)
         m = new_model(5, seed=3)
         x = np.random.default_rng(4).normal(size=(2 * CHUNK_ROWS + 17, 5))
         with pytest.raises(RuntimeError, match="last chunk failed"):
-            forward(m.enc1, x)
+            forward(m.enc1, x, lambda _x, z: z[:, 0])
 
     def test_caller_error_state_applies_in_workers(self, pool_size):
         m = new_model(6, seed=7)

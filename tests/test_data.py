@@ -476,6 +476,12 @@ class TestSplit:
             split_60_40(raw, seed=0)
 
 
+def scenario(raw, cfg):
+    """make_scenario with raw as its test split too: these tests look only at
+    the training pool, and the test split passes through untouched."""
+    return make_scenario(raw, cfg, raw)
+
+
 class TestScenario:
     def make_raw(self, n_norm, n_anom, seed=0):
         rng = np.random.default_rng(seed)
@@ -485,7 +491,7 @@ class TestScenario:
 
     def test_unsupervised_scenario_is_all_normal_unlabeled(self):
         raw = self.make_raw(100, 20)
-        semi = make_scenario(raw, ScenarioConfig(0.0, 0.0, seed=0))
+        semi = scenario(raw, ScenarioConfig(0.0, 0.0, seed=0))
         assert n_labeled(semi) == 0
         assert n_unlabeled(semi) == 100
         assert semi.y_train_true.sum() == 0
@@ -493,7 +499,7 @@ class TestScenario:
 
     def test_labeled_fraction_matches_request(self):
         raw = self.make_raw(990, 100)
-        semi = make_scenario(raw, ScenarioConfig(0.01, 0.0, seed=1))
+        semi = scenario(raw, ScenarioConfig(0.01, 0.0, seed=1))
         # m = round(0.01/0.99 * 990) = 10 labeled on 990 unlabeled normals.
         assert n_labeled(semi) == 10
         assert n_unlabeled(semi) == 990
@@ -501,14 +507,14 @@ class TestScenario:
 
     def test_labeled_rows_are_true_anomalies(self):
         raw = self.make_raw(200, 40)
-        semi = make_scenario(raw, ScenarioConfig(0.05, 0.1, seed=2))
+        semi = scenario(raw, ScenarioConfig(0.05, 0.1, seed=2))
         labeled = semi.tags == A
         assert labeled.any()
         assert np.all(semi.y_train_true[labeled] == 1)
 
     def test_pollution_fraction_realized_exactly(self):
         raw = self.make_raw(900, 200)
-        semi = make_scenario(raw, ScenarioConfig(0.0, 0.1, seed=3))
+        semi = scenario(raw, ScenarioConfig(0.0, 0.1, seed=3))
         unl = semi.tags == U
         hidden = int(semi.y_train_true[unl].sum())
         # u_a = round(0.1/0.9 * 900) = 100 hidden anomalies among 1000.
@@ -523,7 +529,7 @@ class TestScenario:
             gamma_l = float(rng.uniform(0.01, 0.15))
             raw = self.make_raw(n_norm, n_anom, seed=int(rng.integers(1000)))
             try:
-                semi = make_scenario(
+                semi = scenario(
                     raw, ScenarioConfig(gamma_l, 0.0, seed=int(rng.integers(1000)))
                 )
             except ScenarioError:
@@ -533,7 +539,7 @@ class TestScenario:
     def test_minimum_one_labeled_anomaly(self):
         # Tiny gamma_l still labels one anomaly rather than rounding to zero.
         raw = self.make_raw(50, 5)
-        semi = make_scenario(raw, ScenarioConfig(0.001, 0.0, seed=5))
+        semi = scenario(raw, ScenarioConfig(0.001, 0.0, seed=5))
         assert n_labeled(semi) == 1
 
     def test_anomaly_budget_shrinks_normal_pool(self, caplog):
@@ -541,7 +547,7 @@ class TestScenario:
         # shrinks until the ratio fits, and the ratio stays exact.
         raw = self.make_raw(900, 10)
         with caplog.at_level(logging.WARNING):
-            semi = make_scenario(raw, ScenarioConfig(0.0, 0.1, seed=6))
+            semi = scenario(raw, ScenarioConfig(0.0, 0.1, seed=6))
         assert "shrinking" in caplog.text
         unl = semi.tags == U
         frac = float(semi.y_train_true[unl].mean())
@@ -551,27 +557,27 @@ class TestScenario:
     def test_infeasible_scenario_raises(self):
         raw = self.make_raw(100, 0)
         with pytest.raises(ScenarioError):
-            make_scenario(raw, ScenarioConfig(0.05, 0.0, seed=7))
+            scenario(raw, ScenarioConfig(0.05, 0.0, seed=7))
 
     def test_deterministic_per_seed(self):
         raw = self.make_raw(120, 30)
-        a = make_scenario(raw, ScenarioConfig(0.05, 0.1, seed=8))
-        b = make_scenario(raw, ScenarioConfig(0.05, 0.1, seed=8))
-        c = make_scenario(raw, ScenarioConfig(0.05, 0.1, seed=9))
+        a = scenario(raw, ScenarioConfig(0.05, 0.1, seed=8))
+        b = scenario(raw, ScenarioConfig(0.05, 0.1, seed=8))
+        c = scenario(raw, ScenarioConfig(0.05, 0.1, seed=9))
         assert_array_equal(a.x_train, b.x_train)
         assert_array_equal(a.tags, b.tags)
         assert not np.array_equal(a.x_train, c.x_train)
 
     def test_pool_rows_come_from_train_split(self):
         raw = self.make_raw(80, 20)
-        semi = make_scenario(raw, ScenarioConfig(0.05, 0.05, seed=10))
+        semi = scenario(raw, ScenarioConfig(0.05, 0.05, seed=10))
         pool = set(row_keys(semi.x_train))
         assert pool <= set(row_keys(raw.x))
 
     def test_test_split_passes_through_untouched(self):
         train = self.make_raw(80, 20, seed=11)
         test = self.make_raw(40, 10, seed=12)
-        semi = make_scenario(train, ScenarioConfig(0.05, 0.0, seed=13), test=test)
+        semi = make_scenario(train, ScenarioConfig(0.05, 0.0, seed=13), test)
         assert_array_equal(semi.x_test, test.x)
         assert_array_equal(semi.y_test, test.y)
         # Pool and test rows stay disjoint.

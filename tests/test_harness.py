@@ -174,6 +174,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config_text("method = autoencoder\n")
 
+    @pytest.mark.parametrize("key", ["data_path", "manifest"])
+    def test_synthetic_rejects_a_data_source(self, key):
+        # The synthetic source would train on generated rows and ignore the file.
+        with pytest.raises(ConfigError, match="exp.cfg: dataset synthetic reads no file"):
+            parse_config_text(f"dataset = synthetic\n{key} = /nonexistent.csv\n", "exp.cfg")
+        with pytest.raises(ConfigError, match="reads no file"):
+            quick_config(**{key: "/nonexistent.csv"})
+
+    def test_data_path_and_manifest_rejected_together(self):
+        # load_dataset would read data_path and never open the manifest.
+        text = "dataset = toy\ndata_path = toy.csv\nmanifest = manifest.txt\n"
+        with pytest.raises(ConfigError, match="exp.cfg: set data_path or manifest, not both"):
+            parse_config_text(text, "exp.cfg")
+
     def test_load_config_names_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         for line, key in [

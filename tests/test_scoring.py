@@ -15,7 +15,7 @@ import pytest
 from conftest import POOL_SIZES, forced_pool
 from numpy.testing import assert_allclose, assert_array_equal
 
-from esad import scoring
+from esad import ndcore, scoring
 from esad.harness import SadModel, sad_scores
 from esad.model import forward_pipeline, new_model
 from esad.scoring import (
@@ -169,13 +169,33 @@ class TestBlockedScoring:
         x = np.random.default_rng(4).normal(size=(10_000, 274))
         assert_allclose(score_dataset(model, x), one_call_scores(model, x), rtol=1e-15)
 
-    def test_nan_rejected_before_any_forward_pass(self, pipeline_calls):
+    def test_nan_row_fails_the_call_before_its_chunk_runs(
+        self, pipeline_calls, monkeypatch
+    ):
+        # Each chunk scans its own rows before its pass, so the chunk that
+        # holds the NaN runs no layer, and the call returns no score. Inline,
+        # the chunks after it never start; on the pool, the others finish.
+        run_chain = ndcore._run_chain
+        passes = []
+
+        def recorded(chain, rows, keep=True):
+            passes.append(bool(np.isfinite(rows).all()))
+            return run_chain(chain, rows, keep)
+
+        monkeypatch.setattr(ndcore, "_run_chain", recorded)
         model = new_model(6, seed=5)
+        sad = SadModel(model.enc1, model.dec, np.zeros(model.enc1.out_dim))
         x = np.random.default_rng(6).normal(size=(10_000, 6))
         x[5000, 3] = np.nan
-        with pytest.raises(ValueError, match="x contains non-finite"):
-            score_dataset(model, x)
-        assert pipeline_calls == []
+        scorers = ((score_dataset, model, [10_000]), (sad_scores, sad, []))
+        for pool, (score, m, calls) in itertools.product(POOL_SIZES, scorers):
+            pipeline_calls.clear()
+            passes.clear()
+            with forced_pool(pool):
+                with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+                    score(m, x)
+            assert pipeline_calls == calls
+            assert passes == [True] * (2 if pool == 1 else 4)
 
     def test_non_finite_score_in_last_block_rejected(self, pipeline_calls):
         model = new_model(6, seed=7)
