@@ -42,6 +42,8 @@ from .losses import (
     grad_svdd,
     loss_sad_rec,
     loss_svdd,
+    rec_targets,
+    semi_grads,
     semi_loss_and_grads,
     svdd_center,
 )
@@ -75,15 +77,16 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss component went non-finite mid-training."""
+    """Training went non-finite: a step's gradient, before it was applied,
+    or the final loss over the pool. component names the first non-finite
+    loss component, or "gradient" when the step's losses are all finite."""
 
     def __init__(self, epoch: int, batch: int, component: str):
         self.epoch = epoch
         self.batch = batch
         self.component = component
-        super().__init__(
-            f"non-finite {component} loss at epoch {epoch}, batch {batch}"
-        )
+        what = component if component == "gradient" else f"{component} loss"
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
 
 
 class Method:
@@ -354,7 +357,8 @@ def _sgd_epochs(
     config: ExperimentConfig,
     model: EsadModel,
     n_layers: int,
-    loss_and_grad,
+    grad_step,
+    batch_losses,
     tags: np.ndarray,
     rng: np.random.Generator,
     epochs: int,
@@ -365,12 +369,15 @@ def _sgd_epochs(
     n_layers of model.layers(), a prefix of model.params. Each epoch
     reshuffles the rows, whose label codes are tags, through rng and steps
     at the schedule's rate for that epoch, counted from 0.
-    loss_and_grad(idx, groups, grads) gets the batch's rows and label groups
+    grad_step(idx, groups, grads) gets the batch's rows and label groups
     (see _batches; None with labeled=False, for a loss that takes no
-    labels), writes the batch gradients into grads, views of one
-    vector aligned with those layers, and returns the named loss components.
-    A non-finite one aborts with TrainingDiverged, whose epoch counts from
-    first_epoch. Otherwise the vector is clipped and applied in place.
+    labels) and writes the batch gradients into grads, views of one vector
+    aligned with those layers. If the vector's squared L2 norm is not finite
+    (a non-finite entry, or entries so large that it overflows), the step is
+    not applied, and TrainingDiverged names the first non-finite component of
+    batch_losses(idx, groups), the batch's named loss components, or
+    "gradient" when they are all finite; its epoch counts from first_epoch.
+    Otherwise the vector is clipped and applied in place.
     """
     layers = model.layers()[:n_layers]
     bounds = layer_bounds(layers)
@@ -382,8 +389,11 @@ def _sgd_epochs(
         for batch_no, (idx, groups) in enumerate(
             _batches(tags, config.sgd.batch_size, rng, labeled)
         ):
-            losses = loss_and_grad(idx, groups, grads)
-            _check_finite(losses, first_epoch + epoch, batch_no)
+            grad_step(idx, groups, grads)
+            if not math.isfinite(np.dot(grad, grad)):
+                at = (first_epoch + epoch, batch_no)
+                _check_finite(batch_losses(idx, groups), *at)
+                raise TrainingDiverged(*at, "gradient")
             sgd_step(params, clip_global_norm(grad, bounds, config.clip_norm), lr)
 
 
@@ -397,16 +407,16 @@ class EsadTrainResult:
     final_loss: LossBreakdown
 
 
-def _esad_objective(model: EsadModel, x, labels, phi, config: ExperimentConfig):
-    """The pipeline's forward pass on rows x, then the esad loss breakdown and
-    its gradients with respect to z, x_hat and z_hat. labels are taken as
-    semi_loss_and_grads takes them."""
+def _esad_losses(
+    model: EsadModel, x, labels, phi, config: ExperimentConfig
+) -> LossBreakdown:
+    """The esad loss breakdown of rows x, from the pipeline's forward pass.
+    labels are taken as semi_loss_and_grads takes them."""
     out = forward_pipeline(model, x)
-    breakdown, *g_out = semi_loss_and_grads(
+    return semi_loss_and_grads(
         x, out.z, out.x_hat, out.z_hat, labels, phi,
         config.lambda1, config.lambda2, config.epsilon,
-    )
-    return out, breakdown, g_out
+    )[0]
 
 
 def train_esad(
@@ -417,8 +427,9 @@ def train_esad(
     """Train the full pipeline end to end on a standardized scenario.
 
     All three loss terms are active every step (weights permitting); batches
-    reshuffle each epoch; a non-finite loss aborts with the offending epoch,
-    batch and component. Identical (config, semi, seed) inputs give
+    reshuffle each epoch. A step computes gradients only, with phi applied
+    once to the pool's labeled anomalies; divergence aborts before the step
+    is applied (see _sgd_epochs). Identical (config, semi, seed) inputs give
     bit-identical final parameters.
     """
     x, tags = semi.x_train, semi.tags
@@ -426,22 +437,28 @@ def train_esad(
     streams = child_seeds(seed)
     model = new_model(dim, config.hidden_dim, config.rep_dim, seed=streams.init)
     phi = _build_phi(config, dim, streams.phi, tags)
+    targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
+    weights = (config.lambda1, config.lambda2, config.epsilon)
 
-    def loss_and_grad(idx, groups, grads):
-        out, breakdown, g_out = _esad_objective(model, x[idx], groups, phi, config)
+    def grad_step(idx, groups, grads):
+        out = forward_pipeline(model, x[idx])
+        g_out = semi_grads(out.z, out.x_hat, out.z_hat, targets[idx], groups, *weights)
         backward_pipeline(model, out, *g_out, grads)
-        return _components(breakdown)
+
+    def batch_losses(idx, groups):
+        return _components(_esad_losses(model, x[idx], groups, phi, config))
 
     _sgd_epochs(
         config,
         model,
         len(model.layers()),
-        loss_and_grad,
+        grad_step,
+        batch_losses,
         tags,
         np.random.default_rng(streams.shuffle),
         config.sgd.epochs,
     )
-    final = _esad_objective(model, x, tags, phi, config)[1]
+    final = _esad_losses(model, x, tags, phi, config)
     _check_finite(_components(final), config.sgd.epochs, -1)
     return EsadTrainResult(model, final)
 
@@ -499,33 +516,38 @@ def train_sad_baseline(
     stage1 = config.sgd.epochs // 2
     n_enc = len(enc.layers)
 
-    def rec_loss_and_grad(idx, _groups, grads):
+    def rec_step(idx, _groups, grads):
         xb = x[idx]
         (z, cache_e), (x_hat, cache_d) = forward([enc, dec], xb)
-        rec = loss_sad_rec(xb, x_hat)
         _, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat), grads[n_enc:])
         backward(enc, cache_e, g_z, grads[:n_enc], input_grad=False)
-        return {"rec": rec}
+
+    def rec_losses(idx, _groups):
+        xb = x[idx]
+        return {"rec": loss_sad_rec(xb, forward([enc, dec], xb)[1][0])}
 
     n_stage1 = n_enc + len(dec.layers)
     _sgd_epochs(
-        config, base, n_stage1, rec_loss_and_grad, tags, rng, stage1, labeled=False
+        config, base, n_stage1, rec_step, rec_losses, tags, rng, stage1, labeled=False
     )
     z_all, _ = forward(enc, x)
     center = svdd_center(z_all)
 
-    def svdd_loss_and_grad(idx, groups, grads):
+    def svdd_step(idx, groups, grads):
         z, cache_e = forward(enc, x[idx])
-        svdd = loss_svdd(z, groups, center, config.epsilon)
         g = grad_svdd(z, groups, center, config.epsilon)
         backward(enc, cache_e, g, grads, input_grad=False)
-        return {"svdd": svdd}
+
+    def svdd_losses(idx, groups):
+        z, _ = forward(enc, x[idx])
+        return {"svdd": loss_svdd(z, groups, center, config.epsilon)}
 
     _sgd_epochs(
         config,
         base,
         n_enc,
-        svdd_loss_and_grad,
+        svdd_step,
+        svdd_losses,
         tags,
         rng,
         config.sgd.epochs - stage1,

@@ -12,9 +12,16 @@ Norm-style terms raise labeled-anomalous distances through an inverse, which
 blows up near zero; a small eps guards only those inverse branches. At an
 exact zero norm the gradient of ||.||_2 is taken as 0.
 
+semi_loss_and_grads gives the objective's values with its gradients: the
+final pool loss, the gradient check and the tests' oracles use it. A
+training step needs the gradients alone, so it calls semi_grads, the kernel
+that semi_loss_and_grads' own gradients come from, with reconstruction
+targets built once for the whole pool by rec_targets.
+
 Inputs are checked for shape and labels only, never scanned for NaN or inf:
-a diverging network yields a non-finite loss, which the training loop
-reports with its epoch and batch.
+a diverging network yields non-finite gradients and losses. The training
+loop checks each step's gradient before applying it, and reports the epoch,
+the batch and the first non-finite loss component.
 """
 
 from __future__ import annotations
@@ -110,9 +117,29 @@ def phi_apply(cfg: PhiConfig, x) -> np.ndarray:
     return arr + cfg.noise
 
 
+def rec_targets(
+    x: np.ndarray, anomalous: np.ndarray, phi: PhiConfig | None
+) -> np.ndarray:
+    """The reconstruction targets of rows x: phi(x) on the rows that the
+    boolean mask anomalous marks as labeled anomalies, x on the others, and
+    x itself when no row is marked. phi acts on each row alone, so the rows
+    of a pool's targets, gathered for a batch, are bit for bit that batch's
+    own targets."""
+    if not anomalous.any():
+        return x
+    if phi is None:
+        raise MissingPhiError(
+            "batch has labeled anomalies but no phi transform is configured"
+        )
+    targets = x.copy()
+    targets[anomalous] = phi_apply(phi, x[anomalous])
+    return targets
+
+
 def _matrix(a, name: str) -> np.ndarray:
     """A 2-D float64 view of a. Values are not scanned: a non-finite network
-    output shows up as a non-finite loss, which training reports."""
+    output shows up as a non-finite gradient and loss, which training
+    reports."""
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {out.shape}")
@@ -179,7 +206,7 @@ def batch_groups(codes, batch_size: int) -> list[_Groups]:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt((a * a).sum(axis=1))
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 # The grouped-distance term shared by esad's latent norm (distance from the
@@ -212,7 +239,7 @@ def _distance_grad(
     """
     # A row at distance 0 (or whose norm underflows to 0) is rare, so the
     # guard runs only when one is present. A NaN minimum takes it too.
-    if dists.min() > 0.0:
+    if np.minimum.reduce(dists) > 0.0:
         units = rows / dists[:, None]
     else:
         pos = (dists > 0.0)[:, None]
@@ -242,6 +269,20 @@ class LossBreakdown:
         return self.rec + self.lambda1 * self.norm + self.lambda2 * self.ass
 
 
+def semi_grads(
+    z, x_hat, z_hat, targets, groups: _Groups, lambda1=1.0, lambda2=1.0, eps=1e-6
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of semi_loss_and_grads alone, bit for bit:
+    (grad_z, grad_x_hat, grad_z_hat) for rows whose reconstruction targets
+    are targets (see rec_targets) and whose groups are groups, an entry of
+    batch_groups. The arrays are 2-D float64 of matching shapes, and are
+    not checked: this is the training step's kernel."""
+    g_xhat = (2.0 / groups.div)[:, None] * (x_hat - targets)
+    g_norm = _distance_grad(z_hat, _row_norms(z_hat), groups, eps)
+    g_ass = (2.0 / z.shape[0]) * (z_hat - z)
+    return (-lambda2) * g_ass, g_xhat, lambda1 * g_norm + lambda2 * g_ass
+
+
 def semi_loss_and_grads(
     x,
     z,
@@ -253,8 +294,8 @@ def semi_loss_and_grads(
     lambda2: float = 1.0,
     eps: float = 1e-6,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray, np.ndarray]:
-    """The objective's three terms and their gradients at (z, x_hat, z_hat)
-    in one pass over the batch.
+    """The objective's three terms at (z, x_hat, z_hat), and their gradients
+    from semi_grads.
 
     - rec: squared reconstruction error, averaged over unlabeled and over
       labeled rows. Labeled anomalies reconstruct phi(x) instead of x,
@@ -273,15 +314,9 @@ def semi_loss_and_grads(
     if zm.shape[0] != xm.shape[0]:
         raise ShapeError(f"{zm.shape[0]} latent rows for {xm.shape[0]} inputs")
     groups = _group_masks(labels, xm.shape[0])
+    targets = rec_targets(xm, groups.anm, phi)
+    grads = semi_grads(zm, xh, zh, targets, groups, lambda1, lambda2, eps)
 
-    targets = xm
-    if groups.n_anm:
-        if phi is None:
-            raise MissingPhiError(
-                "batch has labeled anomalies but no phi transform is configured"
-            )
-        targets = xm.copy()
-        targets[groups.anm] = phi_apply(phi, xm[groups.anm])
     diff = xh - targets
     sq = (diff * diff).sum(axis=1)
     rec = 0.0
@@ -289,18 +324,10 @@ def semi_loss_and_grads(
         rec += float(sq[groups.unl].sum()) / groups.n
     if groups.m:
         rec += float(sq[~groups.unl].sum()) / groups.m
-    g_xhat = (2.0 / groups.div)[:, None] * diff
-
-    norms = _row_norms(zh)
-    norm = _distance_loss(norms, groups, eps)
-    g_norm = _distance_grad(zh, norms, groups, eps)
-
+    norm = _distance_loss(_row_norms(zh), groups, eps)
     d_ass = zh - zm
     ass = float((d_ass * d_ass).sum(axis=1).sum()) / zm.shape[0]
-    g_ass = (2.0 / zm.shape[0]) * d_ass
-
-    breakdown = LossBreakdown(rec, norm, ass, lambda1, lambda2)
-    return breakdown, lambda2 * -g_ass, g_xhat, lambda1 * g_norm + lambda2 * g_ass
+    return LossBreakdown(rec, norm, ass, lambda1, lambda2), *grads
 
 
 # Two-stage baseline objectives.

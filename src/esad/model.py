@@ -137,13 +137,13 @@ def backward_pipeline(
     """
     n1 = len(model.enc1.layers)
     nd = n1 + len(model.dec.layers)
-    _, g_xhat_chain = backward(model.enc2, out.cache_enc2, grad_z_hat, grads[nd:])
-    _, g_z_chain = backward(
-        model.dec, out.cache_dec, g_xhat_chain + grad_x_hat, grads[n1:nd]
-    )
-    backward(
-        model.enc1, out.cache_enc1, g_z_chain + grad_z, grads[:n1], input_grad=False
-    )
+    # Each chained gradient is a new array from backward, so the direct term
+    # is added in place.
+    _, g_x_hat = backward(model.enc2, out.cache_enc2, grad_z_hat, grads[nd:])
+    g_x_hat += grad_x_hat
+    _, g_z = backward(model.dec, out.cache_dec, g_x_hat, grads[n1:nd])
+    g_z += grad_z
+    backward(model.enc1, out.cache_enc1, g_z, grads[:n1], input_grad=False)
 
 
 # Checkpoint layout (all little-endian):

@@ -419,7 +419,7 @@ def backward(
         g_pre = g if i == last else g * (cache.inputs[i + 1] > 0.0)
         gw, gb = out[i]
         np.matmul(g_pre.T, cache.inputs[i], out=gw)
-        g_pre.sum(axis=0, out=gb)
+        np.add.reduce(g_pre, axis=0, out=gb)
         if i == 0 and not input_grad:
             return out, None
         g = g_pre @ stack.layers[i].weight
@@ -490,7 +490,7 @@ def clip_global_norm(grad: np.ndarray, bounds, max_norm: float) -> np.ndarray:
     # overflow: the exact path would return grad too. Strict < sends an
     # infinite or NaN total to the exact path.
     limit = min(max_norm * max_norm, sys.float_info.max) * (1.0 - grad.size * 2.0**-50)
-    if float(sq.sum()) < limit:
+    if float(np.add.reduce(sq)) < limit:
         return grad
     # Squares are summed per layer, weight then bias, in layer order. Any
     # other order (one dot product over the vector, or np.add.reduceat over
@@ -498,7 +498,8 @@ def clip_global_norm(grad: np.ndarray, bounds, max_norm: float) -> np.ndarray:
     # AUCs.
     total = 0.0
     for start, mid, end in bounds:
-        total += float(sq[start:mid].sum()) + float(sq[mid:end].sum())
+        w, b = np.add.reduce(sq[start:mid]), np.add.reduce(sq[mid:end])
+        total += float(w) + float(b)
     norm = math.sqrt(total)
     if norm <= max_norm:
         return grad

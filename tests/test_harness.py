@@ -372,6 +372,46 @@ class TestTrainEsad:
         assert result.auc is not None and result.auc >= 0.95
 
 
+class TestDivergedStepNotApplied:
+    """A step whose gradient has a non-finite norm stops training before the
+    update, even when every loss of its batch is finite. Applying it would
+    make the next batch's losses NaN and report the wrong batch."""
+
+    @pytest.mark.parametrize(
+        "method, cfg_kwargs, seed",
+        [
+            (
+                Method.ESAD,
+                dict(gamma_l=0.1, sgd=SgdConfig(initial_lr=50.0, epochs=5)),
+                2,
+            ),
+            (Method.DEEP_SAD, dict(sgd=SgdConfig(initial_lr=1e4, epochs=4)), 0),
+        ],
+    )
+    def test_stops_at_the_batch_whose_gradient_overflows(
+        self, monkeypatch, method, cfg_kwargs, seed
+    ):
+        applied = []
+
+        def finite_step(params, grad, lr):
+            norm = float(np.sqrt(np.sum(np.square(grad))))
+            assert np.isfinite(norm), f"non-finite step applied after {applied}"
+            applied.append(norm)
+            sgd_step(params, grad, lr)
+
+        monkeypatch.setattr(harness, "sgd_step", finite_step)
+        cfg = quick_config(method=method, clip_norm=0.0, **cfg_kwargs)
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed)
+        train = train_esad if method == Method.ESAD else train_sad_baseline
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train(cfg, semi, seed)
+        assert (err.value.epoch, err.value.batch) == (0, 2)
+        assert err.value.component == "gradient"
+        assert str(err.value) == "non-finite gradient at epoch 0, batch 2"
+        assert len(applied) == 2
+
+
 class TestTrainBaseline:
     def test_center_matches_stage_one_replica(self):
         # Re-run stage one from the same child streams, computing the mean
@@ -800,7 +840,10 @@ class TestBenchmarkHooks:
             return wrapper
 
         for name in (
+            "semi_grads",
             "semi_loss_and_grads",
+            "loss_sad_rec",
+            "grad_sad_rec",
             "loss_svdd",
             "grad_svdd",
             "clip_global_norm",
@@ -813,9 +856,11 @@ class TestBenchmarkHooks:
         assert batches > 1
 
         train_esad(cfg, semi, seed=0)
-        # One call per batch, and one more for the final loss over the pool.
+        # A step takes gradients only, through the kernel; the objective's
+        # values are taken once, for the final loss over the pool.
         assert calls == {
-            "semi_loss_and_grads": batches + 1,
+            "semi_grads": batches,
+            "semi_loss_and_grads": 1,
             "clip_global_norm": batches,
             "sgd_step": batches,
         }
@@ -826,10 +871,12 @@ class TestBenchmarkHooks:
         )
         train_sad_baseline(sad_cfg, semi, seed=0)
         # Stage one (reconstruction) and stage two (distance to center) run
-        # one epoch each; loss_svdd also gives the final loss over the pool.
+        # one epoch each; the losses give the final loss over the pool.
         assert calls == {
-            "loss_svdd": batches + 1,
+            "grad_sad_rec": batches,
             "grad_svdd": batches,
+            "loss_sad_rec": 1,
+            "loss_svdd": 1,
             "clip_global_norm": 2 * batches,
             "sgd_step": 2 * batches,
         }

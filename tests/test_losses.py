@@ -30,6 +30,8 @@ from esad.losses import (
     loss_sad_rec,
     loss_svdd,
     phi_apply,
+    rec_targets,
+    semi_grads,
     semi_loss_and_grads,
     svdd_center,
 )
@@ -708,6 +710,63 @@ class TestTotal:
             assert not math.isfinite(b.ass)
             assert not math.isfinite(loss_sad_rec(x, bad))
             assert not math.isfinite(loss_svdd(bad, [U, N], np.zeros(2)))
+
+
+class TestSemiGrads:
+    """The training step's kernel: semi_grads on a batch gathered from
+    targets built once for the pool must give semi_loss_and_grads' three
+    gradients on that batch alone, byte for byte."""
+
+    def test_pool_targets_gather_to_batch_targets_and_gradients(self):
+        rng = np.random.default_rng(31)
+        mixes = [(U,), (N,), (A,), (U, N), (U, A), (N, A), (U, N, A)]
+        for trial in range(280):
+            mix = mixes[trial % 7]
+            rows = len(mix) + int(rng.integers(0, 8))
+            tags = np.array(list(mix) + list(rng.choice(mix, rows - len(mix))))
+            # The batch sits at shuffled rows of a larger pool.
+            pool = rows + int(rng.integers(0, 12))
+            idx = rng.permutation(pool)[:rows]
+            pool_tags = rng.integers(0, 3, size=pool)
+            pool_tags[idx] = tags
+            pool_x = rng.normal(size=(pool, 4))
+            eps = 0.0 if trial % 3 == 0 else 1e-6
+            if trial % 2:
+                phi = PhiConfig.permutation(4, seed=trial)
+            else:
+                phi = PhiConfig.gaussian(4, seed=trial, sigma=0.5)
+            z, x_hat, z_hat = (rng.normal(size=(rows, k)) for k in (3, 4, 3))
+            # Rows at distance exactly 0, but no anomaly there when eps = 0.
+            zero = rng.random(rows) < 0.3
+            if eps == 0.0:
+                zero &= tags != A
+            z_hat[zero] = 0.0
+            lam1, lam2 = rng.uniform(0.0, 2.0, size=2)
+
+            targets = rec_targets(pool_x, pool_tags == A, phi)[idx]
+            x = pool_x[idx]
+            own = x.copy()
+            own[tags == A] = phi_apply(phi, x[tags == A])
+            assert_same_bits(targets, own)
+
+            groups = batch_groups(tags, rows)[0]
+            got = semi_grads(z, x_hat, z_hat, targets, groups, lam1, lam2, eps)
+            _, *want = semi_loss_and_grads(
+                x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps
+            )
+            ref = masked_semi(x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps)[3:]
+            for g, w, r in zip(got, want, ref):
+                assert_same_bits(g, w)
+                assert_same_bits(g, r)
+
+    def test_targets_are_x_itself_without_anomalies(self):
+        x = np.arange(6.0).reshape(3, 2)
+        assert rec_targets(x, np.zeros(3, dtype=bool), None) is x
+        with pytest.raises(MissingPhiError):
+            rec_targets(x, np.array([False, True, False]), None)
+        t = rec_targets(x, np.array([False, True, False]), SWAP)
+        assert_array_equal(t, [[0.0, 1.0], [3.0, 2.0], [4.0, 5.0]])
+        assert_array_equal(x, np.arange(6.0).reshape(3, 2))  # x untouched
 
 
 class TestBaselineObjectives:
