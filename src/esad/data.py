@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -120,59 +120,20 @@ def _line_fault(where: str, line: str, width: int) -> ParseError | None:
     return None
 
 
-# Data lines _first_fault reads and parses at once.
-_FAULT_BLOCK = 4096
+# Lines load_csv reads and parses at once; a failing block is then checked
+# one line at a time.
+_BLOCK_LINES = 2048
 
 
-def _sound(block: list[tuple[int, str]]) -> bool:
-    """Whether numbered data lines of one width parse as a table that makes
-    a RawDataset, so that load_csv would accept them."""
-    try:
-        table = _read_rows([line for _, line in block])
-        RawDataset("", table[:, :-1], table[:, -1])
-    except ValueError:
-        return False
-    return True
-
-
-def _first_fault(p: Path, detail: str) -> ParseError:
-    """The ParseError for the earliest faulty line of p.
-
-    Re-reads the file with the reader load_csv uses, so both accept exactly
-    the same cells, and names the first data line that fails a check on its
-    own. The reader parses rows independently, so lines of one width are
-    sound together exactly when each is sound alone. The search reads
-    blocks of data lines, parses each block's lines of the first line's
-    width as one table, and halves the first unsound block down to its
-    first line, instead of parsing every line on its own. detail says why
-    the whole-file parse failed; it is reported if no single line is at
-    fault.
-    """
-    width = 0
-    with open(p) as fh:
-        data = ((n, line) for n, line in enumerate(fh, start=1) if _is_data_line(line))
-        while block := list(islice(data, _FAULT_BLOCK)):
-            widths = [line.count(",") + 1 for _, line in block]
-            width = width or widths[0]
-            # The first line of another width is at fault unless an earlier
-            # one is; with too few columns, the first line is.
-            end = 0 if width < 2 else next(
-                (i for i, w in enumerate(widths) if w != width), len(block)
-            )
-            if end and not _sound(block[:end]):
-                lo = 0
-                while end - lo > 1:  # block[lo:end] holds the first fault
-                    mid = (lo + end) // 2
-                    if _sound(block[lo:mid]):
-                        lo = mid
-                    else:
-                        end = mid
-                end = lo
-            if end < len(block):
-                lineno, line = block[end]
-                fault = _line_fault(f"{p}:{lineno}", line, width)
-                return fault or ParseError(f"{p}: {detail}")
-    return ParseError(f"{p}: {detail}")
+def _read_block(lines: list[str], width: int) -> RawDataset:
+    """Data lines as a RawDataset, or a ValueError unless they parse as a
+    table width columns wide that RawDataset accepts."""
+    table = _read_rows(lines)
+    if table.shape[1] != width:
+        raise ValueError(f"{table.shape[1]} columns, not {width}")
+    # RawDataset checks the column count, finiteness and 0/1 labels; the
+    # copy of the features lets the table go.
+    return RawDataset("", np.ascontiguousarray(table[:, :-1]), table[:, -1])
 
 
 def load_csv(path, name: str | None = None) -> RawDataset:
@@ -181,20 +142,40 @@ def load_csv(path, name: str | None = None) -> RawDataset:
     Fields are unquoted numbers. Blank lines and lines whose first
     non-blank character is '#' are skipped. Any malformed row raises
     ParseError naming the file and 1-based line number.
+
+    The file is read once, in blocks of _BLOCK_LINES lines. Each block's
+    data lines are parsed as one table, which must have the first data
+    line's width. The reader parses rows independently, so the first line
+    of the first failing block that fails a check on its own is the file's
+    first faulty line.
     """
     p = Path(path)
+    xs, ys, width, lineno = [], [], 0, 0
     with open(p) as fh:
-        lines = filter(_is_data_line, fh)
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(f"{p}: no data rows")
-        try:
-            table = _read_rows(chain([first], lines))
-            # RawDataset checks the column count, finiteness and 0/1 labels.
-            x = np.ascontiguousarray(table[:, :-1])
-            return RawDataset(name or p.stem, x, table[:, -1])
-        except ValueError as exc:
-            raise _first_fault(p, str(exc)) from None
+        while block := list(islice(fh, _BLOCK_LINES)):
+            lines = [line for line in block if _is_data_line(line)]
+            if lines:
+                width = width or lines[0].count(",") + 1
+                try:
+                    part = _read_block(lines, width)
+                except ValueError as exc:
+                    for n, line in enumerate(block, start=lineno + 1):
+                        if _is_data_line(line) and (
+                            fault := _line_fault(f"{p}:{n}", line, width)
+                        ):
+                            raise fault from None
+                    raise ParseError(f"{p}: {exc}") from None
+                xs.append(part.x)
+                ys.append(part.y)
+            lineno += len(block)
+    if not xs:
+        raise ParseError(f"{p}: no data rows")
+    # Free the last block's lines, and the blocks once joined, before
+    # RawDataset scans x again.
+    del lines
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    del xs, ys
+    return RawDataset(name or p.stem, x, y)
 
 
 def verify_benchmark_stats(ds: RawDataset) -> None:

@@ -605,7 +605,7 @@ def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
         # One probe of size FD_STEP moves it by far less than 100 steps.
         caches = (out.cache_enc1, out.cache_dec, out.cache_enc2)
         margin = min(
-            float(np.min(np.abs(c.inputs[i] @ layer.weight.T + layer.bias)))
+            float(np.min(np.abs(c[i] @ layer.weight.T + layer.bias)))
             for (_, stack), c in zip(model.stacks(), caches)
             for i, layer in enumerate(stack.layers[:-1])
         )

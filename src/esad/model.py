@@ -16,7 +16,6 @@ import numpy as np
 
 from .ndcore import (
     DenseLayer,
-    ForwardCache,
     MlpStack,
     ShapeError,
     backward,
@@ -103,14 +102,15 @@ def new_model(
 
 @dataclass
 class PipelineOutput:
-    """Forward results plus the caches backward needs."""
+    """Forward results plus the caches backward needs: each stack's layers'
+    inputs."""
 
     z: np.ndarray
     x_hat: np.ndarray
     z_hat: np.ndarray
-    cache_enc1: ForwardCache
-    cache_dec: ForwardCache
-    cache_enc2: ForwardCache
+    cache_enc1: list[np.ndarray]
+    cache_dec: list[np.ndarray]
+    cache_enc2: list[np.ndarray]
 
 
 def forward_pipeline(model: EsadModel, x, per_row=None):

@@ -314,16 +314,6 @@ def pack_stacks(stacks: list[MlpStack]) -> tuple[np.ndarray, list[MlpStack]]:
     return vec, [MlpStack([DenseLayer(*next(views)) for _ in s.layers]) for s in stacks]
 
 
-@dataclass
-class ForwardCache:
-    """What backward needs: each layer's input. A hidden layer's ReLU output
-    is the next layer's input, and it is positive exactly where the layer's
-    pre-activation is (NaN and -0.0 included), so it also gives backward the
-    ReLU's mask."""
-
-    inputs: list[np.ndarray]
-
-
 def _run_layers(
     layers: list[DenseLayer], x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -343,12 +333,12 @@ def _run_layers(
 
 def _run_chain(chain, x: np.ndarray, keep: bool = True) -> list:
     """Rows x through each stack of chain in turn: per stack, its output and
-    a ForwardCache of its layers' inputs, or its output alone with
+    its cache, the list of its layers' inputs, or its output alone with
     keep=False, which frees each stack's hidden arrays once it is done."""
     results = []
     for stack in chain:
         x, inputs = _run_layers(stack.layers, x)
-        results.append((x, ForwardCache(inputs)) if keep else x)
+        results.append((x, inputs) if keep else x)
     return results
 
 
@@ -356,8 +346,9 @@ def forward(stacks, x, per_row=None):
     """Run a stack, or a chain of stacks each taking the one before's output,
     on a batch (b, in_dim); one sample is a one-row batch.
 
-    Returns (output, ForwardCache) for one stack and a list of them for a
-    chain, from one pass over the whole batch on the calling thread.
+    Returns (output, cache) for one stack and a list of them for a chain,
+    from one pass over the whole batch on the calling thread. A stack's
+    cache is the list of its layers' inputs, which backward takes.
 
     With per_row, returns instead per_row(x_rows, *stack_outputs) of every
     CHUNK_ROWS-row chunk, one value per row. Each chunk checks that its rows
@@ -394,13 +385,14 @@ def forward(stacks, x, per_row=None):
 
 def backward(
     stack: MlpStack,
-    cache: ForwardCache,
+    cache: list[np.ndarray],
     grad_out,
     out: StackGrads,
     *,
     input_grad: bool = True,
 ) -> tuple[StackGrads, np.ndarray | None]:
-    """Backpropagate grad_out through the stack.
+    """Backpropagate grad_out through the stack, whose layers' inputs forward
+    returned as cache.
 
     grad_out matches the forward output shape. Each layer's parameter
     gradients, summed over batch rows, are written into out: (weight, bias)
@@ -409,16 +401,19 @@ def backward(
     or None with input_grad=False, which skips that product.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    shape = (cache.inputs[0].shape[0], stack.out_dim)
+    shape = (cache[0].shape[0], stack.out_dim)
     if g.shape != shape:
         raise ShapeError(f"grad shape {g.shape} does not match output {shape}")
     last = len(stack.layers) - 1
     for i in range(last, -1, -1):
         # The last layer passes g on unchanged. ReLU passes g where its
-        # input was positive; the subgradient at exactly 0 is taken as 0.
-        g_pre = g if i == last else g * (cache.inputs[i + 1] > 0.0)
+        # input was positive; the subgradient at exactly 0 is taken as 0. A
+        # hidden layer's ReLU output is the next layer's input, and it is
+        # positive exactly where the pre-activation is (NaN and -0.0
+        # included), so that input is the ReLU's mask.
+        g_pre = g if i == last else g * (cache[i + 1] > 0.0)
         gw, gb = out[i]
-        np.matmul(g_pre.T, cache.inputs[i], out=gw)
+        np.matmul(g_pre.T, cache[i], out=gw)
         np.add.reduce(g_pre, axis=0, out=gb)
         if i == 0 and not input_grad:
             return out, None

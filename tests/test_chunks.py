@@ -86,8 +86,8 @@ class TestPoolSizeKeepsBits:
             for k, (stack, inp, want_out, want_inputs) in enumerate(fwd):
                 out, cache = forward(stack, inp)
                 assert same_bytes(out, want_out), (dim, rows, k)
-                assert len(cache.inputs) == len(want_inputs)
-                for got, want in zip(cache.inputs, want_inputs):
+                assert len(cache) == len(want_inputs)
+                for got, want in zip(cache, want_inputs):
                     assert same_bytes(got, want), (dim, rows, k)
 
     def test_score_dataset(self, cases, pool_size):
@@ -102,7 +102,7 @@ class TestPoolSizeKeepsBits:
         m = new_model(5, seed=1)
         x = np.random.default_rng(2).normal(size=(2 * CHUNK_ROWS + 17, 5))
         _, cache = forward(m.enc1, x)
-        assert cache.inputs[0] is x
+        assert cache[0] is x
 
     def test_cached_pass_runs_in_one_piece(self, pool_size, monkeypatch):
         def no_chunks(rows, fn):

@@ -187,6 +187,27 @@ class TestRun:
         assert code == 1
         assert "missing file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["config dir", "data_path dir", "scores-dir file"])
+    def test_unusable_path_exits_one(self, quick_config_path, tmp_path, capsys, case):
+        # A directory where a file is read, or a file where a directory is
+        # made: one line on stderr, and no traceback.
+        cfg = tmp_path / "dir.cfg"
+        cfg.write_text(f"dataset = tall\ndata_path = {tmp_path}\n")
+        taken = tmp_path / "scores"
+        taken.write_text("")
+        argv, path = {
+            "config dir": (["--config", str(tmp_path)], tmp_path),
+            "data_path dir": (["--config", str(cfg)], tmp_path),
+            "scores-dir file": (
+                ["--config", str(quick_config_path), "--scores-dir", str(taken)],
+                taken,
+            ),
+        }[case]
+        assert main(["run", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
 
 class TestSweeps:
     def test_lambda1_sweep_writes_rows(self, quick_config_path, tmp_path, capsys):

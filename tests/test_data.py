@@ -5,9 +5,11 @@ produced arrays: class tallies, multiset identity through row hashing, and
 realized label/pollution fractions recomputed from the hidden ground truth.
 """
 
+import builtins
 import csv
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,27 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="at least one feature"):
             load_csv(path)
 
+    @pytest.mark.parametrize("faulty", [False, True], ids=["sound", "faulty"])
+    def test_file_read_once(self, tmp_path, monkeypatch, faulty):
+        # 3,001 lines fill more than one block. A fault on the last line is
+        # named from the lines already read, without opening the file again.
+        text = "".join(f"{i},{i % 2}\n" for i in range(3000))
+        path = write_csv(tmp_path, text + ("oops,0\n" if faulty else "1,0\n"))
+        real_open, opened = builtins.open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        if faulty:
+            with pytest.raises(ParseError, match=r"data\.csv:3001: non-numeric"):
+                load_csv(path)
+        else:
+            assert load_csv(path).n_samples == 3001
+        monkeypatch.undo()
+        assert [Path(f) for f in opened if isinstance(f, (str, Path))] == [path]
+
 
 def reference_load_csv(path):
     """A csv.reader and float() parser: (x, y) or ParseError.
@@ -191,8 +214,8 @@ FAULTS = {
 def scan_first_fault(p, detail):
     """load_csv's error for p as a scan of one line at a time finds it.
 
-    The line-by-line search load_csv used before it bisected, kept as the
-    oracle for the error text: it parses each data line on its own.
+    An oracle for the error text that reads the whole file one line at a
+    time and parses each data line on its own, with no blocks.
     """
     width = None
     with open(p) as fh:
@@ -295,10 +318,10 @@ class TestLoadCsvMatchesReference:
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("kind", [*FAULTS, "nan label", "narrow"])
     def test_fault_text_matches_line_scan(self, tmp_path, monkeypatch, kind, block):
-        # The block-and-bisect search names the same line, with the same
-        # text, as a scan of one line at a time, for a fault on the first, a
+        # The block loop names the same line, with the same text, as a
+        # scan of one line at a time, for a fault on the first, a
         # middle and the last data line, whatever the block size.
-        monkeypatch.setattr("esad.data._FAULT_BLOCK", block)
+        monkeypatch.setattr("esad.data._BLOCK_LINES", block)
         faults = {
             **FAULTS,
             "nan label": lambda cells: cells[:-1] + ["nan"],
@@ -322,7 +345,7 @@ class TestLoadCsvMatchesReference:
 
     def test_earlier_of_two_faults_in_small_blocks(self, tmp_path, monkeypatch):
         # Faults in different blocks: the search stops at the first.
-        monkeypatch.setattr("esad.data._FAULT_BLOCK", 3)
+        monkeypatch.setattr("esad.data._BLOCK_LINES", 3)
         rng = np.random.default_rng(2028)
         kinds = list(FAULTS)
         for _ in range(30):

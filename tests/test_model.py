@@ -58,7 +58,7 @@ def kink_free_instance(seed: int, rows=4, dim=5, h=8, r=3, margin=1e-3):
         # Every layer but a stack's last is ReLU. forward keeps only the
         # activations, so each pre-activation is recomputed from its input.
         pres = [
-            cache.inputs[i] @ layer.weight.T + layer.bias
+            cache[i] @ layer.weight.T + layer.bias
             for (_, stack), cache in zip(
                 model.stacks(), (out.cache_enc1, out.cache_dec, out.cache_enc2)
             )

@@ -20,7 +20,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.ndcore import (
     DenseLayer,
-    ForwardCache,
     GradCheckReport,
     MlpStack,
     SgdConfig,
@@ -107,7 +106,7 @@ def hidden_pres(stack, cache):
     """The ReLU layers' pre-activations, recomputed from their cached inputs
     as forward computes them (it keeps only the activations)."""
     return [
-        cache.inputs[i] @ layer.weight.T + layer.bias
+        cache[i] @ layer.weight.T + layer.bias
         for i, layer in enumerate(stack.layers[:-1])
     ]
 
@@ -406,8 +405,8 @@ class TestReluInPlace:
             if len(pres) > 1:
                 hidden = np.concatenate([p.ravel() for p in pres[:-1]])
                 assert (hidden == 0.0).any() and np.isnan(hidden).any()
-            assert len(cache.inputs) == len(inputs)
-            for a, b in zip(cache.inputs, inputs):
+            assert len(cache) == len(inputs)
+            for a, b in zip(cache, inputs):
                 assert a.tobytes() == b.tobytes()
             assert_same_pass(stack, cache, out, grad_out, inputs, pres)
 
@@ -425,9 +424,7 @@ class TestReluInPlace:
         with np.errstate(invalid="ignore"):
             out = act @ layer.weight.T + layer.bias
         grad_out = rng.normal(size=(4, 2))
-        assert_same_pass(
-            stack, ForwardCache([x, act]), out, grad_out, [x, act], [pre, out]
-        )
+        assert_same_pass(stack, [x, act], out, grad_out, [x, act], [pre, out])
 
 
 # layer and stack construction
