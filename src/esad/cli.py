@@ -37,6 +37,13 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return config
 
 
+def _check_report_path(path) -> None:
+    """Fail before the first seed trains if the report cannot be written at
+    path: a directory, or a file in a missing directory."""
+    if path:
+        open(path, "a").close()
+
+
 def _make_artifact_hook(args):
     scores_dir = getattr(args, "scores_dir", None)
     ckpt_dir = getattr(args, "checkpoint_dir", None)
@@ -62,6 +69,7 @@ def _cmd_run(args) -> int:
     if args.checkpoint_dir and config.method != Method.ESAD:
         print("error: --checkpoint-dir requires method = esad", file=sys.stderr)
         return 1
+    _check_report_path(args.report)
     report = run_experiment(config, artifact_hook=_make_artifact_hook(args))
     print(format_report_table(report))
     if args.report:
@@ -72,6 +80,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args, sweep_fn, param_name: str) -> int:
     config = _load_config_with_overrides(args)
+    _check_report_path(args.report)
     rows = sweep_fn(config, args.values)
     print(format_sweep_table(rows, param_name))
     if args.report:

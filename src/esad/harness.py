@@ -58,7 +58,7 @@ from .ndcore import (
     GradCheckReport,
     MlpStack,
     SgdConfig,
-    backward,
+    backward,  # no caller here; perfbench's tracer hooks harness.backward
     blas_pinned,
     check_gradients,
     clip_global_norm,
@@ -355,33 +355,34 @@ def _check_finite(losses: dict[str, float], epoch: int, batch: int) -> None:
 
 def _sgd_epochs(
     config: ExperimentConfig,
-    model: EsadModel,
-    n_layers: int,
-    grad_step,
-    batch_losses,
+    params: np.ndarray,
+    chain,
+    x: np.ndarray,
+    kernel,
+    losses,
     tags: np.ndarray,
     rng: np.random.Generator,
     epochs: int,
     first_epoch: int = 0,
     labeled: bool = True,
 ) -> None:
-    """The one SGD loop behind every method and stage; it trains the first
-    n_layers of model.layers(), a prefix of model.params. Each epoch
-    reshuffles the rows, whose label codes are tags, through rng and steps
-    at the schedule's rate for that epoch, counted from 0.
-    grad_step(idx, groups, grads) gets the batch's rows and label groups
-    (see _batches; None with labeled=False, for a loss that takes no
-    labels) and writes the batch gradients into grads, views of one vector
-    aligned with those layers. If the vector's squared L2 norm is not finite
-    (a non-finite entry, or entries so large that it overflows), the step is
-    not applied, and TrainingDiverged names the first non-finite component of
-    batch_losses(idx, groups), the batch's named loss components, or
-    "gradient" when they are all finite; its epoch counts from first_epoch.
-    Otherwise the vector is clipped and applied in place.
+    """The one SGD loop behind every method and stage: it trains chain, a
+    chain of stacks whose parameters are a prefix of params. Each epoch
+    reshuffles the rows of x, whose label codes are tags, through rng and
+    steps at the schedule's rate for that epoch, counted from 0. A step runs
+    rows = x[idx] through the chain and backpropagates kernel(idx, groups,
+    rows, *outputs), the loss gradient at each stack's output or None (see
+    backward_pipeline); groups are the rows' label groups (see _batches; None
+    with labeled=False). If the gradient's squared L2 norm is not finite (a
+    non-finite entry, or entries so large that it overflows), the step is not
+    applied, and TrainingDiverged names the first non-finite component of
+    losses(idx, groups, rows, *outputs), or "gradient" when they are all
+    finite; its epoch counts from first_epoch. Otherwise the gradient is
+    clipped and applied in place.
     """
-    layers = model.layers()[:n_layers]
+    layers = [layer for stack in chain for layer in stack.layers]
     bounds = layer_bounds(layers)
-    params = model.params[: bounds[-1][2]]
+    params = params[: bounds[-1][2]]
     grad = np.empty_like(params)
     grads = param_views(layers, grad)
     for epoch in range(epochs):
@@ -389,10 +390,12 @@ def _sgd_epochs(
         for batch_no, (idx, groups) in enumerate(
             _batches(tags, config.sgd.batch_size, rng, labeled)
         ):
-            grad_step(idx, groups, grads)
+            rows = x[idx]
+            outputs, caches = zip(*forward(chain, rows))
+            backward_pipeline(chain, caches, kernel(idx, groups, rows, *outputs), grads)
             if not math.isfinite(np.dot(grad, grad)):
                 at = (first_epoch + epoch, batch_no)
-                _check_finite(batch_losses(idx, groups), *at)
+                _check_finite(losses(idx, groups, rows, *outputs), *at)
                 raise TrainingDiverged(*at, "gradient")
             sgd_step(params, clip_global_norm(grad, bounds, config.clip_norm), lr)
 
@@ -405,18 +408,6 @@ def _components(breakdown: LossBreakdown) -> dict[str, float]:
 class EsadTrainResult:
     model: EsadModel
     final_loss: LossBreakdown
-
-
-def _esad_losses(
-    model: EsadModel, x, labels, phi, config: ExperimentConfig
-) -> LossBreakdown:
-    """The esad loss breakdown of rows x, from the pipeline's forward pass.
-    labels are taken as semi_loss_and_grads takes them."""
-    out = forward_pipeline(model, x)
-    return semi_loss_and_grads(
-        x, out.z, out.x_hat, out.z_hat, labels, phi,
-        config.lambda1, config.lambda2, config.epsilon,
-    )[0]
 
 
 def train_esad(
@@ -440,25 +431,19 @@ def train_esad(
     targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
     weights = (config.lambda1, config.lambda2, config.epsilon)
 
-    def grad_step(idx, groups, grads):
-        out = forward_pipeline(model, x[idx])
-        g_out = semi_grads(out.z, out.x_hat, out.z_hat, targets[idx], groups, *weights)
-        backward_pipeline(model, out, *g_out, grads)
+    def kernel(idx, groups, _rows, z, x_hat, z_hat):
+        return semi_grads(z, x_hat, z_hat, targets[idx], groups, *weights)
 
-    def batch_losses(idx, groups):
-        return _components(_esad_losses(model, x[idx], groups, phi, config))
+    def losses(_idx, labels, *values):
+        return semi_loss_and_grads(*values, labels, phi, *weights)[0]
 
     _sgd_epochs(
-        config,
-        model,
-        len(model.layers()),
-        grad_step,
-        batch_losses,
-        tags,
-        np.random.default_rng(streams.shuffle),
-        config.sgd.epochs,
+        config, model.params, (model.enc1, model.dec, model.enc2), x, kernel,
+        lambda *args: _components(losses(*args)),
+        tags, np.random.default_rng(streams.shuffle), config.sgd.epochs,
     )
-    final = _esad_losses(model, x, tags, phi, config)
+    out = forward_pipeline(model, x)
+    final = losses(None, tags, x, out.z, out.x_hat, out.z_hat)
     _check_finite(_components(final), config.sgd.epochs, -1)
     return EsadTrainResult(model, final)
 
@@ -503,8 +488,9 @@ def train_sad_baseline(
     Stage one trains encoder plus decoder on plain reconstruction for half
     the configured epochs; the center is then frozen at the mean embedding
     of the training pool; stage two fine-tunes the encoder alone on the
-    distance-to-center loss for the remaining epochs. Each stage trains a
-    prefix of the model's parameter vector. Both stages draw batches from
+    distance-to-center loss for the remaining epochs. Each stage is a chain,
+    (enc, dec) and then (enc,), whose parameters are a prefix of the model's
+    vector, and its kernel (see _sgd_epochs). Both stages draw batches from
     one shuffle stream; the learning-rate schedule restarts at each stage,
     while divergence reports count epochs across both.
     """
@@ -514,44 +500,20 @@ def train_sad_baseline(
     enc, dec = base.enc1, base.dec
     rng = np.random.default_rng(streams.shuffle)
     stage1 = config.sgd.epochs // 2
-    n_enc = len(enc.layers)
-
-    def rec_step(idx, _groups, grads):
-        xb = x[idx]
-        (z, cache_e), (x_hat, cache_d) = forward([enc, dec], xb)
-        _, g_z = backward(dec, cache_d, grad_sad_rec(xb, x_hat), grads[n_enc:])
-        backward(enc, cache_e, g_z, grads[:n_enc], input_grad=False)
-
-    def rec_losses(idx, _groups):
-        xb = x[idx]
-        return {"rec": loss_sad_rec(xb, forward([enc, dec], xb)[1][0])}
-
-    n_stage1 = n_enc + len(dec.layers)
+    eps = config.epsilon
     _sgd_epochs(
-        config, base, n_stage1, rec_step, rec_losses, tags, rng, stage1, labeled=False
+        config, base.params, (enc, dec), x,
+        lambda _idx, _groups, rows, _z, x_hat: (None, grad_sad_rec(rows, x_hat)),
+        lambda _idx, _groups, rows, _z, x_hat: {"rec": loss_sad_rec(rows, x_hat)},
+        tags, rng, stage1, labeled=False,
     )
     z_all, _ = forward(enc, x)
     center = svdd_center(z_all)
-
-    def svdd_step(idx, groups, grads):
-        z, cache_e = forward(enc, x[idx])
-        g = grad_svdd(z, groups, center, config.epsilon)
-        backward(enc, cache_e, g, grads, input_grad=False)
-
-    def svdd_losses(idx, groups):
-        z, _ = forward(enc, x[idx])
-        return {"svdd": loss_svdd(z, groups, center, config.epsilon)}
-
     _sgd_epochs(
-        config,
-        base,
-        n_enc,
-        svdd_step,
-        svdd_losses,
-        tags,
-        rng,
-        config.sgd.epochs - stage1,
-        first_epoch=stage1,
+        config, base.params, (enc,), x,
+        lambda _idx, groups, _rows, z: (grad_svdd(z, groups, center, eps),),
+        lambda _idx, groups, _rows, z: {"svdd": loss_svdd(z, groups, center, eps)},
+        tags, rng, config.sgd.epochs - stage1, first_epoch=stage1,
     )
     # Two calls, so the encoder's hidden array is freed before the decoder
     # runs: one chain call would hold every layer of both stacks at once.
@@ -559,7 +521,7 @@ def train_sad_baseline(
     x_hat_final, _ = forward(dec, z_final)
     final = {
         "rec": loss_sad_rec(x, x_hat_final),
-        "svdd": loss_svdd(z_final, tags, center, config.epsilon),
+        "svdd": loss_svdd(z_final, tags, center, eps),
     }
     _check_finite(final, config.sgd.epochs, -1)
     return SadTrainResult(SadModel(enc, dec, center), final)
@@ -603,10 +565,9 @@ def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
         # The smallest |pre-activation| of a ReLU layer (all but a stack's
         # last), recomputed from its cached input as forward computes it.
         # One probe of size FD_STEP moves it by far less than 100 steps.
-        caches = (out.cache_enc1, out.cache_dec, out.cache_enc2)
         margin = min(
             float(np.min(np.abs(c[i] @ layer.weight.T + layer.bias)))
-            for (_, stack), c in zip(model.stacks(), caches)
+            for (_, stack), c in zip(model.stacks(), out.caches)
             for i, layer in enumerate(stack.layers[:-1])
         )
         if margin > 100 * FD_STEP and norms_ok:
@@ -626,7 +587,10 @@ def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
     )
     grad = np.empty_like(model.params)
     backward_pipeline(
-        model, out, g_z, g_xhat, g_zhat, param_views(model.layers(), grad)
+        (model.enc1, model.dec, model.enc2),
+        out.caches,
+        (g_z, g_xhat, g_zhat),
+        param_views(model.layers(), grad),
     )
     names = [
         f"{stack_name}.layer{i}.{part}[{j}]"

@@ -102,15 +102,13 @@ def new_model(
 
 @dataclass
 class PipelineOutput:
-    """Forward results plus the caches backward needs: each stack's layers'
-    inputs."""
+    """Forward results plus the caches backward needs: for each of enc1, dec
+    and enc2, its layers' inputs."""
 
     z: np.ndarray
     x_hat: np.ndarray
     z_hat: np.ndarray
-    cache_enc1: list[np.ndarray]
-    cache_dec: list[np.ndarray]
-    cache_enc2: list[np.ndarray]
+    caches: list[list[np.ndarray]]
 
 
 def forward_pipeline(model: EsadModel, x, per_row=None):
@@ -121,29 +119,32 @@ def forward_pipeline(model: EsadModel, x, per_row=None):
     if per_row is not None:
         return res
     (z, c1), (x_hat, cd), (z_hat, c2) = res
-    return PipelineOutput(z, x_hat, z_hat, c1, cd, c2)
+    return PipelineOutput(z, x_hat, z_hat, [c1, cd, c2])
 
 
-def backward_pipeline(
-    model: EsadModel, out: PipelineOutput, grad_z, grad_x_hat, grad_z_hat, grads
-) -> None:
-    """Backpropagate loss gradients taken at z, x_hat and z_hat.
+def backward_pipeline(chain, caches, out_grads, grads) -> None:
+    """Backpropagate loss gradients taken at the outputs of chain, stacks
+    that each take the one before's output, through their forward caches.
 
-    Gradients flowing into x_hat combine the direct term with the chain
-    through the second encoder; likewise z combines the direct term with the
-    chain through the decoder. The parameter gradients are written into
-    grads, (weight, bias) arrays aligned with model.layers(), such as
-    param_views(model.layers(), vec) of a vector laid out like model.params.
+    out_grads holds each stack's direct loss gradient at its output, or None
+    (never for the last stack). Walking back from the last stack, the direct
+    term is added in place to the gradient chained from the stack after, a
+    new array from backward. The parameter gradients are written into grads,
+    (weight, bias) arrays aligned with the chain's layers, such as
+    param_views of a vector laid out like them.
     """
-    n1 = len(model.enc1.layers)
-    nd = n1 + len(model.dec.layers)
-    # Each chained gradient is a new array from backward, so the direct term
-    # is added in place.
-    _, g_x_hat = backward(model.enc2, out.cache_enc2, grad_z_hat, grads[nd:])
-    g_x_hat += grad_x_hat
-    _, g_z = backward(model.dec, out.cache_dec, g_x_hat, grads[n1:nd])
-    g_z += grad_z
-    backward(model.enc1, out.cache_enc1, g_z, grads[:n1], input_grad=False)
+    k = len(chain) - 1
+    stop = len(grads)
+    g = out_grads[k]
+    while True:
+        start = stop - len(chain[k].layers)
+        _, g = backward(chain[k], caches[k], g, grads[start:stop], input_grad=k > 0)
+        if not k:
+            return
+        k -= 1
+        stop = start
+        if out_grads[k] is not None:
+            g += out_grads[k]
 
 
 # Checkpoint layout (all little-endian):

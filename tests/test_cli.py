@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import report_from_jsonl
 
+from esad import cli
 from esad.cli import main
 from esad.data import load_csv
 from esad.model import load_model
@@ -207,6 +208,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep-lambda1"])
+    def test_report_dir_exits_before_any_seed(
+        self, quick_config_path, tmp_path, capsys, monkeypatch, command
+    ):
+        # A directory as --report fails at the boundary, before training,
+        # rather than after every seed has run.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before --report was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_training)
+        monkeypatch.setattr(cli, "sweep_lambda1", no_training)
+        values = ["--values", "1.0"] if command == "sweep-lambda1" else []
+        argv = [command, "--config", str(quick_config_path), *values]
+        assert main([*argv, "--report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
 
 class TestSweeps:

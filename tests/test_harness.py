@@ -58,11 +58,14 @@ from esad.harness import (
     write_sweep_jsonl,
 )
 from esad.losses import (
+    PhiConfig,
     PhiKind,
     SemiLabel,
     batch_groups,
     grad_sad_rec,
     grad_svdd,
+    rec_targets,
+    semi_grads,
     semi_loss_and_grads,
     svdd_center,
 )
@@ -70,10 +73,12 @@ from esad.model import backward_pipeline, forward_pipeline, new_model
 from esad.ndcore import (
     SgdConfig,
     backward,
+    check_gradients,
     clip_global_norm,
     forward,
     layer_bounds,
     lr_at_epoch,
+    param_views,
     sgd_step,
 )
 
@@ -523,7 +528,12 @@ class TestListSgdOracle:
                     cfg.epsilon,
                 )
                 grads = fresh_grads(layers)
-                backward_pipeline(model, out, g_z, g_xhat, g_zhat, grads)
+                backward_pipeline(
+                    (model.enc1, model.dec, model.enc2),
+                    out.caches,
+                    (g_z, g_xhat, g_zhat),
+                    grads,
+                )
                 clipped = clip_oracle(grads, cfg.clip_norm)
                 fired += clipped is not grads
                 steps += 1
@@ -577,6 +587,94 @@ class TestListSgdOracle:
         assert _flat(enc.layers) == _flat(trained.encoder.layers)
         # Stage two trains the encoder prefix only.
         assert _flat(dec.layers) == _flat(trained.decoder.layers)
+
+
+class TestOneEncoderVariant:
+    """The one-encoder variant as a stage of _sgd_epochs: the chain
+    (enc1, dec), with the norm term on z and no consistency term. Its kernel
+    is semi_grads at z_hat := z with lambda2 = 0, so the gradient at z sums
+    the z and z_hat terms. It is a spec in this file, not a method."""
+
+    @staticmethod
+    def stage(targets, phi, lambda1, eps):
+        def kernel(idx, groups, _rows, z, x_hat):
+            g_z, g_xhat, g_zhat = semi_grads(
+                z, x_hat, z, targets[idx], groups, lambda1, 0.0, eps
+            )
+            return g_z + g_zhat, g_xhat
+
+        def losses(_idx, labels, rows, z, x_hat):
+            b, *_ = semi_loss_and_grads(
+                rows, z, x_hat, z, labels, phi, lambda1, 0.0, eps
+            )
+            return {"rec": b.rec, "norm": b.norm, "total": b.total}
+
+        return kernel, losses
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(12)
+        tags = np.array([0, 1, 2, 0, 1, 2])
+        for _ in range(200):
+            model = new_model(5, 8, 3, seed=int(rng.integers(2**32)))
+            x = rng.normal(size=(tags.size, 5))
+            chain = (model.enc1, model.dec)
+            (z, cache_e), (x_hat, cache_d) = forward(chain, x)
+            margin = min(  # every ReLU pre-activation clear of its kink
+                float(np.abs(c[i] @ layer.weight.T + layer.bias).min())
+                for stack, c in zip(chain, (cache_e, cache_d))
+                for i, layer in enumerate(stack.layers[:-1])
+            )
+            if margin > 1e-3 and np.linalg.norm(z, axis=1).min() > 0.05:
+                break
+        else:
+            pytest.fail("no kink-free instance found")
+        phi = PhiConfig.permutation(5, 3)
+        targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
+        kernel, _ = self.stage(targets, phi, 0.7, 1e-6)
+        layers = model.enc1.layers + model.dec.layers
+        params = model.params[: layer_bounds(layers)[-1][2]]
+        grad = np.empty_like(params)
+        groups = batch_groups(tags, tags.size)[0]
+        out_grads = kernel(np.arange(tags.size), groups, x, z, x_hat)
+        views = param_views(layers, grad)
+        backward_pipeline(chain, (cache_e, cache_d), out_grads, views)
+
+        def total():
+            (z_, _), (x_hat_, _) = forward(chain, x)
+            loss = semi_loss_and_grads(x, z_, x_hat_, z_, tags, phi, 0.7, 0.0, 1e-6)
+            return loss[0].total
+
+        names = [str(i) for i in range(params.size)]
+        report = check_gradients(params, grad, total, names, tolerance=1e-5)
+        assert report.passed, report.flagged[:3]
+
+    def test_trains_two_epochs_through_the_sgd_loop(self):
+        cfg = quick_config(sgd=SgdConfig(epochs=2, batch_size=16))
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
+        x, tags = semi.x_train, semi.tags
+        model = new_model(x.shape[1], cfg.hidden_dim, cfg.rep_dim, seed=5)
+        chain = (model.enc1, model.dec)
+        phi = PhiConfig.permutation(x.shape[1], 6)
+        targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
+        kernel, losses = self.stage(targets, phi, cfg.lambda1, cfg.epsilon)
+
+        def pool_losses():
+            (z, _), (x_hat, _) = forward(chain, x)
+            return losses(None, tags, x, z, x_hat)
+
+        before, start = model.params.copy(), pool_losses()
+        harness._sgd_epochs(
+            cfg, model.params, chain, x, kernel, losses,
+            tags, np.random.default_rng(7), cfg.sgd.epochs,
+        )
+        after = pool_losses()
+        assert np.isfinite(model.params).all()
+        assert all(np.isfinite(v) for v in after.values())
+        assert after["total"] < start["total"]
+        # Only the chain's prefix of the vector trains; enc2 stays put.
+        n = layer_bounds(model.enc1.layers + model.dec.layers)[-1][2]
+        assert not np.array_equal(model.params[:n], before[:n])
+        assert model.params[n:].tobytes() == before[n:].tobytes()
 
 
 class TestGradCheckIntegration:
@@ -643,12 +741,31 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="bug in the training loop"):
             run_experiment(quick_config())
 
+    # Each seed's full divergence report. Pinned: the batch named is the
+    # first one whose step is not applied, and the component the first
+    # non-finite loss of that batch, from the outputs its step computed.
+    DIVERGED = {
+        Method.ESAD: ["non-finite rec loss at epoch 0, batch 2"] * 3,
+        Method.DEEP_SAD: [
+            "non-finite rec loss at epoch 0, batch 3",
+            "non-finite gradient at epoch 0, batch 2",
+            "non-finite gradient at epoch 0, batch 2",
+        ],
+    }
+
     @pytest.mark.parametrize("method, lr", [(Method.ESAD, 1e8), (Method.DEEP_SAD, 1e3)])
-    def test_every_divergence_is_reported_with_location(self, method, lr):
+    def test_every_divergence_is_reported_with_location(self, monkeypatch, method, lr):
         # Unclipped steps this large overflow the network outputs inside the
         # first epoch. The loss layer must pass the non-finite values on, so
         # that the loop names the epoch and batch instead of a shape check
         # raising a bare ValueError about x_hat.
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "forward", counted)
         cfg = ExperimentConfig(
             method=method,
             gamma_l=0.05,
@@ -658,9 +775,14 @@ class TestRunExperiment:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             report = run_experiment(cfg)
-        for r in report.results:
-            assert r.error.startswith("TrainingDiverged: non-finite"), r.error
-            assert "at epoch 0, batch" in r.error
+        expected = self.DIVERGED[method]
+        assert [r.error for r in report.results] == [
+            f"TrainingDiverged: {text}" for text in expected
+        ]
+        # One forward pass per step, the diverging step's included: its
+        # losses come from the outputs the step already has.
+        batches = [int(text.rsplit(" ", 1)[1]) for text in expected]
+        assert len(passes) == sum(b + 1 for b in batches)
 
     def test_report_table_lists_all_seeds(self):
         cfg = quick_config(seeds=(0, 1))

@@ -30,6 +30,7 @@ from esad.ndcore import (
     DenseLayer,
     MlpStack,
     ShapeError,
+    backward,
     forward,
     param_views,
     sgd_step,
@@ -39,6 +40,11 @@ from esad.ndcore import (
 def identity_model(dim: int) -> EsadModel:
     ident = lambda: MlpStack([DenseLayer(np.eye(dim), np.zeros(dim))])
     return EsadModel(ident(), ident(), ident())
+
+
+def chain(model: EsadModel) -> tuple[MlpStack, ...]:
+    """The pipeline as the chain of stacks backward_pipeline walks."""
+    return (model.enc1, model.dec, model.enc2)
 
 
 def grads_of(model: EsadModel):
@@ -59,9 +65,7 @@ def kink_free_instance(seed: int, rows=4, dim=5, h=8, r=3, margin=1e-3):
         # activations, so each pre-activation is recomputed from its input.
         pres = [
             cache[i] @ layer.weight.T + layer.bias
-            for (_, stack), cache in zip(
-                model.stacks(), (out.cache_enc1, out.cache_dec, out.cache_enc2)
-            )
+            for (_, stack), cache in zip(model.stacks(), out.caches)
             for i, layer in enumerate(stack.layers[:-1])
         ]
         if min(float(np.abs(p).min()) for p in pres) > margin:
@@ -174,10 +178,10 @@ class TestBackwardPipeline:
 
         out = forward_pipeline(model, x)
         grad, views = grads_of(model)
-        backward_pipeline(model, out, g_z, g_xhat, g_zhat, views)
+        backward_pipeline(chain(model), out.caches, (g_z, g_xhat, g_zhat), views)
         # The views into one vector hold the bits of separate arrays.
         fresh = fresh_grads(model.layers())
-        backward_pipeline(model, out, g_z, g_xhat, g_zhat, fresh)
+        backward_pipeline(chain(model), out.caches, (g_z, g_xhat, g_zhat), fresh)
         flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in fresh])
         assert flat.tobytes() == grad.tobytes()
         params = model.params
@@ -198,11 +202,9 @@ class TestBackwardPipeline:
         out = forward_pipeline(model, x)
         grad, views = grads_of(model)
         backward_pipeline(
-            model,
-            out,
-            np.zeros_like(out.z),
-            np.zeros_like(out.x_hat),
-            np.zeros_like(out.z_hat),
+            chain(model),
+            out.caches,
+            (np.zeros_like(out.z), np.zeros_like(out.x_hat), np.zeros_like(out.z_hat)),
             views,
         )
         assert_array_equal(grad, np.zeros_like(grad))
@@ -214,11 +216,9 @@ class TestBackwardPipeline:
         out = forward_pipeline(model, x)
         _, grads = grads_of(model)
         backward_pipeline(
-            model,
-            out,
-            np.zeros_like(out.z),
-            np.zeros_like(out.x_hat),
-            np.ones_like(out.z_hat),
+            chain(model),
+            out.caches,
+            (np.zeros_like(out.z), np.zeros_like(out.x_hat), np.ones_like(out.z_hat)),
             grads,
         )
         sizes = [len(stack.layers) for _, stack in model.stacks()]
@@ -236,7 +236,7 @@ class TestBackwardPipeline:
             x, out.z, out.x_hat, out.z_hat, tags, phi
         )
         grad, views = grads_of(model)
-        backward_pipeline(model, out, g_z, g_xhat, g_zhat, views)
+        backward_pipeline(chain(model), out.caches, (g_z, g_xhat, g_zhat), views)
         before = [
             [l.weight.copy() for l in stack.layers] for _, stack in model.stacks()
         ]
@@ -247,6 +247,65 @@ class TestBackwardPipeline:
             if any(not np.array_equal(w, l.weight) for w, l in zip(weights, stack.layers))
         }
         assert changed == {"enc1", "dec", "enc2"}
+
+
+def _flat_grads(grads) -> bytes:
+    return b"".join(gw.tobytes() + gb.tobytes() for gw, gb in grads)
+
+
+class TestShorterChains:
+    """backward_pipeline over the baseline's chains, (enc1, dec) and (enc1,),
+    against the hand-chained backward calls it replaces. Bits must match on
+    any numpy build, since both sides run the same products in one order."""
+
+    def test_encoder_decoder_with_no_gradient_at_z(self):
+        model, x = kink_free_instance(seed=5)
+        enc, dec = model.enc1, model.dec
+        (z, cache_e), (x_hat, cache_d) = forward([enc, dec], x)
+        g_xhat = np.random.default_rng(9).normal(size=x_hat.shape)
+        before = g_xhat.copy()
+        layers = enc.layers + dec.layers
+        got = fresh_grads(layers)
+        backward_pipeline((enc, dec), (cache_e, cache_d), (None, g_xhat), got)
+
+        want = fresh_grads(layers)
+        _, g_z = backward(dec, cache_d, g_xhat, want[2:])
+        backward(enc, cache_e, g_z, want[:2], input_grad=False)
+        assert _flat_grads(got) == _flat_grads(want)
+        assert g_xhat.tobytes() == before.tobytes()  # out_grads are not written
+
+    def test_encoder_alone(self):
+        model, x = kink_free_instance(seed=6)
+        enc = model.enc1
+        z, cache_e = forward(enc, x)
+        g_z = np.random.default_rng(10).normal(size=z.shape)
+        got = fresh_grads(enc.layers)
+        backward_pipeline((enc,), (cache_e,), (g_z,), got)
+
+        want = fresh_grads(enc.layers)
+        backward(enc, cache_e, g_z, want, input_grad=False)
+        assert _flat_grads(got) == _flat_grads(want)
+
+    def test_full_chain_adds_direct_terms_after_chaining(self):
+        # The direct gradient at x_hat and at z is added to the gradient
+        # chained back from the next stack, in that order.
+        model, x = kink_free_instance(seed=7)
+        out = forward_pipeline(model, x)
+        rng = np.random.default_rng(11)
+        g_z, g_xhat, g_zhat = (
+            rng.normal(size=a.shape) for a in (out.z, out.x_hat, out.z_hat)
+        )
+        got = fresh_grads(model.layers())
+        backward_pipeline(chain(model), out.caches, (g_z, g_xhat, g_zhat), got)
+
+        want = fresh_grads(model.layers())
+        c1, cd, c2 = out.caches
+        _, g = backward(model.enc2, c2, g_zhat, want[4:])
+        g += g_xhat
+        _, g = backward(model.dec, cd, g, want[2:4])
+        g += g_z
+        backward(model.enc1, c1, g, want[:2], input_grad=False)
+        assert _flat_grads(got) == _flat_grads(want)
 
 
 class TestCheckpoint:
