@@ -52,7 +52,7 @@ from .model import (
     new_model,
     save_model,
 )
-from .ndcore import DenseLayer, MlpStack, SgdConfig
+from .ndcore import DenseLayer, EsadError, MlpStack, SgdConfig
 from .scoring import (
     AucResult,
     auc,

@@ -15,6 +15,7 @@ from pathlib import Path
 from .harness import (
     ExperimentConfig,
     Method,
+    TrainingDiverged,
     format_report_table,
     format_sweep_table,
     full_loss_grad_check,
@@ -27,6 +28,7 @@ from .harness import (
     write_sweep_jsonl,
 )
 from .model import save_model
+from .ndcore import EsadError
 from .scoring import export_scores_csv
 
 
@@ -173,13 +175,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # config, parse, integrity, scenario errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a directory for a file, a file for a directory
+    # Config, parse, integrity and scenario errors; a directory for a file, a
+    # file for a directory; a file that is not UTF-8 text.
+    except (EsadError, TrainingDiverged, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

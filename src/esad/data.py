@@ -20,24 +20,24 @@ from pathlib import Path
 import numpy as np
 
 from .losses import SemiLabel
-from .ndcore import ShapeError, as_binary_labels, as_matrix
+from .ndcore import EsadError, ShapeError, as_binary_labels, as_matrix
 
 logger = logging.getLogger(__name__)
 
 
-class ParseError(ValueError):
+class ParseError(EsadError):
     """Raised for malformed dataset or manifest files (includes line number)."""
 
 
-class IntegrityError(ValueError):
+class IntegrityError(EsadError):
     """Raised when a known benchmark's shape or label counts are off."""
 
 
-class ScenarioError(ValueError):
+class ScenarioError(EsadError):
     """Raised when a labeled/pollution combination cannot be built."""
 
 
-class StratifyError(ValueError):
+class StratifyError(EsadError):
     """Raised when a class is too small to appear on both split sides."""
 
 
@@ -241,15 +241,10 @@ def split_60_40(raw: RawDataset, seed: int) -> tuple[RawDataset, RawDataset]:
         )
     total_train = _round_half_up(0.6 * raw.n_samples)
     anom_train = min(max(_round_half_up(0.6 * n_anom), 1), n_anom - 1)
-    norm_train = total_train - anom_train
-    if not 1 <= norm_train <= n_norm - 1:
-        norm_train = min(max(norm_train, 1), n_norm - 1)
-        anom_train = total_train - norm_train
-        if not 1 <= anom_train <= n_anom - 1:
-            raise StratifyError(
-                f"{raw.name}: cannot place both classes on both sides of a "
-                f"60:40 split ({n_norm} normal / {n_anom} anomalous)"
-            )
+    # With N >= 4 rows, total_train lies in [2, N - 2], so clamping the
+    # normals to [1, n_norm - 1] leaves anom_train in [1, n_anom - 1].
+    norm_train = min(max(total_train - anom_train, 1), n_norm - 1)
+    anom_train = total_train - norm_train
     rng = np.random.default_rng(seed)
     anom_idx = np.flatnonzero(raw.y == 1)[rng.permutation(n_anom)]
     norm_idx = np.flatnonzero(raw.y == 0)[rng.permutation(n_norm)]
@@ -412,7 +407,7 @@ def standardize(semi: SemiDataset) -> SemiDataset:
     std = semi.x_train.std(axis=0)
     kept = std >= STD_FLOOR
     if not kept.any():
-        raise ValueError(f"{semi.name}: every feature is constant on training rows")
+        raise EsadError(f"{semi.name}: every feature is constant on training rows")
     if not kept.all():
         dropped = np.flatnonzero(~kept)
         logger.warning(

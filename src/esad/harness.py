@@ -55,6 +55,7 @@ from .model import (
 )
 from .ndcore import (
     FD_STEP,
+    EsadError,
     GradCheckReport,
     MlpStack,
     SgdConfig,
@@ -72,7 +73,7 @@ from .ndcore import (
 from .scoring import auc, score_dataset
 
 
-class ConfigError(ValueError):
+class ConfigError(EsadError):
     """Raised for unreadable, unknown or ill-typed configuration input."""
 
 
@@ -133,6 +134,10 @@ class ExperimentConfig:
             )
         if self.method not in Method.ALL:
             raise ConfigError(f"unknown method {self.method!r}")
+        try:  # a library caller may pass the kind's string form
+            object.__setattr__(self, "phi_kind", PhiKind(self.phi_kind))
+        except ValueError:
+            raise ConfigError(f"unknown phi kind {self.phi_kind!r}") from None
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -238,10 +243,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         elif key in _SGD_KEYS:
             sgd_kwargs[key] = typed
         elif key == "phi":
-            try:
-                kwargs["phi_kind"] = PhiKind(value.lower())
-            except ValueError:
-                raise ConfigError(f"{source}: unknown phi kind {value!r}") from None
+            kwargs["phi_kind"] = typed.lower()
         else:
             kwargs[key] = typed
     try:
@@ -381,8 +383,7 @@ def _sgd_epochs(
     clipped and applied in place.
     """
     layers = [layer for stack in chain for layer in stack.layers]
-    bounds = layer_bounds(layers)
-    params = params[: bounds[-1][2]]
+    params = params[: layer_bounds(layers)[-1][2]]
     grad = np.empty_like(params)
     grads = param_views(layers, grad)
     for epoch in range(epochs):
@@ -393,11 +394,12 @@ def _sgd_epochs(
             rows = x[idx]
             outputs, caches = zip(*forward(chain, rows))
             backward_pipeline(chain, caches, kernel(idx, groups, rows, *outputs), grads)
-            if not math.isfinite(np.dot(grad, grad)):
+            sq = float(np.dot(grad, grad))
+            if not math.isfinite(sq):
                 at = (first_epoch + epoch, batch_no)
                 _check_finite(losses(idx, groups, rows, *outputs), *at)
                 raise TrainingDiverged(*at, "gradient")
-            sgd_step(params, clip_global_norm(grad, bounds, config.clip_norm), lr)
+            sgd_step(params, clip_global_norm(grad, sq, config.clip_norm), lr)
 
 
 def _components(breakdown: LossBreakdown) -> dict[str, float]:
@@ -476,7 +478,7 @@ def sad_scores(model: SadModel, x) -> np.ndarray:
         lambda _x, z: np.sqrt(np.sum((z - model.center) ** 2, axis=1)),
     )
     if not np.isfinite(scores).all():
-        raise ValueError("model produced non-finite scores")
+        raise EsadError("model produced non-finite scores")
     return scores
 
 
@@ -661,8 +663,9 @@ def run_seed(
     artifact_hook(seed, semi, model, scores) fires after a successful seed,
     letting callers export scores or checkpoints without re-running. An
     expected per-seed error is recorded in the result so that the run
-    continues: data, scenario and AUC errors are ValueErrors, and divergence
-    has its own type. Anything else is a bug and propagates.
+    continues: data, scenario and AUC errors are EsadErrors, and divergence
+    has its own type. Anything else, a bare ValueError included, is a bug
+    and propagates.
     """
     start = time.perf_counter()
     try:
@@ -682,7 +685,7 @@ def run_seed(
         value = auc(scores, semi.y_test).auc
         if artifact_hook is not None:
             artifact_hook(seed, semi, model, scores)
-    except (ValueError, TrainingDiverged) as exc:
+    except (EsadError, TrainingDiverged) as exc:
         error = f"{type(exc).__name__}: {exc}"
         return SeedResult(seed, None, {}, time.perf_counter() - start, error)
     return SeedResult(seed, value, loss, time.perf_counter() - start)

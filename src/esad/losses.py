@@ -32,10 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ndcore import ShapeError, as_int_labels
+from .ndcore import EsadError, ShapeError, as_int_labels
 
 
-class MissingPhiError(ValueError):
+class MissingPhiError(EsadError):
     """Raised when a batch holds labeled anomalies but no phi is configured."""
 
 
@@ -82,7 +82,7 @@ class PhiConfig:
     @staticmethod
     def permutation(dim: int, seed: int) -> "PhiConfig":
         if dim < 2:
-            raise ValueError(
+            raise EsadError(
                 f"a fixed-point-free permutation needs dim >= 2, got {dim}"
             )
         rng = np.random.default_rng(seed)

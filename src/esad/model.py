@@ -16,6 +16,7 @@ import numpy as np
 
 from .ndcore import (
     DenseLayer,
+    EsadError,
     MlpStack,
     ShapeError,
     backward,
@@ -25,7 +26,7 @@ from .ndcore import (
 )
 
 
-class CheckpointError(ValueError):
+class CheckpointError(EsadError):
     """Raised when a checkpoint file is malformed or truncated."""
 
 

@@ -166,7 +166,13 @@ def each_chunk(rows: int, fn) -> None:
         future.result()
 
 
-class ShapeError(ValueError):
+class EsadError(ValueError):
+    """Base of the package's own errors: bad input, or a model or scenario
+    that cannot yield a result. A seed that raises one is recorded as
+    failed; any other exception inside a seed is a bug and propagates."""
+
+
+class ShapeError(EsadError):
     """Raised when operands have incompatible or malformed shapes."""
 
 
@@ -376,7 +382,7 @@ def forward(stacks, x, per_row=None):
     def chunk(s: int, e: int) -> None:
         rows = arr[s:e]
         if not np.isfinite(rows).all():
-            raise ValueError("x contains non-finite entries")
+            raise EsadError("x contains non-finite entries")
         values[s:e] = per_row(rows, *_run_chain(chain, rows, keep=False))
 
     each_chunk(arr.shape[0], chunk)
@@ -458,47 +464,19 @@ def lr_at_epoch(cfg: SgdConfig, epoch: int) -> float:
     return cfg.initial_lr * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def clip_global_norm(grad: np.ndarray, bounds, max_norm: float) -> np.ndarray:
+def clip_global_norm(grad: np.ndarray, sq: float, max_norm: float) -> np.ndarray:
     """Rescale a gradient vector so its L2 norm is at most max_norm.
 
-    bounds places each layer's weight and bias in grad (see layer_bounds).
-    Returns grad itself whenever the norm is already within bounds or
-    max_norm <= 0, and a rescaled copy otherwise. A gradient clearly inside
-    the bound is recognized from one sum over the vector, with the same
-    outcome as the exact per-layer norm; the others pay for both. Caps the step size without
-    changing the step direction; a batch whose labeled-group average runs
-    over one or two samples can otherwise produce steps large enough to
-    destabilize plain SGD.
+    sq is the vector's squared norm, float(np.dot(grad, grad)), which the
+    caller has checked is finite; the norm is sqrt(sq). Returns grad itself
+    when max_norm <= 0 or the norm is within max_norm, and a rescaled copy
+    otherwise. Caps the step size without changing the step direction; a
+    batch whose labeled-group average runs over one or two samples can
+    otherwise produce steps large enough to destabilize plain SGD.
     """
-    if max_norm <= 0:
+    if max_norm <= 0 or sq <= max_norm * max_norm:
         return grad
-    sq = grad * grad
-    # One sum over the vector settles a step well inside the ball without
-    # the per-layer sums. That pays where the clip seldom fires (deep-sad on
-    # perfbench's sad-tall-csv: about one step in ten) and is an extra pass
-    # where it mostly fires (esad-small: 88% of steps; esad-score-wide:
-    # every step). Any two float64 sums of the same n nonnegative terms agree
-    # within a factor (1 + u)^(2n), u = 2^-53 (exactly, when the total is
-    # subnormal), and limit rounds by at most (1 + u)^2. So a one-sum total
-    # under a limit n * 8u short of max_norm^2, or of the largest double when
-    # that overflows, puts the per-layer total at or below max_norm^2 without
-    # overflow: the exact path would return grad too. Strict < sends an
-    # infinite or NaN total to the exact path.
-    limit = min(max_norm * max_norm, sys.float_info.max) * (1.0 - grad.size * 2.0**-50)
-    if float(np.add.reduce(sq)) < limit:
-        return grad
-    # Squares are summed per layer, weight then bias, in layer order. Any
-    # other order (one dot product over the vector, or np.add.reduceat over
-    # the slices) moves the norm's last bit, and with it trained weights and
-    # AUCs.
-    total = 0.0
-    for start, mid, end in bounds:
-        w, b = np.add.reduce(sq[start:mid]), np.add.reduce(sq[mid:end])
-        total += float(w) + float(b)
-    norm = math.sqrt(total)
-    if norm <= max_norm:
-        return grad
-    return (max_norm / norm) * grad
+    return (max_norm / math.sqrt(sq)) * grad
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .model import EsadModel, forward_pipeline
-from .ndcore import ShapeError, as_binary_labels, as_matrix
+from .ndcore import EsadError, ShapeError, as_binary_labels, as_matrix
 
 
-class SingleClassError(ValueError):
+class SingleClassError(EsadError):
     """Raised when AUC is requested for a single-class label set."""
 
 
@@ -64,7 +64,7 @@ def score_dataset(model: EsadModel, x, lambda1: float = 1.0) -> np.ndarray:
         model, x, lambda xc, _z, x_hat, z_hat: _scores(xc, x_hat, z_hat, lambda1)
     )
     if not np.isfinite(scores).all():
-        raise ValueError("model produced non-finite scores")
+        raise EsadError("model produced non-finite scores")
     return scores
 
 

@@ -76,18 +76,14 @@ def fresh_grads(layers):
 
 
 def clip_oracle(grads, max_norm: float):
-    """Per-layer clip: the norm summed layer by layer as sum(gw^2) +
-    sum(gb^2), then scale * g for every array. Returns grads itself when
-    the cap does not bind."""
-    if max_norm <= 0:
+    """Per-layer clip: the squared norm is the dot product of the per-layer
+    arrays concatenated, weight then bias, in layer order; then scale * g
+    for every array. Returns grads itself when the cap does not bind."""
+    flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
+    sq = float(np.dot(flat, flat))
+    if max_norm <= 0 or sq <= max_norm * max_norm:
         return grads
-    total = 0.0
-    for gw, gb in grads:
-        total += float((gw * gw).sum()) + float((gb * gb).sum())
-    norm = math.sqrt(total)
-    if norm <= max_norm:
-        return grads
-    scale = max_norm / norm
+    scale = max_norm / math.sqrt(sq)
     return [(scale * gw, scale * gb) for gw, gb in grads]
 
 

@@ -183,6 +183,24 @@ class TestRun:
             assert out == ""
             assert message in err
 
+    def test_bug_propagates_and_bad_text_exits_one(
+        self, quick_config_path, tmp_path, capsys, monkeypatch
+    ):
+        # A file that is not UTF-8 text is an input error: one line on
+        # stderr. A bare ValueError is a bug, and keeps its traceback.
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("dataset = caf\xe9\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            main(["run", "--config", str(quick_config_path)])
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1

@@ -34,7 +34,7 @@ from esad.data import (
     verify_benchmark_stats,
 )
 from esad.losses import SemiLabel
-from esad.ndcore import ShapeError
+from esad.ndcore import EsadError, ShapeError
 
 U = int(SemiLabel.UNLABELED)
 A = int(SemiLabel.LABELED_ANOMALOUS)
@@ -492,6 +492,21 @@ class TestSplit:
             # Both classes on both sides, always.
             for part in (train, test):
                 assert 0 < part.n_anomalies < part.n_samples
+        # Small classes, where the proportional normal count can fall on 0
+        # or on every normal and the split clamps it (2 normals and 4
+        # anomalies: 4 - 2 = 2 normals would leave none for the test side).
+        clamped = 0
+        for n_norm in range(2, 13):
+            for n_anom in range(2, 13):
+                total_train = int(np.floor(0.6 * (n_norm + n_anom) + 0.5))
+                share = total_train - int(np.floor(0.6 * n_anom + 0.5))
+                clamped += not 1 <= share <= n_norm - 1
+                train, test = split_60_40(self.make_raw(n_norm, n_anom), seed=n_anom)
+                assert train.n_samples == total_train
+                assert abs(train.n_anomalies - 0.6 * n_anom) <= 1.0
+                for part in (train, test):
+                    assert 0 < part.n_anomalies < part.n_samples
+        assert clamped > 0
 
     def test_tiny_class_raises(self):
         raw = self.make_raw(50, 1)
@@ -648,7 +663,7 @@ class TestStandardize:
         assert_array_equal(out.transform.kept, [True, False, True])
 
     def test_all_constant_raises(self):
-        with pytest.raises(ValueError, match="constant"):
+        with pytest.raises(EsadError, match="constant"):
             standardize(self.make_semi(np.full((10, 2), 3.0)))
 
     def test_transform_apply_width_check(self):

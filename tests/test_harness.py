@@ -27,7 +27,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import esad
 from esad import harness
-from esad.data import synth_gaussians
+from esad.data import (
+    IntegrityError,
+    ParseError,
+    ScenarioError,
+    StratifyError,
+    synth_gaussians,
+)
 from esad.harness import (
     ChildSeeds,
     ConfigError,
@@ -58,6 +64,7 @@ from esad.harness import (
     write_sweep_jsonl,
 )
 from esad.losses import (
+    MissingPhiError,
     PhiConfig,
     PhiKind,
     SemiLabel,
@@ -69,9 +76,11 @@ from esad.losses import (
     semi_loss_and_grads,
     svdd_center,
 )
-from esad.model import backward_pipeline, forward_pipeline, new_model
+from esad.model import CheckpointError, backward_pipeline, forward_pipeline, new_model
 from esad.ndcore import (
+    EsadError,
     SgdConfig,
+    ShapeError,
     backward,
     check_gradients,
     clip_global_norm,
@@ -81,6 +90,7 @@ from esad.ndcore import (
     param_views,
     sgd_step,
 )
+from esad.scoring import SingleClassError
 
 FULL_CONFIG = """
 # toy experiment
@@ -178,6 +188,22 @@ class TestConfigParsing:
     def test_bad_method(self):
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config_text("method = autoencoder\n")
+
+    def test_phi_kind_string_form(self):
+        # A library caller's string form is the enum member: it trains bit
+        # for bit like the enum form, and the run's config echo holds it.
+        by_enum = quick_config(phi_kind=PhiKind.PERMUTATION, sgd=SgdConfig(epochs=3))
+        by_text = quick_config(phi_kind="permutation", sgd=SgdConfig(epochs=3))
+        assert by_text.phi_kind is PhiKind.PERMUTATION and by_text == by_enum
+        semi = prepare_scenario(load_dataset(by_enum), by_enum, seed=0)
+        a = train_esad(by_enum, semi, seed=0).model.params
+        b = train_esad(by_text, semi, seed=0).model.params
+        assert a.tobytes() == b.tobytes()
+        assert run_experiment(by_text).config["phi"] == "permutation"
+        with pytest.raises(ConfigError, match="unknown phi kind 'bogus'"):
+            quick_config(phi_kind="bogus")
+        with pytest.raises(ConfigError, match="exp.cfg: unknown phi kind 'rotation'"):
+            parse_config_text("phi = Rotation\n", "exp.cfg")
 
     @pytest.mark.parametrize("key", ["data_path", "manifest"])
     def test_synthetic_rejects_a_data_source(self, key):
@@ -442,7 +468,7 @@ class TestTrainBaseline:
             )
             g_enc, _ = backward(enc, cache_e, g_z, fresh_grads(enc.layers))
             grad = np.concatenate([np.r_[w.ravel(), b] for w, b in g_enc + g_dec])
-            grad = clip_global_norm(grad, bounds, cfg.clip_norm)
+            grad = clip_global_norm(grad, float(np.dot(grad, grad)), cfg.clip_norm)
             sgd_step(base.params[: bounds[-1][2]], grad, lr)
         z_all, _ = forward(enc, x)
         assert_array_equal(svdd_center(z_all), result.model.center)
@@ -721,6 +747,22 @@ class TestRunExperiment:
         table = format_report_table(report)
         assert "FAILED" in table and "no completed seeds" in table
 
+    def test_bare_value_error_propagates(self, monkeypatch):
+        # numpy raises ValueError for shape bugs: one inside a seed is a bug,
+        # not a seed failure. The package's own errors are EsadErrors.
+        def broken_scorer(model, x, lambda1):
+            return np.ones(len(x)) + np.ones(len(x) + 1)
+
+        monkeypatch.setattr(harness, "score_dataset", broken_scorer)
+        with pytest.raises(ValueError, match="could not be broadcast") as err:
+            run_experiment(quick_config(sgd=SgdConfig(epochs=1)))
+        assert not isinstance(err.value, EsadError)
+        for typed in (
+            ConfigError, ParseError, IntegrityError, ScenarioError, StratifyError,
+            ShapeError, SingleClassError, MissingPhiError, CheckpointError,
+        ):
+            assert issubclass(typed, EsadError)
+
     def test_only_expected_errors_become_seed_failures(self, monkeypatch):
         # Divergence is recorded per seed; a bug inside training (here a
         # TypeError) must propagate instead of reading as a FAILED row.
@@ -734,7 +776,7 @@ class TestRunExperiment:
             report = run_experiment(cfg)
         assert all(r.error.startswith("TrainingDiverged") for r in report.results)
 
-        def broken_clip(grad, bounds, max_norm):
+        def broken_clip(grad, sq, max_norm):
             raise TypeError("bug in the training loop")
 
         monkeypatch.setattr(harness, "clip_global_norm", broken_clip)

@@ -35,7 +35,7 @@ from esad.losses import (
     semi_loss_and_grads,
     svdd_center,
 )
-from esad.ndcore import ShapeError
+from esad.ndcore import EsadError, ShapeError
 
 U = int(SemiLabel.UNLABELED)
 N = int(SemiLabel.LABELED_NORMAL)
@@ -373,7 +373,7 @@ class TestPhi:
             assert np.all(phi_apply(cfg, x) != x)
 
     def test_permutation_requires_dim_2(self):
-        with pytest.raises(ValueError, match="dim >= 2"):
+        with pytest.raises(EsadError, match="dim >= 2"):
             PhiConfig.permutation(1, seed=0)
 
     def test_gaussian_noise_is_repeatable(self):

@@ -571,138 +571,111 @@ class TestSgd:
 
 
 def grad_vector(rng, stack):
-    """A random gradient vector laid out like stack, with its bounds."""
-    bounds = layer_bounds(stack.layers)
-    return rng.normal(size=bounds[-1][2]), bounds
+    """A random gradient vector laid out like stack, and its squared norm."""
+    grad = rng.normal(size=layer_bounds(stack.layers)[-1][2])
+    return grad, float(np.dot(grad, grad))
 
 
-def clip_exact(grad, bounds, max_norm):
-    """clip_global_norm as it was before its one-sum bound test: every call
-    sums the squares per layer. The oracle for the bound test's decisions."""
-    if max_norm <= 0:
+def clip_definition(grad, sq, max_norm):
+    """What clip_global_norm returns: grad itself when max_norm <= 0 or
+    sq <= max_norm^2, else (max_norm / sqrt(sq)) * grad."""
+    if max_norm <= 0 or sq <= max_norm * max_norm:
         return grad
-    sq = grad * grad
-    total = 0.0
-    for start, mid, end in bounds:
-        total += float(sq[start:mid].sum()) + float(sq[mid:end].sum())
-    norm = math.sqrt(total)
-    if norm <= max_norm:
-        return grad
-    return (max_norm / norm) * grad
+    return (max_norm / math.sqrt(sq)) * grad
 
 
-def assert_clip_as_exact(grad, bounds, max_norm):
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = clip_exact(grad, bounds, max_norm)
-        got = clip_global_norm(grad, bounds, max_norm)
+def assert_clip_is_definition(grad, sq, max_norm):
+    got = clip_global_norm(grad, sq, max_norm)
+    want = clip_definition(grad, sq, max_norm)
     assert (got is grad) == (want is grad), max_norm
     assert got.tobytes() == want.tobytes(), max_norm
-
-
-class TestClipBoundTest:
-    """clip_global_norm skips the per-layer sums when one sum over the
-    vector shows the gradient well inside the ball. Around the edge of that
-    test, and past overflow, it must decide exactly as the per-layer norm
-    does, returning grad itself or the same rescaled bits."""
-
-    # Steps of 2^-52 relative to the norm, up to several times the margin
-    # n * 2^-50 a gradient of up to 100 entries gets on its squared norm.
-    STEPS = sorted({0, *range(-900, 901, 37), *range(-40, 41)})
-
-    def test_norms_around_the_bound(self):
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            dims = rng.integers(1, 6, size=rng.integers(2, 4)).tolist()
-            grad, bounds = grad_vector(rng, random_stack(rng, dims))
-            grad *= 10.0 ** rng.uniform(-3, 3)
-            norm = math.sqrt(float(sum(float(v) ** 2 for v in grad)))
-            for k in self.STEPS:
-                assert_clip_as_exact(grad, bounds, norm * (1 + k * 2.0**-52))
-
-    def test_margin_covers_reordered_sums(self):
-        # One sum over this vector gives 1 + 22 ulp and the per-layer sums
-        # give 1 + 32 ulp (see TestClipping.test_reduction_order_is_per_layer).
-        # At max_norm = 1 + 14 ulp, between their roots, a bound test with
-        # no margin would keep a gradient that the per-layer norm clips.
-        tiny = 1.25 * 2.0**-27
-        layers = [DenseLayer(np.array([[1.0]]), np.array([tiny]))] + [
-            DenseLayer(np.array([[tiny]]), np.array([tiny])) for _ in range(32)
-        ]
-        bounds = layer_bounds(layers)
-        flat = np.array([1.0] + [tiny] * 65)
-        cap = 1.0 + 14 * 2.0**-52
-        assert float((flat * flat).sum()) < cap * cap
-        assert clip_global_norm(flat, bounds, cap) is not flat
-        for k in range(-5, 60):
-            assert_clip_as_exact(flat, bounds, 1.0 + k * 2.0**-52)
-
-    def test_zero_and_non_finite_entries(self):
-        rng = np.random.default_rng(32)
-        grad, bounds = grad_vector(rng, random_stack(rng))
-        for cap in (1e-3, 1.0, 1e200):
-            assert_clip_as_exact(np.zeros_like(grad), bounds, cap)
-            for bad in (np.inf, -np.inf, np.nan):
-                for at in (0, grad.size // 2, grad.size - 1):
-                    broken = grad.copy()
-                    broken[at] = bad
-                    assert_clip_as_exact(broken, bounds, cap)
-
-    def test_huge_cap_and_overflowing_squares(self):
-        # With max_norm = 1e200, max_norm^2 overflows; the squared norm
-        # itself can sit just under, at or past the largest double.
-        rng = np.random.default_rng(33)
-        biggest = np.finfo(np.float64).max
-        for _ in range(20):
-            grad, bounds = grad_vector(rng, random_stack(rng))
-            unit = grad / math.sqrt(float(np.dot(grad, grad)))
-            for k in self.STEPS:
-                scaled = unit * (math.sqrt(biggest) * (1 + k * 2.0**-52))
-                assert_clip_as_exact(scaled, bounds, 1e200)
-            for scale in (1e100, 1e150, 1e160, 1e200, 1e300):
-                assert_clip_as_exact(unit * scale, bounds, 1e200)
-
-    def test_tiny_caps(self):
-        # max_norm^2 in the subnormal range or below skips the bound test.
-        rng = np.random.default_rng(34)
-        grad, bounds = grad_vector(rng, random_stack(rng))
-        unit = grad / math.sqrt(float(np.dot(grad, grad)))
-        for cap in (1e-150, 1e-155, 1e-160, 1e-170, 5e-324):
-            for scale in (0.5, 1.0, 2.0):
-                assert_clip_as_exact(unit * (cap * scale), bounds, cap)
 
 
 class TestClipping:
     def test_norm_matches_flat_vector(self):
         rng = np.random.default_rng(18)
-        grad, bounds = grad_vector(rng, random_stack(rng))
+        grad, sq = grad_vector(rng, random_stack(rng))
         norm = float(np.linalg.norm(grad))
-        clipped = clip_global_norm(grad, bounds, 1.0)
+        clipped = clip_global_norm(grad, sq, 1.0)
         assert_allclose(clipped, grad / norm, rtol=1e-12)
 
-    def test_reduction_order_is_per_layer(self):
-        # The norm is summed layer by layer, weight then bias. Here the first
-        # weight squares to 1 and every other entry squares to 0.39 ulp of 1:
-        # alone each tiny square rounds away against 1, but the two of a
-        # layer together round up by one ulp. So the per-layer order gives
-        # 1 + 32 ulp, while any order over the flattened gradients gives
-        # something else (one running sum stays at 1; the exact sum is about
-        # 1 + 25 ulp), and swapping the reduction fails here instead of
-        # silently shifting trained models.
+    def test_reduction_order_is_one_dot(self):
+        # The norm is the square root of the sq passed in, the loop's
+        # np.dot over the whole vector. Here the first weight squares to 1
+        # and every other entry squares to 0.39 ulp of 1: summed layer by
+        # layer, weight then bias (the order before the dot), the squares
+        # give 1 + 32 ulp, about 7 ulp above the exact sum, so a clip that
+        # sums per layer again fails here.
         tiny = 1.25 * 2.0**-27
         grads = [(np.array([[1.0]]), np.array([tiny]))] + [
             (np.array([[tiny]]), np.array([tiny])) for _ in range(32)
         ]
-        total = 0.0
+        per_layer = 0.0
         for gw, gb in grads:
-            total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
-        assert total == 1.0 + 32 * 2.0**-52
-        scale = 1.0 / np.sqrt(total)
+            per_layer += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
+        assert per_layer == 1.0 + 32 * 2.0**-52
         flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
-        assert 1.0 / np.linalg.norm(flat) != scale
-        assert 1.0 / np.sqrt(np.dot(flat, flat)) != scale
-        bounds = layer_bounds([DenseLayer(gw, gb) for gw, gb in grads])
-        clipped = clip_global_norm(flat, bounds, 1.0)
-        assert_array_equal(clipped, scale * flat)
+        sq = float(np.dot(flat, flat))
+        assert sq != per_layer
+        clipped = clip_global_norm(flat, sq, 1.0)
+        assert clipped.tobytes() == ((1.0 / math.sqrt(sq)) * flat).tobytes()
+        assert clipped.tobytes() != ((1.0 / math.sqrt(per_layer)) * flat).tobytes()
+
+    def test_norm_is_read_from_sq(self):
+        # The clip takes the norm it is given and does not sum grad again.
+        rng = np.random.default_rng(22)
+        grad, sq = grad_vector(rng, random_stack(rng))
+        cap = 0.9 * math.sqrt(sq)
+        assert clip_global_norm(grad, 0.5 * sq, cap) is grad
+        clipped = clip_global_norm(grad, 4.0 * sq, cap)
+        assert clipped.tobytes() == ((cap / math.sqrt(4.0 * sq)) * grad).tobytes()
+
+    def test_caps_below_at_and_above_the_norm(self):
+        # Steps of 2^-52 relative to the norm on random layouts, and exact
+        # squares: at sq == max_norm^2 the gradient is returned as it is.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            dims = rng.integers(1, 6, size=rng.integers(2, 4)).tolist()
+            grad, _ = grad_vector(rng, random_stack(rng, dims))
+            grad *= 10.0 ** rng.uniform(-3, 3)
+            sq = float(np.dot(grad, grad))
+            for k in range(-40, 41):
+                assert_clip_is_definition(grad, sq, math.sqrt(sq) * (1 + k * 2.0**-52))
+        grad = np.array([3.0, 0.0, 4.0])
+        assert clip_global_norm(grad, 25.0, 5.0) is grad
+        below = np.nextafter(5.0, 0.0)
+        assert clip_global_norm(grad, 25.0, below).tobytes() == (
+            (below / 5.0) * grad
+        ).tobytes()
+
+    def test_zero_gradient(self):
+        grad = np.zeros(7)
+        for cap in (5e-324, 1e-3, 1.0, 1e200, 0.0):
+            assert clip_global_norm(grad, 0.0, cap) is grad
+
+    def test_cap_squared_overflowing(self):
+        # max_norm^2 overflows to inf past about 1.34e154: every finite sq,
+        # up to the largest double, is within it.
+        rng = np.random.default_rng(33)
+        unit, sq = grad_vector(rng, random_stack(rng))
+        unit /= math.sqrt(sq)
+        biggest = sys.float_info.max
+        for cap in (1.4e154, 1e200, biggest):
+            assert cap * cap == math.inf
+            for scale in (1.0, 1e100, 1e150, 1.3e154):
+                grad = unit * scale
+                sq = float(np.dot(grad, grad))
+                assert math.isfinite(sq)
+                assert clip_global_norm(grad, sq, cap) is grad
+            assert clip_global_norm(unit, biggest, cap) is unit
+
+    def test_tiny_caps(self):
+        # max_norm^2 subnormal or rounding to 0 still clips to max_norm.
+        rng = np.random.default_rng(34)
+        grad, sq = grad_vector(rng, random_stack(rng))
+        for cap in (1e-150, 1e-160, 5e-324):
+            clipped = clip_global_norm(grad, sq, cap)
+            assert clipped.tobytes() == ((cap / math.sqrt(sq)) * grad).tobytes()
 
     def test_matches_per_layer_oracle_bit_for_bit(self):
         # Random layouts, with the cap below, near and above the norm: the
@@ -711,12 +684,13 @@ class TestClipping:
         for _ in range(300):
             dims = rng.integers(1, 40, size=rng.integers(2, 6)).tolist()
             stack = random_stack(rng, dims)
-            grad, bounds = grad_vector(rng, stack)
+            grad, _ = grad_vector(rng, stack)
             grad *= rng.uniform(1e-3, 1e3)
+            sq = float(np.dot(grad, grad))
             as_list = [(gw.copy(), gb.copy()) for gw, gb in param_views(stack.layers, grad)]
             norm = float(np.linalg.norm(grad))
             for cap in (0.3 * norm, norm, 3.0 * norm):
-                clipped = clip_global_norm(grad, bounds, cap)
+                clipped = clip_global_norm(grad, sq, cap)
                 expected = clip_oracle(as_list, cap)
                 flat = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in expected])
                 assert clipped.tobytes() == flat.tobytes()
@@ -724,15 +698,15 @@ class TestClipping:
 
     def test_under_cap_untouched(self):
         rng = np.random.default_rng(19)
-        grad, bounds = grad_vector(rng, random_stack(rng))
+        grad, sq = grad_vector(rng, random_stack(rng))
         cap = float(np.linalg.norm(grad)) + 1.0
-        assert clip_global_norm(grad, bounds, cap) is grad
+        assert clip_global_norm(grad, sq, cap) is grad
 
     def test_over_cap_rescales_to_cap(self):
         rng = np.random.default_rng(20)
-        grad, bounds = grad_vector(rng, random_stack(rng))
+        grad, sq = grad_vector(rng, random_stack(rng))
         cap = 0.5 * float(np.linalg.norm(grad))
-        clipped = clip_global_norm(grad, bounds, cap)
+        clipped = clip_global_norm(grad, sq, cap)
         assert_allclose(np.linalg.norm(clipped), cap, rtol=1e-12)
         # Direction is preserved: clipped entries are a uniform rescale.
         ratio = clipped / grad
@@ -740,9 +714,9 @@ class TestClipping:
 
     def test_disabled_with_nonpositive_cap(self):
         rng = np.random.default_rng(21)
-        grad, bounds = grad_vector(rng, random_stack(rng))
-        assert clip_global_norm(grad, bounds, 0.0) is grad
-        assert clip_global_norm(grad, bounds, -1.0) is grad
+        grad, sq = grad_vector(rng, random_stack(rng))
+        assert clip_global_norm(grad, sq, 0.0) is grad
+        assert clip_global_norm(grad, sq, -1.0) is grad
 
 
 # gradient-check harness

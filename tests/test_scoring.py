@@ -27,7 +27,7 @@ from esad.scoring import (
     export_scores_csv,
     score_dataset,
 )
-from esad.ndcore import ShapeError
+from esad.ndcore import EsadError, ShapeError
 
 
 def auc_oracle(scores, labels) -> float:
@@ -97,7 +97,7 @@ class TestAnomalyScore:
         model = new_model(4, seed=5)
         model.enc1.layers[0].weight[0, 0] = np.nan
         x = np.random.default_rng(6).normal(size=(3, 4))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(EsadError, match="non-finite"):
             score_dataset(model, x)
 
     def test_sad_scores_reject_nan_rows_and_non_finite_scores(self):
@@ -106,10 +106,10 @@ class TestAnomalyScore:
         x = np.random.default_rng(8).normal(size=(3, 4))
         nan_row = x.copy()
         nan_row[1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(EsadError, match="non-finite"):
             sad_scores(model, nan_row)
         model.encoder.layers[0].weight[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(EsadError, match="non-finite"):
             sad_scores(model, x)
 
     def test_score_dataset_respects_row_order(self):
@@ -192,7 +192,7 @@ class TestBlockedScoring:
             pipeline_calls.clear()
             passes.clear()
             with forced_pool(pool):
-                with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+                with pytest.raises(EsadError, match="^x contains non-finite entries$"):
                     score(m, x)
             assert pipeline_calls == calls
             assert passes == [True] * (2 if pool == 1 else 4)
@@ -204,7 +204,7 @@ class TestBlockedScoring:
         for pool in POOL_SIZES:
             pipeline_calls.clear()
             with forced_pool(pool), np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(ValueError, match="^model produced non-finite scores$"):
+                with pytest.raises(EsadError, match="^model produced non-finite scores$"):
                     score_dataset(model, x)
             assert pipeline_calls == [2 * BLOCK + 17]
 
