@@ -178,9 +178,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 1
-    # Config, parse, integrity and scenario errors; a directory for a file, a
-    # file for a directory; a file that is not UTF-8 text.
-    except (EsadError, TrainingDiverged, OSError, UnicodeDecodeError) as exc:
+    # Config, parse, integrity and scenario errors, a file that is not UTF-8
+    # text among them; a directory for a file, a file for a directory.
+    except (EsadError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,7 +141,8 @@ def load_csv(path, name: str | None = None) -> RawDataset:
 
     Fields are unquoted numbers. Blank lines and lines whose first
     non-blank character is '#' are skipped. Any malformed row raises
-    ParseError naming the file and 1-based line number.
+    ParseError naming the file and 1-based line number, and a file that is
+    not UTF-8 text one naming the file.
 
     The file is read once, in blocks of _BLOCK_LINES lines. Each block's
     data lines are parsed as one table, which must have the first data
@@ -151,23 +152,26 @@ def load_csv(path, name: str | None = None) -> RawDataset:
     """
     p = Path(path)
     xs, ys, width, lineno = [], [], 0, 0
-    with open(p) as fh:
-        while block := list(islice(fh, _BLOCK_LINES)):
-            lines = [line for line in block if _is_data_line(line)]
-            if lines:
-                width = width or lines[0].count(",") + 1
-                try:
-                    part = _read_block(lines, width)
-                except ValueError as exc:
-                    for n, line in enumerate(block, start=lineno + 1):
-                        if _is_data_line(line) and (
-                            fault := _line_fault(f"{p}:{n}", line, width)
-                        ):
-                            raise fault from None
-                    raise ParseError(f"{p}: {exc}") from None
-                xs.append(part.x)
-                ys.append(part.y)
-            lineno += len(block)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            while block := list(islice(fh, _BLOCK_LINES)):
+                lines = [line for line in block if _is_data_line(line)]
+                if lines:
+                    width = width or lines[0].count(",") + 1
+                    try:
+                        part = _read_block(lines, width)
+                    except ValueError as exc:
+                        for n, line in enumerate(block, start=lineno + 1):
+                            if _is_data_line(line) and (
+                                fault := _line_fault(f"{p}:{n}", line, width)
+                            ):
+                                raise fault from None
+                        raise ParseError(f"{p}: {exc}") from None
+                    xs.append(part.x)
+                    ys.append(part.y)
+                lineno += len(block)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text ({exc.reason})") from None
     if not xs:
         raise ParseError(f"{p}: no data rows")
     # Free the last block's lines, and the blocks once joined, before
@@ -201,24 +205,27 @@ def load_manifest(path) -> dict[str, Path]:
     """Parse `name = path` lines, where '#' starts a comment. Relative paths
     resolve against the manifest's directory."""
     p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, Path] = {}
-    with open(p) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{p}:{lineno}: expected `name = path`")
-            name, _, value = stripped.partition("=")
-            name, value = name.strip(), value.split("#", 1)[0].strip()
-            if not name or not value:
-                raise ParseError(f"{p}:{lineno}: empty name or path")
-            if name in out:
-                raise ParseError(f"{p}:{lineno}: duplicate dataset {name!r}")
-            target = Path(value)
-            if not target.is_absolute():
-                target = p.parent / target
-            out[name] = target
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{p}:{lineno}: expected `name = path`")
+        name, _, value = stripped.partition("=")
+        name, value = name.strip(), value.split("#", 1)[0].strip()
+        if not name or not value:
+            raise ParseError(f"{p}:{lineno}: empty name or path")
+        if name in out:
+            raise ParseError(f"{p}:{lineno}: duplicate dataset {name!r}")
+        target = Path(value)
+        if not target.is_absolute():
+            target = p.parent / target
+        out[name] = target
     return out
 
 

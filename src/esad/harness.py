@@ -59,6 +59,7 @@ from .ndcore import (
     GradCheckReport,
     MlpStack,
     SgdConfig,
+    as_number,
     backward,  # no caller here; perfbench's tracer hooks harness.backward
     blas_pinned,
     check_gradients,
@@ -134,6 +135,12 @@ class ExperimentConfig:
             )
         if self.method not in Method.ALL:
             raise ConfigError(f"unknown method {self.method!r}")
+        for name, kind in _CONFIG_KEYS.items():
+            value = getattr(self, name, None)  # None: unset, or an SgdConfig key
+            if kind is not str and value is not None:
+                object.__setattr__(self, name, as_number(value, name, kind))
+        seeds = tuple(as_number(seed, "seeds", int) for seed in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
         try:  # a library caller may pass the kind's string form
             object.__setattr__(self, "phi_kind", PhiKind(self.phi_kind))
         except ValueError:
@@ -255,7 +262,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
-    return parse_config_text(p.read_text(), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text ({exc.reason})") from None
+    return parse_config_text(text, source=str(p))
 
 
 def config_echo(config: ExperimentConfig) -> dict:

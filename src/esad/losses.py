@@ -5,8 +5,9 @@ labeled anomalous (2). Training batches hold only codes 0 and 2, since
 data.make_scenario labels anomalies alone; code 1 is accepted for library
 callers, and the full-objective gradient check uses it. Throughout, n is
 the number of unlabeled rows in the batch and m the number of labeled rows
-(normal plus anomalous); each group is averaged separately and a group
-absent from the batch contributes nothing.
+(normal plus anomalous). Each row's term is divided by its group's size,
+n or m, which loss values and gradients read from one per-row array; a
+group absent from the batch contributes nothing.
 
 Norm-style terms raise labeled-anomalous distances through an inverse, which
 blows up near zero; a small eps guards only those inverse branches. At an
@@ -154,15 +155,10 @@ def _pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Groups(NamedTuple):
-    """A batch's row masks and group sizes (see batch_groups)."""
+    """A batch's anomaly mask and group sizes (see batch_groups)."""
 
-    unl: np.ndarray
-    nrm: np.ndarray
-    anm: np.ndarray
-    n: np.int64  # unlabeled rows
-    n_nrm: np.int64
+    anm: np.ndarray  # labeled-anomalous rows
     n_anm: np.int64
-    m: np.int64  # labeled rows, n_nrm + n_anm
     div: np.ndarray  # per row, the size of its group: n or m, as float64
 
 
@@ -185,23 +181,19 @@ def batch_groups(codes, batch_size: int) -> list[_Groups]:
 
     codes lists the epoch's label codes in batch order; batch k holds rows
     k * batch_size up to (k + 1) * batch_size, the last one possibly short.
-    Its masks and div are views into arrays shared by the whole epoch, and
-    its counts are np.int64 on every numpy version.
+    Its anm and div are views into arrays shared by the whole epoch, and
+    its n_anm is np.int64 on every numpy version.
     """
     codes = label_codes(codes)
-    unl, nrm, anm = codes == 0, codes == 1, codes == 2  # SemiLabel codes
+    unl, anm = codes == 0, codes == 2  # SemiLabel codes
     starts = np.arange(0, codes.size, batch_size)
-    n, n_nrm, n_anm = (
-        np.add.reduceat(g, starts, dtype=np.int64) for g in (unl, nrm, anm)
-    )
-    m = n_nrm + n_anm
     sizes = np.diff(starts, append=codes.size)
-    div = np.where(unl, np.repeat(n, sizes), np.repeat(m, sizes)).astype(np.float64)
+    n, n_anm = (np.add.reduceat(g, starts, dtype=np.int64) for g in (unl, anm))
+    div = np.where(unl, np.repeat(n, sizes), np.repeat(sizes - n, sizes))
+    div = div.astype(np.float64)
     return [
-        _Groups(unl[s:e], nrm[s:e], anm[s:e], *counts, div[s:e])
-        for s, e, *counts in zip(
-            starts.tolist(), (starts + batch_size).tolist(), n, n_nrm, n_anm, m
-        )
+        _Groups(anm[s:e], k, div[s:e])
+        for s, e, k in zip(starts.tolist(), (starts + batch_size).tolist(), n_anm)
     ]
 
 
@@ -217,15 +209,8 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _distance_loss(dists: np.ndarray, groups: _Groups, eps: float) -> float:
-    loss = 0.0
-    if groups.n:
-        loss += float(dists[groups.unl].sum()) / groups.n
-    if groups.m:
-        labeled_sum = float(dists[groups.nrm].sum()) if groups.n_nrm else 0.0
-        if groups.n_anm:
-            labeled_sum += float((1.0 / (dists[groups.anm] + eps)).sum())
-        loss += labeled_sum / groups.m
-    return loss
+    terms = np.divide(1.0, dists + eps, out=dists.copy(), where=groups.anm)
+    return float((terms / groups.div).sum())
 
 
 def _distance_grad(
@@ -319,11 +304,7 @@ def semi_loss_and_grads(
 
     diff = xh - targets
     sq = (diff * diff).sum(axis=1)
-    rec = 0.0
-    if groups.n:
-        rec += float(sq[groups.unl].sum()) / groups.n
-    if groups.m:
-        rec += float(sq[~groups.unl].sum()) / groups.m
+    rec = float((sq / groups.div).sum())
     norm = _distance_loss(_row_norms(zh), groups, eps)
     d_ass = zh - zm
     ass = float((d_ass * d_ass).sum(axis=1).sum()) / zm.shape[0]

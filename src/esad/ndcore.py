@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -174,6 +175,15 @@ class EsadError(ValueError):
 
 class ShapeError(EsadError):
     """Raised when operands have incompatible or malformed shapes."""
+
+
+def as_number(value, name: str, kind: type) -> int | float:
+    """value as a Python int or float (kind), so that a numpy scalar in a
+    config computes and serializes as the built-in type would. A value of
+    another type, a float for int among them, raises EsadError naming it."""
+    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise EsadError(f"{name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def as_matrix(a, name: str = "array") -> np.ndarray:
@@ -442,6 +452,9 @@ class SgdConfig:
     epochs: int = 200
 
     def __post_init__(self):
+        for f in fields(self):  # each an int or a float, as its default is
+            value = as_number(getattr(self, f.name), f.name, type(f.default))
+            setattr(self, f.name, value)
         if not 0 < self.initial_lr < math.inf:
             raise ValueError(
                 f"initial_lr must be positive and finite, got {self.initial_lr}"

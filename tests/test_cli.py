@@ -186,13 +186,24 @@ class TestRun:
     def test_bug_propagates_and_bad_text_exits_one(
         self, quick_config_path, tmp_path, capsys, monkeypatch
     ):
-        # A file that is not UTF-8 text is an input error: one line on
-        # stderr. A bare ValueError is a bug, and keeps its traceback.
+        # A config, manifest or CSV that is not UTF-8 text is an input
+        # error: one line on stderr, naming the file. A bare ValueError is a
+        # bug, and keeps its traceback.
+        latin1 = "caf\xe9".encode("latin-1")
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"1.0,0\n# " + latin1 + b"\n")
+        manifest = tmp_path / "latin1.manifest"
+        manifest.write_bytes(b"tall = " + latin1 + b".csv\n")
         cfg = tmp_path / "latin1.cfg"
-        cfg.write_bytes("dataset = caf\xe9\n".encode("latin-1"))
-        assert main(["run", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        cfg.write_bytes(b"dataset = " + latin1 + b"\n")
+        by_csv = tmp_path / "csv.cfg"
+        by_csv.write_text(f"dataset = tall\ndata_path = {csv}\n")
+        by_manifest = tmp_path / "manifest.cfg"
+        by_manifest.write_text(f"dataset = tall\nmanifest = {manifest}\n")
+        for config, bad in ((cfg, cfg), (by_csv, csv), (by_manifest, manifest)):
+            assert main(["run", "--config", str(config)]) == 1
+            want = f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+            assert capsys.readouterr().err == want
 
         def broken(*args, **kwargs):
             raise ValueError("operands could not be broadcast together")

@@ -205,6 +205,45 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="exp.cfg: unknown phi kind 'rotation'"):
             parse_config_text("phi = Rotation\n", "exp.cfg")
 
+    def test_numpy_scalars_are_stored_as_builtins(self, tmp_path):
+        # A numpy scalar computes and serializes as the built-in number: the
+        # clip's cap squared overflows to inf without a warning, the run
+        # trains as with built-in values, and its report is written.
+        huge = np.finfo(np.float64).max
+        by_numpy = quick_config(
+            lambda1=np.float32(0.5),
+            clip_norm=np.float64(huge),
+            seeds=(np.int64(0),),
+            hidden_dim=np.int64(8),
+            sgd=SgdConfig(epochs=np.int64(2), initial_lr=np.float64(0.01)),
+        )
+        by_python = quick_config(
+            lambda1=0.5, clip_norm=huge, hidden_dim=8, sgd=SgdConfig(epochs=2, initial_lr=0.01)
+        )
+        assert by_numpy == by_python
+        for value in (by_numpy.lambda1, by_numpy.clip_norm, by_numpy.sgd.initial_lr):
+            assert type(value) is float
+        for value in (by_numpy.seeds[0], by_numpy.hidden_dim, by_numpy.sgd.epochs):
+            assert type(value) is int
+        report = run_experiment(by_numpy)
+        want = run_experiment(by_python)
+        assert [r.auc for r in report.results] == [r.auc for r in want.results]
+        path = tmp_path / "report.jsonl"
+        write_report_jsonl(report, path)
+        assert report_from_jsonl(path) == report
+
+    def test_non_numbers_rejected_by_key(self):
+        with pytest.raises(EsadError, match="lambda1 must be float, got '0.5'"):
+            quick_config(lambda1="0.5")
+        with pytest.raises(EsadError, match=re.escape("hidden_dim must be int, got 8.0")):
+            quick_config(hidden_dim=8.0)
+        with pytest.raises(EsadError, match=re.escape("seeds must be int, got 1.0")):
+            quick_config(seeds=(0, 1.0))
+        with pytest.raises(EsadError, match=re.escape("epochs must be int, got 2.5")):
+            SgdConfig(epochs=2.5)
+        with pytest.raises(EsadError, match="initial_lr must be float, got None"):
+            SgdConfig(initial_lr=None)
+
     @pytest.mark.parametrize("key", ["data_path", "manifest"])
     def test_synthetic_rejects_a_data_source(self, key):
         # The synthetic source would train on generated rows and ignore the file.

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_ulp
 
 from esad.losses import (
     LossBreakdown,
@@ -131,9 +131,11 @@ def loop_oracle(x, z, x_hat, z_hat, tags, perm, lam1, lam2, eps):
     return rec, norm, ass, g_z, g_xhat, g_zhat
 
 
-# Exact references for the vectorised kernel: each group's rows are selected
-# by mask and their gradients assigned separately. The kernel must match them
-# bit for bit, because any change in rounding moves trained weights and AUCs.
+# Masked references for the vectorised kernel: each group's rows are selected
+# by mask, summed and divided by the group's size, and their gradients
+# assigned separately. The kernel's gradients must match them bit for bit,
+# because any change in rounding moves trained weights and AUCs; its loss
+# values, which training never reads, match them to a few ulps.
 
 
 def masked_distance_loss(dists, tags, eps):
@@ -198,6 +200,32 @@ def masked_semi(x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps):
     return rec, norm, ass, lam2 * -g_ass, g_xhat, lam1 * g_norm + lam2 * g_ass
 
 
+# Replicas of the loss values' per-row form, which the kernel matches bit for
+# bit: each row's term divided by the size of its group, then one sum.
+
+
+def group_divisor(tags):
+    """Each row's group size as float64: n on unlabeled rows, m on labeled."""
+    unl = np.asarray(tags) == U
+    n = int(unl.sum())
+    return np.where(unl, float(n), float(unl.size - n))
+
+
+def per_row_distance_loss(dists, tags, eps):
+    anm = np.asarray(tags) == A
+    terms = np.where(anm, 1.0 / np.where(anm, dists + eps, 1.0), dists)
+    return float((terms / group_divisor(tags)).sum())
+
+
+def per_row_rec(x, x_hat, tags, phi):
+    anm = np.asarray(tags) == A
+    targets = x.copy()
+    if np.any(anm):
+        targets[anm] = phi_apply(phi, x[anm])
+    diff = x_hat - targets
+    return float((np.sum(diff * diff, axis=1) / group_divisor(tags)).sum())
+
+
 def assert_same_bits(got, want):
     assert_array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # signed zeros included
@@ -224,15 +252,16 @@ class TestLabels:
 
 
 def group_masks_reference(labels) -> _Groups:
-    """The per-batch group builder that batch_groups replaced, kept verbatim
-    (bar its row-count check) as the reference."""
+    """The per-batch group builder that batch_groups replaced (bar its
+    row-count check), as the reference: it counts each of the three groups
+    by mask and takes m as the normal plus the anomalous count."""
     codes = label_codes(labels)
     unl, nrm, anm = codes == 0, codes == 1, codes == 2  # SemiLabel codes
     n, n_nrm = np.count_nonzero(unl), np.count_nonzero(nrm)
     n_anm = np.count_nonzero(anm)
     m = n_nrm + n_anm
     div = np.where(unl, float(n), float(m))
-    return _Groups(unl, nrm, anm, n, n_nrm, n_anm, m, div)
+    return _Groups(anm, n_anm, div)
 
 
 class TestBatchGroups:
@@ -667,14 +696,22 @@ class TestTotal:
                 x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps
             )
             want = masked_semi(x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps)
-            assert (b.rec, b.norm, b.ass) == want[:3]
+            # The two forms round their divisions and sums in different
+            # orders; over these batches they differ by at most 2 ulps.
+            assert_array_max_ulp([b.rec, b.norm], want[:2], maxulp=4)
+            assert b.ass == want[2]
+            norms = np.sqrt(np.sum(z_hat * z_hat, axis=1))
+            assert b.rec == per_row_rec(x, x_hat, tags, phi)
+            assert b.norm == per_row_distance_loss(norms, tags, eps)
             for got, ref in zip(grads, want[3:]):
                 assert_same_bits(got, ref)
 
             offsets = z_svdd - center
             dists = np.sqrt(np.sum(offsets * offsets, axis=1))
             loss = loss_svdd(z_svdd, tags, center, eps)
-            assert loss == masked_distance_loss(dists, tags, eps)
+            want_loss = masked_distance_loss(dists, tags, eps)
+            assert_array_max_ulp(loss, want_loss, maxulp=4)
+            assert loss == per_row_distance_loss(dists, tags, eps)
             assert_same_bits(
                 grad_svdd(z_svdd, tags, center, eps),
                 masked_distance_grad(offsets, dists, tags, eps),
