@@ -7,7 +7,6 @@ failed; argparse reports usage problems with its own code 2.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +27,7 @@ from .harness import (
     write_sweep_jsonl,
 )
 from .model import save_model
-from .ndcore import EsadError
+from .ndcore import FLOAT, INT, POSITIVE, EsadError, at_least
 from .scoring import export_scores_csv
 
 
@@ -110,18 +109,18 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _flag(kind, rule):
+    """An argparse type: text parsed as kind that meets rule, as for a key."""
+    test, words = rule
 
+    def parse(text: str):
+        value = kind.parse(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text}")
+        return value
 
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+    parse.__name__ = kind.words  # argparse names it: "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gradcheck",
         help="finite-difference check of the full objective on random models",
     )
-    gc.add_argument("--models", type=_at_least_one, default=20)
-    gc.add_argument("--tolerance", type=_positive_finite, default=1e-4)
+    gc.add_argument("--models", type=_flag(INT, at_least(1)), default=20)
+    gc.add_argument("--tolerance", type=_flag(FLOAT, POSITIVE), default=1e-4)
     gc.set_defaults(fn=_cmd_gradcheck)
     return parser
 

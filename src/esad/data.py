@@ -437,7 +437,8 @@ def synth_gaussians(
 ) -> RawDataset:
     """Isotropic Gaussian toy data: normals at the origin, anomalies at
     separation along every coordinate. separation=0 makes the classes
-    indistinguishable."""
+    indistinguishable. The bounds are plain ValueErrors: a config's synth_*
+    keys hold them too, so no CLI path reaches these checks."""
     if n_normal < 2 or n_anom < 2:  # split_60_40 needs 2 per class
         raise ValueError(f"counts must be >= 2, got {n_normal}/{n_anom}")
     if dim < 1:

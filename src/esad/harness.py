@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,16 +55,27 @@ from .model import (
 )
 from .ndcore import (
     FD_STEP,
+    FLOAT,
+    FRACTION,
+    INT,
+    NON_NEGATIVE,
+    POSITIVE,
+    STR,
+    ConfigError,
     EsadError,
     GradCheckReport,
+    Kind,
     MlpStack,
     SgdConfig,
-    as_number,
+    at_least,
     backward,  # no caller here; perfbench's tracer hooks harness.backward
     blas_pinned,
     check_gradients,
+    check_key,
+    check_keys,
     clip_global_norm,
     forward,
+    key,
     layer_bounds,
     lr_at_epoch,
     param_views,
@@ -72,10 +83,6 @@ from .ndcore import (
     sgd_step,
 )
 from .scoring import auc, score_dataset
-
-
-class ConfigError(EsadError):
-    """Raised for unreadable, unknown or ill-typed configuration input."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -97,127 +104,83 @@ class Method:
     ALL = (ESAD, DEEP_SAD)
 
 
+SEEDS = Kind(
+    "a list of ints",
+    cls=object,
+    cast=lambda seeds: tuple(map(INT.convert, seeds)),
+    parse=lambda text: tuple(map(int, text.replace(",", " ").split())),
+    echo=list,
+)
+PHI = Kind(
+    f"in {tuple(k.value for k in PhiKind)}",
+    cls=(PhiKind, str),
+    cast=PhiKind,
+    parse=str.lower,
+    echo=lambda kind: kind.value,
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: data source, method, weights, schedule, seeds."""
+    """Everything a run needs: data source, method, weights, schedule, seeds.
+    Each field is a row of the key table (see ndcore.key), in file order."""
 
-    dataset: str = "synthetic"
-    data_path: str | None = None
-    manifest: str | None = None
-    method: str = Method.ESAD
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    gamma_l: float = 0.0
-    gamma_p: float = 0.0
-    seeds: tuple[int, ...] = (0,)
-    sgd: SgdConfig = field(default_factory=SgdConfig)
-    hidden_dim: int | None = None
-    rep_dim: int | None = None
-    phi_kind: PhiKind = PhiKind.PERMUTATION
-    phi_sigma: float = 1.0
-    epsilon: float = 1e-6
+    dataset: str = key("synthetic", STR)
+    data_path: str | None = key(None, STR)
+    manifest: str | None = key(None, STR)
+    method: str = key(Method.ESAD, STR, (lambda m: m in Method.ALL, f"in {Method.ALL}"))
+    lambda1: float = key(1.0, FLOAT, NON_NEGATIVE)
+    lambda2: float = key(1.0, FLOAT, NON_NEGATIVE)
+    gamma_l: float = key(0.0, FLOAT, FRACTION)
+    gamma_p: float = key(0.0, FLOAT, FRACTION)
+    seeds: tuple[int, ...] = key((0,), SEEDS, (
+        lambda s: s and len(set(s)) == len(s) and min(s) >= 0, "non-empty, distinct and >= 0"
+    ))
+    sgd: SgdConfig = key(SgdConfig(), Kind("SgdConfig", SgdConfig))
+    hidden_dim: int | None = key(None, INT, at_least(1))
+    rep_dim: int | None = key(None, INT, at_least(1))
+    phi_kind: PhiKind = key(PhiKind.PERMUTATION, PHI, name="phi")
+    phi_sigma: float = key(1.0, FLOAT, POSITIVE)
+    epsilon: float = key(1e-6, FLOAT, POSITIVE)
     # Cap on the joint gradient L2 norm per step; 0 disables. Keeps plain
     # SGD stable when a batch's labeled group holds only a sample or two.
-    clip_norm: float = 5.0
+    clip_norm: float = key(5.0, FLOAT, NON_NEGATIVE)
     # Synthetic-source knobs, used only when dataset == "synthetic".
-    synth_normal: int = 800
-    synth_anom: int = 80
-    synth_dim: int = 8
-    synth_separation: float = 6.0
-    synth_seed: int = 0
+    synth_normal: int = key(800, INT, at_least(2))  # split_60_40 needs 2 per class
+    synth_anom: int = key(80, INT, at_least(2))
+    synth_dim: int = key(8, INT, at_least(1))
+    synth_separation: float = key(6.0, FLOAT, NON_NEGATIVE)
+    synth_seed: int = key(0, INT, at_least(0))
 
     def __post_init__(self):
+        check_keys(self)
         if self.data_path is not None and self.manifest is not None:
             raise ConfigError("set data_path or manifest, not both")
         if self.dataset == "synthetic" and {self.data_path, self.manifest} != {None}:
             raise ConfigError(
                 "dataset synthetic reads no file: unset data_path and manifest"
             )
-        if self.method not in Method.ALL:
-            raise ConfigError(f"unknown method {self.method!r}")
-        for name, kind in _CONFIG_KEYS.items():
-            value = getattr(self, name, None)  # None: unset, or an SgdConfig key
-            if kind is not str and value is not None:
-                object.__setattr__(self, name, as_number(value, name, kind))
-        seeds = tuple(as_number(seed, "seeds", int) for seed in self.seeds)
-        object.__setattr__(self, "seeds", seeds)
-        try:  # a library caller may pass the kind's string form
-            object.__setattr__(self, "phi_kind", PhiKind(self.phi_kind))
-        except ValueError:
-            raise ConfigError(f"unknown phi kind {self.phi_kind!r}") from None
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"duplicate seeds in {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        for name in ("epsilon", "phi_sigma"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name in ("lambda1", "lambda2", "clip_norm", "synth_separation"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
-        for name in ("gamma_l", "gamma_p"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        for name, least in (
-            ("hidden_dim", 1), ("rep_dim", 1), ("synth_dim", 1), ("synth_seed", 0),
-            ("synth_normal", 2), ("synth_anom", 2),  # split_60_40 needs 2 per class
-        ):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "data_path": str,
-    "manifest": str,
-    "method": str,
-    "lambda1": float,
-    "lambda2": float,
-    "gamma_l": float,
-    "gamma_p": float,
-    "seeds": str,
-    "epochs": int,
-    "batch_size": int,
-    "initial_lr": float,
-    "decay_every": int,
-    "decay_factor": float,
-    "hidden_dim": int,
-    "rep_dim": int,
-    "phi": str,
-    "phi_sigma": float,
-    "epsilon": float,
-    "clip_norm": float,
-    "synth_normal": int,
-    "synth_anom": int,
-    "synth_dim": int,
-    "synth_separation": float,
-    "synth_seed": int,
+# Every config key by its file name, in file order; sgd stands for SgdConfig's.
+KEYS = {
+    f.metadata["name"] or f.name: f
+    for top in fields(ExperimentConfig)
+    for f in (fields(top.default) if is_dataclass(top.default) else (top,))
 }
-# Keys that configure SgdConfig rather than ExperimentConfig itself.
-_SGD_KEYS = ("epochs", "batch_size", "initial_lr", "decay_every", "decay_factor")
 
 
 def parse_seed_list(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"bad seed list {text!r}") from None
-    if not seeds:
-        raise ConfigError("empty seed list")
-    return seeds
+    """Comma- or space-separated seeds, checked as the seeds key is."""
+    return check_key(KEYS["seeds"], text, text=True)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse the flat `key = value` config format.
 
     Blank lines and '#' comments are ignored; an empty value leaves the key
-    at its default. Unknown keys and duplicate keys are errors.
+    at its default. Unknown keys and duplicate keys are errors, and every
+    other error names source.
     """
     values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -229,7 +192,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         value = value.split("#", 1)[0].strip()
-        if key not in _CONFIG_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -237,26 +200,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             values[key] = value
     kwargs: dict = {}
     sgd_kwargs: dict = {}
-    for key, value in values.items():
-        caster = _CONFIG_KEYS[key]
-        try:
-            typed = caster(value)
-        except ValueError:
-            raise ConfigError(
-                f"{source}: key {key!r} expects {caster.__name__}, got {value!r}"
-            ) from None
-        if key == "seeds":
-            kwargs["seeds"] = parse_seed_list(value)
-        elif key in _SGD_KEYS:
-            sgd_kwargs[key] = typed
-        elif key == "phi":
-            kwargs["phi_kind"] = typed.lower()
-        else:
-            kwargs[key] = typed
     try:
-        kwargs["sgd"] = SgdConfig(**sgd_kwargs)
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
+        for key, value in values.items():
+            f = KEYS[key]
+            into = sgd_kwargs if f in fields(SgdConfig) else kwargs
+            into[f.name] = check_key(f, value, text=True)
+        return ExperimentConfig(sgd=SgdConfig(**sgd_kwargs), **kwargs)
+    except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
@@ -271,17 +221,12 @@ def load_config(path) -> ExperimentConfig:
 
 def config_echo(config: ExperimentConfig) -> dict:
     """JSON-ready flat snapshot of a config, keyed like the config file."""
-    echo: dict = {}
-    for key in _CONFIG_KEYS:
-        if key in _SGD_KEYS:
-            echo[key] = getattr(config.sgd, key)
-        elif key == "phi":
-            echo[key] = config.phi_kind.value
-        elif key == "seeds":
-            echo[key] = list(config.seeds)
-        else:
-            echo[key] = getattr(config, key)
-    return echo
+    return {
+        name: f.metadata["kind"].echo(
+            getattr(config.sgd if f in fields(SgdConfig) else config, f.name)
+        )
+        for name, f in KEYS.items()
+    }
 
 
 class ChildSeeds(NamedTuple):

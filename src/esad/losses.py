@@ -52,7 +52,8 @@ def label_codes(labels) -> np.ndarray:
     if arr.size == 0:
         raise ShapeError("empty label sequence")
     # The valid codes are exactly 0..2, so a range check suffices; the set of
-    # bad codes is built only for the error message.
+    # bad codes is built only for the error message. A plain ValueError:
+    # make_scenario's tags are always 0..2, so no CLI path reaches it.
     if arr.min() < 0 or arr.max() > 2:
         bad = sorted({int(v) for v in arr} - {int(v) for v in SemiLabel})
         raise ValueError(f"unknown label codes {bad}")

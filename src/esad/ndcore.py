@@ -1,4 +1,5 @@
-"""Dense-layer primitives: float64 arrays, forward/backward passes, SGD.
+"""Dense-layer primitives: float64 arrays, forward/backward passes, SGD, and
+the config key table's parts (Kind, the rules, key, check_keys).
 
 Everything here is deterministic. Given the same inputs (and the same rng for
 initialization) every function returns bit-identical results across calls.
@@ -22,6 +23,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,15 +177,6 @@ class EsadError(ValueError):
 
 class ShapeError(EsadError):
     """Raised when operands have incompatible or malformed shapes."""
-
-
-def as_number(value, name: str, kind: type) -> int | float:
-    """value as a Python int or float (kind), so that a numpy scalar in a
-    config computes and serializes as the built-in type would. A value of
-    another type, a float for int among them, raises EsadError naming it."""
-    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        raise EsadError(f"{name} must be {kind.__name__}, got {value!r}")
-    return kind(value)
 
 
 def as_matrix(a, name: str = "array") -> np.ndarray:
@@ -437,38 +430,90 @@ def backward(
     return out, g
 
 
-@dataclass
+class ConfigError(EsadError):
+    """Raised for unreadable, unknown, ill-typed or out-of-range config input."""
+
+
+class Kind(NamedTuple):
+    """A config key's type: its name in errors; cls, what a value must be an
+    instance of (a bool never is); cast, such a value to its stored form;
+    parse, config-file text to a value; and echo, the stored form as JSON."""
+
+    words: str
+    cls: type | tuple
+    cast: Callable = lambda value: value
+    parse: Callable = str
+    echo: Callable = lambda value: value
+
+    def convert(self, value):
+        """value in its stored form, or a TypeError, ValueError or OverflowError."""
+        if isinstance(value, bool) or not isinstance(value, self.cls):
+            raise TypeError(value)
+        return self.cast(value)
+
+
+# A numpy scalar is stored as the built-in number, so it computes and
+# serializes as one would. bool is a number to Python, but not to a config.
+INT = Kind("int", numbers.Integral, int, int)
+FLOAT = Kind("float", numbers.Real, float, float)
+STR = Kind("str", str, str)
+# Rules: a test of a key's stored value, and the words that state it.
+POSITIVE = (lambda value: 0 < value < math.inf, "positive and finite")
+NON_NEGATIVE = (lambda value: 0 <= value < math.inf, ">= 0 and finite")
+FRACTION = (lambda value: 0 <= value < 1, "in [0, 1)")
+
+
+def at_least(least: int) -> tuple:
+    return (lambda value: value >= least), f">= {least}"
+
+
+def key(default, kind: Kind, rule=(lambda value: True, ""), name: str | None = None):
+    """A config dataclass field, one row of the key table: the key's
+    default, kind and rule, and its config-file name if not the field's. A
+    key whose default is None may be left unset."""
+    return field(default=default, metadata={"kind": kind, "rule": rule, "name": name})
+
+
+def check_key(f, value, text: bool = False):
+    """value, or with text set its config-file text, as key field f stores
+    it; a ConfigError names the key if it is not of f's kind or breaks f's
+    rule."""
+    if value is None and f.default is None:
+        return None
+    kind, (test, words) = f.metadata["kind"], f.metadata["rule"]
+    name = f.metadata["name"] or f.name
+    try:
+        typed = kind.convert(kind.parse(value) if text else value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {kind.words}, got {value!r}") from None
+    if not test(typed):
+        raise ConfigError(f"{name} must be {words}, got {typed!r}")
+    return typed
+
+
+def check_keys(config) -> None:
+    """Store each key field of a config dataclass as check_key returns it."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, check_key(f, getattr(config, f.name)))
+
+
+@dataclass(frozen=True)
 class SgdConfig:
     """Plain SGD with a stepped learning-rate schedule.
 
     The rate at a given epoch is initial_lr * decay_factor ** (epoch //
-    decay_every). No momentum, no weight decay.
+    decay_every). No momentum, no weight decay. The fields are key rows
+    (see key), in config-file order.
     """
 
-    initial_lr: float = 0.1
-    decay_every: int = 50
-    decay_factor: float = 0.5
-    batch_size: int = 32
-    epochs: int = 200
+    epochs: int = key(200, INT, at_least(1))
+    batch_size: int = key(32, INT, at_least(1))
+    initial_lr: float = key(0.1, FLOAT, POSITIVE)
+    decay_every: int = key(50, INT, at_least(1))
+    decay_factor: float = key(0.5, FLOAT, (lambda value: 0 < value <= 1, "in (0, 1]"))
 
     def __post_init__(self):
-        for f in fields(self):  # each an int or a float, as its default is
-            value = as_number(getattr(self, f.name), f.name, type(f.default))
-            setattr(self, f.name, value)
-        if not 0 < self.initial_lr < math.inf:
-            raise ValueError(
-                f"initial_lr must be positive and finite, got {self.initial_lr}"
-            )
-        if self.decay_every < 1:
-            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
-        if not 0 < self.decay_factor <= 1:
-            raise ValueError(
-                f"decay_factor must be in (0, 1], got {self.decay_factor}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_keys(self)
 
 
 def lr_at_epoch(cfg: SgdConfig, epoch: int) -> float:
@@ -553,7 +598,7 @@ def check_gradients(
         down = eval_loss()
         params[idx] = orig
         if not (np.isfinite(up) and np.isfinite(down)):
-            raise ValueError(f"loss non-finite while probing {label}")
+            raise EsadError(f"loss non-finite while probing {label}")
         numeric = (up - down) / (2.0 * FD_STEP)
         a = analytic[idx]
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)

@@ -186,7 +186,7 @@ class TestConfigParsing:
             parse_config_text("epochs = many\n")
 
     def test_bad_method(self):
-        with pytest.raises(ConfigError, match="unknown method"):
+        with pytest.raises(ConfigError, match="method must be in .*, got 'autoencoder'"):
             parse_config_text("method = autoencoder\n")
 
     def test_phi_kind_string_form(self):
@@ -200,9 +200,9 @@ class TestConfigParsing:
         b = train_esad(by_text, semi, seed=0).model.params
         assert a.tobytes() == b.tobytes()
         assert run_experiment(by_text).config["phi"] == "permutation"
-        with pytest.raises(ConfigError, match="unknown phi kind 'bogus'"):
+        with pytest.raises(ConfigError, match="phi must be in .*, got 'bogus'"):
             quick_config(phi_kind="bogus")
-        with pytest.raises(ConfigError, match="exp.cfg: unknown phi kind 'rotation'"):
+        with pytest.raises(ConfigError, match="exp.cfg: phi must be in .*, got 'Rotation'"):
             parse_config_text("phi = Rotation\n", "exp.cfg")
 
     def test_numpy_scalars_are_stored_as_builtins(self, tmp_path):
@@ -237,12 +237,33 @@ class TestConfigParsing:
             quick_config(lambda1="0.5")
         with pytest.raises(EsadError, match=re.escape("hidden_dim must be int, got 8.0")):
             quick_config(hidden_dim=8.0)
-        with pytest.raises(EsadError, match=re.escape("seeds must be int, got 1.0")):
+        with pytest.raises(EsadError, match=re.escape("seeds must be a list of ints, got (0, 1.0)")):
             quick_config(seeds=(0, 1.0))
         with pytest.raises(EsadError, match=re.escape("epochs must be int, got 2.5")):
             SgdConfig(epochs=2.5)
         with pytest.raises(EsadError, match="initial_lr must be float, got None"):
             SgdConfig(initial_lr=None)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seeds": 5}, "seeds must be a list of ints, got 5"),
+            ({"sgd": {"epochs": 3}}, "sgd must be SgdConfig, got {'epochs': 3}"),
+            ({"dataset": 5}, "dataset must be str, got 5"),
+            ({"dataset": "x", "data_path": 5}, "data_path must be str, got 5"),
+            ({"hidden_dim": True}, "hidden_dim must be int, got True"),
+            ({"lambda1": True}, "lambda1 must be float, got True"),
+            ({"lambda1": 10**400}, "lambda1 must be float, got 1000"),
+        ],
+        ids=[
+            "bare-int-seeds", "dict-sgd", "int-dataset", "int-data-path", "bool-int",
+            "bool-float", "int-too-large-for-float",
+        ],
+    )
+    def test_ill_typed_values_rejected_by_key(self, kwargs, message):
+        # A value of another type fails at construction, naming its key.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize("key", ["data_path", "manifest"])
     def test_synthetic_rejects_a_data_source(self, key):
@@ -289,6 +310,7 @@ class TestConfigParsing:
             ("synth_dim = 0", "synth_dim"),
             ("synth_seed = -1", "synth_seed"),
             ("seeds = 0,-1", "seeds"),
+            ("seeds = a", "seeds"),
         ]:
             path.write_text(line + "\n")
             with pytest.raises(ConfigError, match=f"exp.cfg: {key} must be"):
@@ -299,14 +321,32 @@ class TestConfigParsing:
     def test_seed_list_parsing(self):
         assert parse_seed_list("0,1,2") == (0, 1, 2)
         assert parse_seed_list("5 9") == (5, 9)
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError, match="seeds must be non-empty, distinct"):
             parse_config_text("seeds = 1,1")
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError, match="seeds must be non-empty, distinct"):
             ExperimentConfig(seeds=(1, 1))
         with pytest.raises(ConfigError):
             parse_seed_list("")
         with pytest.raises(ConfigError):
             parse_seed_list("a,b")
+
+    def test_readme_table_matches_key_table(self):
+        # README's Configuration table lists every key in config_echo's
+        # order, and each literal default there is the key's default.
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip().strip("`") for cell in line.split("|")[1:3]]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        defaults = config_echo(ExperimentConfig())
+        assert [key for key, _ in rows] == list(defaults)
+        for key, cell in rows:
+            if cell == "–" or key in ("hidden_dim", "rep_dim"):  # unset, or derived
+                assert defaults[key] is None, key
+            else:
+                assert config_echo(parse_config_text(f"{key} = {cell}"))[key] == defaults[key], key
 
     def test_echo_roundtrip(self):
         # The echo is itself a valid config file for the same config.

@@ -6,6 +6,7 @@ against central differences computed right here in the test. Library code is onl
 trusted once it agrees with these.
 """
 
+import dataclasses
 import math
 import os
 import platform
@@ -19,7 +20,9 @@ from conftest import clip_oracle, fresh_grads, sgd_oracle
 from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.ndcore import (
+    ConfigError,
     DenseLayer,
+    EsadError,
     GradCheckReport,
     MlpStack,
     SgdConfig,
@@ -563,8 +566,15 @@ class TestSgd:
         ],
     )
     def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
             SgdConfig(**kwargs)
+
+    def test_config_is_frozen(self):
+        # A checked schedule cannot be set out of range after construction.
+        cfg = SgdConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 0
 
 
 # gradient clipping
@@ -793,7 +803,7 @@ class TestGradCheck:
 
     def test_rejects_nonfinite_loss(self):
         vec, _, names = stack_params(random_stack(np.random.default_rng(24)))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(EsadError, match="non-finite"):
             check_gradients(vec, vec, lambda: float("nan"), names)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-4])
