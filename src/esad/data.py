@@ -296,7 +296,11 @@ class FeatureTransform:
                 f"input width {arr.shape[-1]} does not match transform "
                 f"width {self.kept.size}"
             )
-        return (arr[..., self.kept] - self.mean) / self.std
+        # The boolean index makes the one copy; standardize it in place.
+        out = arr[..., self.kept]
+        out -= self.mean
+        out /= self.std
+        return out
 
 
 @dataclass(frozen=True)

@@ -465,18 +465,17 @@ def train_sad_baseline(
         lambda _idx, _groups, rows, _z, x_hat: {"rec": loss_sad_rec(rows, x_hat)},
         tags, rng, stage1, labeled=False,
     )
-    z_all, _ = forward(enc, x)
-    center = svdd_center(z_all)
+    center = svdd_center(forward(enc, x)[0])
     _sgd_epochs(
         config, base.params, (enc,), x,
         lambda _idx, groups, _rows, z: (grad_svdd(z, groups, center, eps),),
         lambda _idx, groups, _rows, z: {"svdd": loss_svdd(z, groups, center, eps)},
         tags, rng, config.sgd.epochs - stage1, first_epoch=stage1,
     )
-    # Two calls, so the encoder's hidden array is freed before the decoder
-    # runs: one chain call would hold every layer of both stacks at once.
-    z_final, _ = forward(enc, x)
-    x_hat_final, _ = forward(dec, z_final)
+    # Two calls, each keeping its output only, so each stack's hidden arrays
+    # die as it returns: a kept cache or one chain call would hold them on.
+    z_final = forward(enc, x)[0]
+    x_hat_final = forward(dec, z_final)[0]
     final = {
         "rec": loss_sad_rec(x, x_hat_final),
         "svdd": loss_svdd(z_final, tags, center, eps),

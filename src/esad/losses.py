@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ndcore import EsadError, ShapeError, as_int_labels
+from .ndcore import POSITIVE, EsadError, ShapeError, as_int_labels
 
 
 class MissingPhiError(EsadError):
@@ -95,8 +95,9 @@ class PhiConfig:
 
     @staticmethod
     def gaussian(dim: int, seed: int, sigma: float = 1.0) -> "PhiConfig":
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        in_range, words = POSITIVE  # the phi_sigma key's rule
+        if not in_range(sigma):
+            raise ValueError(f"sigma must be {words}, got {sigma}")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         noise = np.random.default_rng(seed).normal(0.0, sigma, size=dim)

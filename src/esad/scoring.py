@@ -22,14 +22,26 @@ class SingleClassError(EsadError):
     """Raised when AUC is requested for a single-class label set."""
 
 
+# Entries of x_hat that _scores squares and sums while they are in cache.
+_SCORE_BLOCK = 65536
+
+
 def _scores(
     x: np.ndarray, x_hat: np.ndarray, z_hat: np.ndarray, lambda1: float
 ) -> np.ndarray:
     """The score formula. Squares the reconstruction error into x_hat, so
-    that no second (rows, dim) array is made."""
-    x_hat -= x
-    x_hat *= x_hat
-    return x_hat.sum(axis=1) + lambda1 * np.sqrt((z_hat * z_hat).sum(axis=1))
+    that no second (rows, dim) array is made, one block of rows at a time.
+    x_hat is C-ordered (every caller passes a matmul output or a C copy), so
+    each row's sum runs in the same order at any block size."""
+    rec = np.empty(x_hat.shape[0])
+    step = max(1, _SCORE_BLOCK // max(1, x_hat.shape[1]))
+    for s in range(0, x_hat.shape[0], step):
+        block = x_hat[s : s + step]
+        block -= x[s : s + step]
+        block *= block
+        np.add.reduce(block, axis=1, out=rec[s : s + step])
+    rec += lambda1 * np.sqrt((z_hat * z_hat).sum(axis=1))
+    return rec
 
 
 def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:

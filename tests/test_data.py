@@ -9,6 +9,7 @@ import builtins
 import csv
 import logging
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.data import (
     BENCHMARK_STATS,
+    FeatureTransform,
     IntegrityError,
     ParseError,
     RawDataset,
@@ -665,6 +667,37 @@ class TestStandardize:
     def test_all_constant_raises(self):
         with pytest.raises(EsadError, match="constant"):
             standardize(self.make_semi(np.full((10, 2), 3.0)))
+
+    @pytest.mark.parametrize("kept", [[True] * 5, [True, True, False, True, True]])
+    @pytest.mark.parametrize("shape", [(40, 5), (5,)])
+    def test_transform_apply_matches_formula(self, kept, shape):
+        # Oracle: the two-temporary formula, in bytes and memory order, for a
+        # batch and a row, with and without a dropped feature.
+        rng = np.random.default_rng(18)
+        kept = np.array(kept)
+        n = int(kept.sum())
+        transform = FeatureTransform(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n), kept)
+        x = rng.normal(2.0, 3.0, size=shape)
+        before = x.copy()
+        out = transform.apply(x)
+        expected = (x[..., kept] - transform.mean) / transform.std
+        assert out.tobytes() == expected.tobytes()
+        assert out.strides == expected.strides
+        assert_array_equal(x, before)
+
+    def test_transform_apply_makes_one_copy(self):
+        # The index's copy is standardized in place: the call's traced peak
+        # is its output, where the two-temporary formula needs twice that.
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(2000, 300))
+        transform = FeatureTransform(x.mean(axis=0), x.std(axis=0), np.ones(300, dtype=bool))
+        tracemalloc.start()
+        try:
+            out = transform.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
     def test_transform_apply_width_check(self):
         rng = np.random.default_rng(17)

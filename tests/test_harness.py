@@ -11,6 +11,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -566,6 +567,31 @@ class TestTrainBaseline:
         semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
         train_sad_baseline(cfg, semi, seed=0)
         assert built == [semi.tags.size] * 3
+
+    def test_pool_pass_caches_die_before_the_next_pool_pass(self, monkeypatch):
+        # Wrap forward as perfbench's tracer does, and keep weak references
+        # to the hidden arrays (each cache but its input) of every pool-sized
+        # call. None may be alive when the next pool-sized call starts.
+        cfg = quick_config(method=Method.DEEP_SAD, sgd=SgdConfig(epochs=2))
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
+        pool = semi.x_train.shape[0]
+        hidden, stale = [], []
+        original = harness.forward
+
+        def tracked(stacks, x, *args, **kwargs):
+            if len(x) != pool:
+                return original(stacks, x, *args, **kwargs)
+            for i, refs in enumerate(hidden):
+                if any(ref() is not None for ref in refs):
+                    stale.append(i)
+            result = original(stacks, x, *args, **kwargs)
+            hidden.append([weakref.ref(a) for a in result[1][1:]])
+            return result
+
+        monkeypatch.setattr(harness, "forward", tracked)
+        train_sad_baseline(cfg, semi, seed=0)
+        assert len(hidden) == 3  # the center, then the final encoder and decoder
+        assert stale == []
 
     def test_bit_identical_across_retrains(self):
         cfg = quick_config(method=Method.DEEP_SAD)

@@ -431,6 +431,12 @@ class TestPhi:
         with pytest.raises(ValueError):
             PhiConfig.gaussian(0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -float("inf")])
+    def test_gaussian_rejects_non_finite_sigma(self, sigma):
+        # Worded like the phi_sigma key, so no non-finite noise vector is built.
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            PhiConfig.gaussian(3, seed=0, sigma=sigma)
+
     def test_width_mismatch(self):
         cfg = PhiConfig.permutation(3, seed=0)
         with pytest.raises(ShapeError, match="width"):
