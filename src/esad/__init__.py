@@ -29,8 +29,7 @@ from .harness import (
     load_dataset,
     prepare_scenario,
     run_experiment,
-    sweep_lambda1,
-    sweep_pollution,
+    sweep,
     train_esad,
     train_sad_baseline,
 )

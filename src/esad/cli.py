@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    KEYS,
     ExperimentConfig,
     Method,
     TrainingDiverged,
@@ -19,22 +20,19 @@ from .harness import (
     format_sweep_table,
     full_loss_grad_check,
     load_config,
-    parse_seed_list,
     run_experiment,
-    sweep_lambda1,
-    sweep_pollution,
+    sweep,
     write_report_jsonl,
-    write_sweep_jsonl,
 )
 from .model import save_model
-from .ndcore import FLOAT, INT, POSITIVE, EsadError, at_least
+from .ndcore import FLOAT, INT, POSITIVE, EsadError, at_least, check_key
 from .scoring import export_scores_csv
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed_list:
-        config = replace(config, seeds=parse_seed_list(args.seed_list))
+        config = replace(config, seeds=check_key(KEYS["seeds"], args.seed_list, text=True))
     return config
 
 
@@ -72,22 +70,24 @@ def _cmd_run(args) -> int:
         return 1
     _check_report_path(args.report)
     report = run_experiment(config, artifact_hook=_make_artifact_hook(args))
-    print(format_report_table(report))
-    if args.report:
-        write_report_jsonl(report, args.report)
-        print(f"report written to {args.report}")
-    return 1 if report.partial else 0
+    return _print_and_write(args, [report], format_report_table(report))
 
 
-def _cmd_sweep(args, sweep_fn, param_name: str) -> int:
+def _cmd_sweep(args) -> int:
     config = _load_config_with_overrides(args)
+    values = [check_key(KEYS[args.key], text, text=True) for text in args.values]
     _check_report_path(args.report)
-    rows = sweep_fn(config, args.values)
-    print(format_sweep_table(rows, param_name))
+    rows = sweep(config, args.key, values)
+    return _print_and_write(args, rows, format_sweep_table(rows, args.key))
+
+
+def _print_and_write(args, reports, table: str) -> int:
+    """Print table, write reports to --report if set; exit 1 if a seed failed."""
+    print(table)
     if args.report:
-        write_sweep_jsonl(rows, param_name, args.report)
+        write_report_jsonl(reports, args.report)
         print(f"report written to {args.report}")
-    return 1 if any(report.partial for _, report in rows) else 0
+    return 1 if any(report.partial for report in reports) else 0
 
 
 def _cmd_gradcheck(args) -> int:
@@ -134,10 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="train and evaluate one configuration")
-    run_p.add_argument("--config", required=True, help="flat key=value config file")
-    run_p.add_argument("--seed-list", help="override config seeds, e.g. 0,1,2")
-    run_p.add_argument("--report", help="write a JSON-lines report here")
+    # The flags of both experiment commands.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="flat key=value config file")
+    common.add_argument("--seed-list", help="override config seeds, e.g. 0,1,2")
+    common.add_argument("--report", help="write a JSON-lines report here")
+
+    run_p = sub.add_parser("run", parents=[common], help="train and evaluate a config")
     run_p.add_argument(
         "--scores-dir", help="write per-seed test score CSVs into this directory"
     )
@@ -147,18 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.set_defaults(fn=_cmd_run)
 
-    for name, fn, param in (
-        ("sweep-lambda1", sweep_lambda1, "lambda1"),
-        ("sweep-pollution", sweep_pollution, "gamma_p"),
-    ):
-        p = sub.add_parser(name, help=f"paired sweep over {param}")
-        p.add_argument("--config", required=True)
-        p.add_argument(
-            "--values", required=True, nargs="+", type=float, metavar="V"
-        )
-        p.add_argument("--seed-list", help="override config seeds")
-        p.add_argument("--report", help="write a JSON-lines report here")
-        p.set_defaults(fn=lambda a, f=fn, pn=param: _cmd_sweep(a, f, pn))
+    sw = sub.add_parser(
+        "sweep", parents=[common], help="paired sweep: one run per value of a config key"
+    )
+    sw.add_argument("--key", required=True, choices=KEYS, metavar="K", help="config key")
+    sw.add_argument(
+        "--values", required=True, nargs="+", metavar="V", help="values, as config text"
+    )
+    sw.set_defaults(fn=_cmd_sweep)
 
     gc = sub.add_parser(
         "gradcheck",

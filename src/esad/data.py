@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .losses import SemiLabel
-from .ndcore import EsadError, ShapeError, as_binary_labels, as_matrix
+from .ndcore import (
+    FLOAT, FRACTION, INT, EsadError, ShapeError, as_binary_labels, as_matrix, check_keys, key
+)
 
 logger = logging.getLogger(__name__)
 
@@ -270,15 +272,12 @@ class ScenarioConfig:
     gamma_p is the fraction of the unlabeled pool that is secretly anomalous.
     """
 
-    gamma_l: float = 0.0
-    gamma_p: float = 0.0
-    seed: int = 0
+    gamma_l: float = key(0.0, FLOAT, FRACTION)
+    gamma_p: float = key(0.0, FLOAT, FRACTION)
+    seed: int = key(0, INT)
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma_l < 1.0:
-            raise ValueError(f"gamma_l must be in [0, 1), got {self.gamma_l}")
-        if not 0.0 <= self.gamma_p < 1.0:
-            raise ValueError(f"gamma_p must be in [0, 1), got {self.gamma_p}")
+        check_keys(self)
 
 
 @dataclass(frozen=True)

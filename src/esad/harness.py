@@ -170,11 +170,6 @@ KEYS = {
 }
 
 
-def parse_seed_list(text: str) -> tuple[int, ...]:
-    """Comma- or space-separated seeds, checked as the seeds key is."""
-    return check_key(KEYS["seeds"], text, text=True)
-
-
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse the flat `key = value` config format.
 
@@ -395,13 +390,14 @@ def train_esad(
     def losses(_idx, labels, *values):
         return semi_loss_and_grads(*values, labels, phi, *weights)[0]
 
+    chain = (model.enc1, model.dec, model.enc2)
     _sgd_epochs(
-        config, model.params, (model.enc1, model.dec, model.enc2), x, kernel,
+        config, model.params, chain, x, kernel,
         lambda *args: _components(losses(*args)),
         tags, np.random.default_rng(streams.shuffle), config.sgd.epochs,
     )
-    out = forward_pipeline(model, x)
-    final = losses(None, tags, x, out.z, out.x_hat, out.z_hat)
+    # The outputs only: each stack's cache dies before the pool loss runs.
+    final = losses(None, tags, x, *(out for out, _ in forward(chain, x)))
     _check_finite(_components(final), config.sgd.epochs, -1)
     return EsadTrainResult(model, final)
 
@@ -663,64 +659,64 @@ def run_experiment(
     return RunReport(config_echo(config), results, wall, pool_size(), blas_pinned)
 
 
-def _sweep(
-    config: ExperimentConfig, field: str, values, raw: RawDataset | None
-) -> list[tuple[float, RunReport]]:
-    """One run_experiment per value of config.<field>. Scenarios depend only
-    on (raw, config, seed), so rows stay paired across values."""
-    vals = [float(v) for v in values]
+# Keys every row of a sweep shares: the data source, loaded once for all
+# rows, and the seeds that pair them.
+SHARED_KEYS = {"dataset", "data_path", "manifest", "seeds"} | {
+    k for k in KEYS if k.startswith("synth_")
+}
+
+
+def sweep(
+    config: ExperimentConfig, key: str, values, raw: RawDataset | None = None
+) -> list[RunReport]:
+    """One run_experiment per value of the config key named key, in order;
+    each report's config echo holds its value. Every value is checked as
+    check_key stores it before any load or run. Rows share raw and the
+    seeds, and scenarios depend only on (raw, config, seed), so rows stay
+    paired by seed."""
+    if key in SHARED_KEYS:
+        raise ConfigError(
+            f"cannot sweep {key}: every row shares the data source and seeds"
+        )
+    if key not in KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    f = KEYS[key]
+    vals = [check_key(f, v) for v in values]
     if not vals:
         raise ConfigError("sweep needs at least one value")
     if len(set(vals)) != len(vals):
-        raise ConfigError(f"duplicate sweep values in {vals}")
-    configs = [replace(config, **{field: v}) for v in vals]  # reject before any run
+        echo = f.metadata["kind"].echo
+        raise ConfigError(f"duplicate {key} values in {[echo(v) for v in vals]}")
+    if f in fields(SgdConfig):
+        configs = [replace(config, sgd=replace(config.sgd, **{f.name: v})) for v in vals]
+    else:
+        configs = [replace(config, **{f.name: v}) for v in vals]
     if raw is None:
         raw = load_dataset(config)
-    return [(v, run_experiment(c, raw)) for v, c in zip(vals, configs)]
+    return [run_experiment(c, raw) for c in configs]
 
 
-def sweep_lambda1(
-    config: ExperimentConfig, values, raw: RawDataset | None = None
-) -> list[tuple[float, RunReport]]:
-    """Paired sweep over lambda1: every value sees the same scenarios, so
-    rows differ only in the weight."""
-    return _sweep(config, "lambda1", values, raw)
+# Report serialization: per report, one JSON record per seed, then a summary
+# record.
 
 
-def sweep_pollution(
-    config: ExperimentConfig, values, raw: RawDataset | None = None
-) -> list[tuple[float, RunReport]]:
-    """Sweep the pollution ratio. Splits stay paired across values (they
-    depend only on the seed); the pollution ratio defines the scenario."""
-    return _sweep(config, "gamma_p", values, raw)
-
-
-# Report serialization: one JSON record per seed, then a summary record.
-
-
-def write_report_jsonl(report: RunReport, path) -> None:
+def write_report_jsonl(reports: list[RunReport], path) -> None:
     with open(Path(path), "w") as fh:
-        for r in report.results:
-            record = {"record": "seed", **asdict(r)}
-            fh.write(json.dumps(record, allow_nan=False) + "\n")
-        fh.write(
-            json.dumps(
-                {
-                    "record": "summary",
-                    "config": report.config,
-                    "n_seeds": len(report.results),
-                    "n_completed": len(report.completed),
-                    "partial": report.partial,
-                    "mean_auc": report.mean_auc,
-                    "std_auc": report.std_auc,
-                    "wall_time_s": report.wall_time_s,
-                    "chunk_pool": report.chunk_pool,
-                    "blas_pinned": report.blas_pinned,
-                },
-                allow_nan=False,
-            )
-            + "\n"
-        )
+        for report in reports:
+            records = [{"record": "seed", **asdict(r)} for r in report.results]
+            records.append({
+                "record": "summary",
+                "config": report.config,
+                "n_seeds": len(report.results),
+                "n_completed": len(report.completed),
+                "partial": report.partial,
+                "mean_auc": report.mean_auc,
+                "std_auc": report.std_auc,
+                "wall_time_s": report.wall_time_s,
+                "chunk_pool": report.chunk_pool,
+                "blas_pinned": report.blas_pinned,
+            })
+            fh.writelines(json.dumps(r, allow_nan=False) + "\n" for r in records)
 
 
 def format_report_table(report: RunReport) -> str:
@@ -761,39 +757,16 @@ def format_report_table(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def format_sweep_table(rows: list[tuple[float, RunReport]], name: str) -> str:
-    lines = [f"{name:>12}  {'mean_auc':>10}  {'std':>8}  {'seeds':>7}"]
-    for value, report in rows:
+def format_sweep_table(rows: list[RunReport], key: str) -> str:
+    """One line per sweep row: its value of key, as its config echo holds
+    it, and its AUC summary."""
+    lines = [f"{key:>12}  {'mean_auc':>10}  {'std':>8}  {'seeds':>7}"]
+    for report in rows:
         done = len(report.completed)
         mean = f"{report.mean_auc:.4f}" if report.mean_auc is not None else "n/a"
         std = f"{report.std_auc:.4f}" if report.std_auc is not None else "n/a"
         lines.append(
-            f"{value:>12.4g}  {mean:>10}  {std:>8}  {done:>3}/{len(report.results)}"
+            f"{report.config[key]!s:>12}  {mean:>10}  {std:>8}  "
+            f"{done:>3}/{len(report.results)}"
         )
     return "\n".join(lines)
-
-
-def write_sweep_jsonl(rows: list[tuple[float, RunReport]], name: str, path) -> None:
-    with open(Path(path), "w") as fh:
-        for value, report in rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "record": "sweep-row",
-                        "param": name,
-                        "value": value,
-                        "mean_auc": report.mean_auc,
-                        "std_auc": report.std_auc,
-                        "n_completed": len(report.completed),
-                        "n_seeds": len(report.results),
-                        "partial": report.partial,
-                        "per_seed": [
-                            {"seed": r.seed, "auc": r.auc, "error": r.error}
-                            for r in report.results
-                        ],
-                        "config": report.config,
-                    },
-                    allow_nan=False,
-                )
-                + "\n"
-            )

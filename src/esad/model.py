@@ -57,6 +57,8 @@ class EsadModel:
 
     def __post_init__(self):
         d, r = self.enc1.in_dim, self.enc1.out_dim
+        if not d:  # no features leave no reconstruction term to score
+            raise ShapeError("model input width must be positive, got 0")
         if (self.dec.in_dim, self.dec.out_dim) != (r, d):
             raise ShapeError(
                 f"decoder {self.dec.in_dim}->{self.dec.out_dim} does not "

@@ -34,7 +34,7 @@ def _scores(
     x_hat is C-ordered (every caller passes a matmul output or a C copy), so
     each row's sum runs in the same order at any block size."""
     rec = np.empty(x_hat.shape[0])
-    step = max(1, _SCORE_BLOCK // max(1, x_hat.shape[1]))
+    step = max(1, _SCORE_BLOCK // x_hat.shape[1])
     for s in range(0, x_hat.shape[0], step):
         block = x_hat[s : s + step]
         block -= x[s : s + step]
@@ -55,6 +55,8 @@ def anomaly_scores(x, x_hat, z_hat, lambda1: float = 1.0) -> np.ndarray:
     xm = as_matrix(x, "x")
     xhm = as_matrix(x_hat, "x_hat")
     zhm = as_matrix(z_hat, "z_hat")
+    if not xm.shape[1]:
+        raise ShapeError(f"x has no features: shape {xm.shape}")
     if xm.shape != xhm.shape or zhm.shape[0] != xm.shape[0]:
         raise ShapeError(
             f"row mismatch: x {xm.shape}, x_hat {xhm.shape}, z_hat {zhm.shape}"

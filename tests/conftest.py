@@ -50,19 +50,35 @@ def require_benchmark(name: str) -> RawDataset:
     return load_benchmark(name, path)
 
 
+def reports_from_jsonl(path) -> list[RunReport]:
+    """The RunReports a write_report_jsonl file holds, in order, rebuilt from
+    its records: per report, one per seed, then the summary."""
+    reports, seeds = [], []
+    for line in Path(path).read_text().splitlines():
+        record = json.loads(line)
+        kind = record.pop("record")
+        if kind == "seed":
+            seeds.append(SeedResult(**record))
+            continue
+        assert kind == "summary", kind
+        reports.append(
+            RunReport(
+                record["config"],
+                tuple(seeds),
+                record["wall_time_s"],
+                record["chunk_pool"],
+                record["blas_pinned"],
+            )
+        )
+        seeds = []
+    assert not seeds, "seed records after the last summary"
+    return reports
+
+
 def report_from_jsonl(path) -> RunReport:
-    """The RunReport a write_report_jsonl file holds, rebuilt from its
-    records: one per seed, then the summary."""
-    *seeds, summary = (json.loads(line) for line in Path(path).read_text().splitlines())
-    assert [r.pop("record") for r in seeds] == ["seed"] * len(seeds)
-    assert summary["record"] == "summary"
-    return RunReport(
-        summary["config"],
-        tuple(SeedResult(**r) for r in seeds),
-        summary["wall_time_s"],
-        summary["chunk_pool"],
-        summary["blas_pinned"],
-    )
+    """The one RunReport a write_report_jsonl file holds."""
+    (report,) = reports_from_jsonl(path)
+    return report
 
 
 def fresh_grads(layers):

@@ -21,8 +21,7 @@ from esad.harness import (
     RunReport,
     full_loss_grad_check,
     run_experiment,
-    sweep_lambda1,
-    sweep_pollution,
+    sweep,
 )
 from esad.scoring import auc, auc_pairwise
 
@@ -116,8 +115,8 @@ def test_labeled_anomalies_help_on_cardio():
 def test_pollution_degrades_cardio_monotonically():
     raw = require_benchmark("cardio")
     config = ExperimentConfig(dataset="cardio", gamma_l=0.01, seeds=SEEDS10)
-    rows = sweep_pollution(config, [0.0, 0.05, 0.1, 0.2], raw)
-    means = [report.mean_auc for _, report in rows]
+    rows = sweep(config, "gamma_p", [0.0, 0.05, 0.1, 0.2], raw)
+    means = [report.mean_auc for report in rows]
     assert all(m is not None for m in means)
     inversions = [b - a for a, b in zip(means, means[1:]) if b > a]
     ok = len(inversions) <= 1 and all(d <= 0.01 for d in inversions)
@@ -133,8 +132,8 @@ def test_pollution_degrades_cardio_monotonically():
 def test_lambda1_default_is_near_best_on_cardio():
     raw = require_benchmark("cardio")
     config = ExperimentConfig(dataset="cardio", gamma_l=0.01, seeds=SEEDS10)
-    rows = sweep_lambda1(config, [0.01, 1.0, 100.0], raw)
-    means = {value: report.mean_auc for value, report in rows}
+    rows = sweep(config, "lambda1", [0.01, 1.0, 100.0], raw)
+    means = {report.config["lambda1"]: report.mean_auc for report in rows}
     assert all(m is not None for m in means.values())
     best = max(means.values())
     ok = means[1.0] >= best - 0.02

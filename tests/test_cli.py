@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import report_from_jsonl
+from conftest import report_from_jsonl, reports_from_jsonl
 
 from esad import cli
 from esad.cli import main
@@ -238,7 +238,7 @@ class TestRun:
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["run", "sweep-lambda1"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_report_dir_exits_before_any_seed(
         self, quick_config_path, tmp_path, capsys, monkeypatch, command
     ):
@@ -248,65 +248,90 @@ class TestRun:
             raise AssertionError("trained before --report was checked")
 
         monkeypatch.setattr(cli, "run_experiment", no_training)
-        monkeypatch.setattr(cli, "sweep_lambda1", no_training)
-        values = ["--values", "1.0"] if command == "sweep-lambda1" else []
+        monkeypatch.setattr(cli, "sweep", no_training)
+        values = ["--key", "lambda1", "--values", "1.0"] if command == "sweep" else []
         argv = [command, "--config", str(quick_config_path), *values]
         assert main([*argv, "--report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
 
 
+def sweep_argv(config_path, key, *values):
+    return ["sweep", "--config", str(config_path), "--key", key, "--values", *values]
+
+
 class TestSweeps:
     def test_lambda1_sweep_writes_rows(self, quick_config_path, tmp_path, capsys):
         report_path = tmp_path / "sweep.jsonl"
-        code = main(
-            [
-                "sweep-lambda1",
-                "--config",
-                str(quick_config_path),
-                "--values",
-                "0.5",
-                "1.0",
-                "--report",
-                str(report_path),
-            ]
-        )
+        argv = sweep_argv(quick_config_path, "lambda1", "0.5", "1")
+        code = main([*argv, "--report", str(report_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "lambda1" in out and "mean_auc" in out
-        records = [
-            json.loads(l) for l in report_path.read_text().strip().split("\n")
-        ]
-        assert [r["value"] for r in records] == [0.5, 1.0]
-        assert all(r["mean_auc"] is not None for r in records)
+        rows = reports_from_jsonl(report_path)
+        assert [r.config["lambda1"] for r in rows] == [0.5, 1.0]
+        assert all(r.mean_auc is not None for r in rows)
 
     def test_pollution_sweep(self, quick_config_path, capsys):
-        code = main(
-            [
-                "sweep-pollution",
-                "--config",
-                str(quick_config_path),
-                "--values",
-                "0.0",
-                "0.1",
-            ]
-        )
+        code = main(sweep_argv(quick_config_path, "gamma_p", "0.0", "0.1"))
         assert code == 0
         assert "gamma_p" in capsys.readouterr().out
 
+    def test_method_sweep_report_is_one_run_report_per_method(
+        self, quick_config_path, tmp_path, capsys
+    ):
+        report_path = tmp_path / "sweep.jsonl"
+        argv = sweep_argv(quick_config_path, "method", "esad", "deep-sad")
+        assert main([*argv, "--report", str(report_path)]) == 0
+        records = [json.loads(line) for line in report_path.read_text().splitlines()]
+        summaries = [r for r in records if r["record"] == "summary"]
+        assert [r["config"]["method"] for r in summaries] == ["esad", "deep-sad"]
+        assert [r["record"] for r in records] == ["seed", "summary"] * 2
+
+    def test_phi_text_values_parse(self, quick_config_path, capsys):
+        assert main(sweep_argv(quick_config_path, "phi", "Permutation", "GAUSSIAN")) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["permutation", "gaussian"]
+
     def test_duplicate_values_exit_one(self, quick_config_path, capsys):
-        code = main(
-            [
-                "sweep-lambda1",
-                "--config",
-                str(quick_config_path),
-                "--values",
-                "1.0",
-                "1.0",
-            ]
-        )
+        code = main(sweep_argv(quick_config_path, "lambda1", "1.0", "1"))
         assert code == 1
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, values, message",
+        [
+            ("lambda1", ["-1"], "lambda1 must be >= 0 and finite, got -1.0"),
+            ("epochs", ["2.5"], "epochs must be int, got '2.5'"),
+            ("synth_dim", ["3", "4"], "cannot sweep synth_dim"),
+            ("seeds", ["0,1", "2"], "cannot sweep seeds"),
+        ],
+    )
+    def test_bad_sweeps_exit_one_before_any_run(
+        self, quick_config_path, capsys, monkeypatch, key, values, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the sweep was checked")
+
+        monkeypatch.setattr("esad.harness.load_dataset", no_training)
+        monkeypatch.setattr("esad.harness.run_experiment", no_training)
+        assert main(sweep_argv(quick_config_path, key, *values)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-lambda1", "--config", "x.cfg", "--values", "1"],
+            ["sweep-pollution", "--config", "x.cfg", "--values", "0.1"],
+            ["sweep", "--config", "x.cfg", "--key", "lambda3", "--values", "1"],
+        ],
+    )
+    def test_removed_commands_and_unknown_keys_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSelfChecks:

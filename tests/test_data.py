@@ -36,7 +36,7 @@ from esad.data import (
     verify_benchmark_stats,
 )
 from esad.losses import SemiLabel
-from esad.ndcore import EsadError, ShapeError
+from esad.ndcore import ConfigError, EsadError, ShapeError
 
 U = int(SemiLabel.UNLABELED)
 A = int(SemiLabel.LABELED_ANOMALOUS)
@@ -528,6 +528,16 @@ class TestScenario:
         x = rng.normal(size=(n_norm + n_anom, 4))
         y = np.r_[np.zeros(n_norm, dtype=int), np.ones(n_anom, dtype=int)]
         return RawDataset("toy", x, y)
+
+    def test_config_ranges_are_config_errors(self):
+        # The ranges are the gamma_l and gamma_p keys' own, so the errors
+        # are ConfigErrors with the key's words.
+        with pytest.raises(ConfigError, match=re.escape("gamma_l must be in [0, 1), got 1.0")):
+            ScenarioConfig(gamma_l=1.0)
+        with pytest.raises(ConfigError, match="gamma_p must be in"):
+            ScenarioConfig(gamma_p=float("nan"))
+        with pytest.raises(ConfigError, match="seed must be int"):
+            ScenarioConfig(seed=0.5)
 
     def test_unsupervised_scenario_is_all_normal_unlabeled(self):
         raw = self.make_raw(100, 20)

@@ -22,12 +22,13 @@ from conftest import (
     forced_pool,
     fresh_grads,
     report_from_jsonl,
+    reports_from_jsonl,
     sgd_oracle,
 )
 from numpy.testing import assert_allclose, assert_array_equal
 
 import esad
-from esad import harness
+from esad import harness, ndcore
 from esad.data import (
     IntegrityError,
     ParseError,
@@ -36,6 +37,7 @@ from esad.data import (
     synth_gaussians,
 )
 from esad.harness import (
+    KEYS,
     ChildSeeds,
     ConfigError,
     ExperimentConfig,
@@ -52,17 +54,14 @@ from esad.harness import (
     load_config,
     load_dataset,
     parse_config_text,
-    parse_seed_list,
     prepare_scenario,
     run_experiment,
     run_seed,
     sad_scores,
-    sweep_lambda1,
-    sweep_pollution,
+    sweep,
     train_esad,
     train_sad_baseline,
     write_report_jsonl,
-    write_sweep_jsonl,
 )
 from esad.losses import (
     MissingPhiError,
@@ -84,6 +83,7 @@ from esad.ndcore import (
     ShapeError,
     backward,
     check_gradients,
+    check_key,
     clip_global_norm,
     forward,
     layer_bounds,
@@ -230,7 +230,7 @@ class TestConfigParsing:
         want = run_experiment(by_python)
         assert [r.auc for r in report.results] == [r.auc for r in want.results]
         path = tmp_path / "report.jsonl"
-        write_report_jsonl(report, path)
+        write_report_jsonl([report], path)
         assert report_from_jsonl(path) == report
 
     def test_non_numbers_rejected_by_key(self):
@@ -320,6 +320,10 @@ class TestConfigParsing:
         assert load_config(path) == parse_config_text(FULL_CONFIG)
 
     def test_seed_list_parsing(self):
+        # --seed-list text is parsed as the seeds key's config-file text.
+        def parse_seed_list(text):
+            return check_key(KEYS["seeds"], text, text=True)
+
         assert parse_seed_list("0,1,2") == (0, 1, 2)
         assert parse_seed_list("5 9") == (5, 9)
         with pytest.raises(ConfigError, match="seeds must be non-empty, distinct"):
@@ -433,6 +437,34 @@ class TestTrainEsad:
         b = train_esad(cfg, semi, seed=0)
         assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.final_loss.total == b.final_loss.total
+
+    def test_pool_pass_caches_die_before_the_pool_loss(self, monkeypatch):
+        # Keep weak references to the hidden arrays (each stack's layer
+        # inputs but its first) of every pool-sized chain pass. None may be
+        # alive when the final pool loss runs.
+        cfg = quick_config(sgd=SgdConfig(epochs=2, batch_size=64))
+        semi = prepare_scenario(load_dataset(cfg), cfg, seed=0)
+        pool = semi.x_train.shape[0]
+        assert pool > cfg.sgd.batch_size  # no training step is pool-sized
+        hidden, alive = [], []
+        run_chain, pool_loss = ndcore._run_chain, harness.semi_loss_and_grads
+
+        def tracked_chain(chain, x, keep=True):
+            pairs = run_chain(chain, x, keep)
+            if len(x) == pool:
+                hidden.extend(weakref.ref(a) for _, cache in pairs for a in cache[1:])
+            return pairs
+
+        def tracked_loss(x, *args):
+            if len(x) == pool:
+                alive.append(sum(ref() is not None for ref in hidden))
+            return pool_loss(x, *args)
+
+        monkeypatch.setattr(ndcore, "_run_chain", tracked_chain)
+        monkeypatch.setattr(harness, "semi_loss_and_grads", tracked_loss)
+        train_esad(cfg, semi, seed=0)
+        assert len(hidden) == 3  # one hidden layer per stack, one pool pass
+        assert alive == [0]
 
     def test_different_seed_changes_model(self):
         cfg = quick_config()
@@ -944,7 +976,7 @@ class TestReportSerialization:
         cfg = quick_config(seeds=(0, 1))
         report = run_experiment(cfg)
         path = tmp_path / "report.jsonl"
-        write_report_jsonl(report, path)
+        write_report_jsonl([report], path)
         loaded = report_from_jsonl(path)
         assert loaded.config == report.config
         assert loaded.wall_time_s == report.wall_time_s
@@ -962,7 +994,7 @@ class TestReportSerialization:
             report = run_experiment(quick_config(seeds=(0,)))
         assert (report.chunk_pool, report.blas_pinned) == (3, esad.ndcore.blas_pinned)
         path = tmp_path / "report.jsonl"
-        write_report_jsonl(report, path)
+        write_report_jsonl([report], path)
         summary = json.loads(path.read_text().splitlines()[-1])
         assert (summary["chunk_pool"], summary["blas_pinned"]) == (3, report.blas_pinned)
         assert report_from_jsonl(path) == report
@@ -971,7 +1003,7 @@ class TestReportSerialization:
         cfg = quick_config(synth_anom=2, gamma_p=0.05)
         report = run_experiment(cfg)
         path = tmp_path / "report.jsonl"
-        write_report_jsonl(report, path)
+        write_report_jsonl([report], path)
         loaded = report_from_jsonl(path)
         assert loaded.partial
         assert loaded.results[0].error == report.results[0].error
@@ -993,43 +1025,76 @@ class TestReportSerialization:
             True,
         )
         path = tmp_path / "report.jsonl"
-        write_report_jsonl(report, path)
+        write_report_jsonl([report], path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "83b34d87b90d985e5905fb5b79078042f93f60623dc92d8713c060e0299c90a4"
         )
         assert report_from_jsonl(path) == report
 
 
+def assert_rows_are_runs(cfg, key, values, rows):
+    """Each sweep row is run_experiment of cfg with key set to its value:
+    same config echo, and per seed the same AUC and loss, bit for bit."""
+    assert len(rows) == len(values)
+    for value, row in zip(values, rows):
+        want = run_experiment(replace(cfg, **{key: value}))
+        assert row.config == want.config
+        got = [(r.seed, r.auc, r.loss, r.error) for r in row.results]
+        assert got == [(r.seed, r.auc, r.loss, r.error) for r in want.results]
+
+
 class TestSweeps:
     def test_single_value_sweep_matches_run(self):
         cfg = quick_config(seeds=(0, 1))
-        rows = sweep_lambda1(cfg, [1.0])
-        report = run_experiment(cfg)
-        assert len(rows) == 1
-        value, swept = rows[0]
-        assert value == 1.0
-        for a, b in zip(swept.results, report.results):
-            assert a.auc == b.auc
-            assert a.loss == b.loss
+        rows = sweep(cfg, "lambda1", [1.0])
+        assert_rows_are_runs(cfg, "lambda1", [1.0], rows)
 
     def test_lambda_rows_share_scenarios(self):
         # Paired design: rows differ only in lambda1; with lambda1 absent
         # from the scenario, per-seed models see identical data.
-        cfg = quick_config(seeds=(0,))
-        rows = sweep_lambda1(cfg, [0.5, 1.0])
-        assert [v for v, _ in rows] == [0.5, 1.0]
-        assert all(not r.partial for _, r in rows)
-        assert rows[0][1].config["lambda1"] == 0.5
-        assert rows[1][1].config["lambda1"] == 1.0
+        cfg = quick_config(seeds=(0, 1))
+        rows = sweep(cfg, "lambda1", [0.5, 1.0])
+        assert [r.config["lambda1"] for r in rows] == [0.5, 1.0]
+        assert all(not r.partial for r in rows)
+        assert_rows_are_runs(cfg, "lambda1", [0.5, 1.0], rows)
 
     def test_pollution_sweep_rows(self):
-        cfg = quick_config(seeds=(0,), synth_normal=200, synth_anom=80)
-        rows = sweep_pollution(cfg, [0.0, 0.1])
-        assert [v for v, _ in rows] == [0.0, 0.1]
-        assert rows[0][1].config["gamma_p"] == 0.0
-        assert rows[1][1].config["gamma_p"] == 0.1
-        for _, report in rows:
-            assert not report.partial
+        cfg = quick_config(seeds=(0, 1), synth_normal=200, synth_anom=80)
+        rows = sweep(cfg, "gamma_p", [0.0, 0.1])
+        assert [r.config["gamma_p"] for r in rows] == [0.0, 0.1]
+        assert all(not r.partial for r in rows)
+        assert_rows_are_runs(cfg, "gamma_p", [0.0, 0.1], rows)
+
+    def test_method_rows_are_runs(self):
+        cfg = quick_config(seeds=(0, 1))
+        rows = sweep(cfg, "method", [Method.ESAD, Method.DEEP_SAD])
+        assert [set(r.results[0].loss) for r in rows] == [
+            {"rec", "norm", "ass", "total"},
+            {"rec", "svdd"},
+        ]
+        assert_rows_are_runs(cfg, "method", [Method.ESAD, Method.DEEP_SAD], rows)
+
+    def test_sgd_key_sets_sgd_config(self):
+        cfg = quick_config()
+        rows = sweep(cfg, "epochs", [1, 2])
+        assert [(r.config["epochs"], r.config["batch_size"]) for r in rows] == [
+            (1, 64),
+            (2, 64),
+        ]
+        for epochs, row in zip((1, 2), rows):
+            want = run_experiment(replace(cfg, sgd=replace(cfg.sgd, epochs=epochs)))
+            assert [r.loss for r in row.results] == [r.loss for r in want.results]
+
+    def test_values_are_stored_as_the_key_stores_them(self):
+        # A phi value may be given as its text; an int lambda is a float.
+        cfg = quick_config(sgd=SgdConfig(epochs=2, batch_size=64))
+        rows = sweep(cfg, "phi", ["permutation", PhiKind.GAUSSIAN_NOISE])
+        assert [r.config["phi"] for r in rows] == ["permutation", "gaussian"]
+        assert_rows_are_runs(cfg, "phi_kind", list(PhiKind), rows)
+        assert [type(r.config["lambda2"]) for r in sweep(cfg, "lambda2", [1, 0])] == [
+            float,
+            float,
+        ]
 
     def test_sweep_validation(self, monkeypatch):
         def no_run(*args, **kwargs):
@@ -1039,25 +1104,68 @@ class TestSweeps:
         monkeypatch.setattr(harness, "load_dataset", no_run)
         cfg = quick_config()
         with pytest.raises(ConfigError, match="at least one"):
-            sweep_lambda1(cfg, [])
+            sweep(cfg, "lambda1", [])
         with pytest.raises(ConfigError, match="duplicate"):
-            sweep_pollution(cfg, [0.1, 0.1])
+            sweep(cfg, "gamma_p", [0.1, 0.1])
+        with pytest.raises(ConfigError, match=re.escape("duplicate lambda1 values in [1.0, 1.0]")):
+            sweep(cfg, "lambda1", [1, 1.0])
         with pytest.raises(ConfigError, match="lambda1 must be"):
-            sweep_lambda1(cfg, [0.5, float("inf")])
+            sweep(cfg, "lambda1", [0.5, float("inf")])
         with pytest.raises(ConfigError, match="gamma_p must be"):
-            sweep_pollution(cfg, [0.1, 1.0])
+            sweep(cfg, "gamma_p", [0.1, 1.0])
+        with pytest.raises(ConfigError, match="method must be in"):
+            sweep(cfg, "method", [Method.ESAD, "svdd"])
+        with pytest.raises(ConfigError, match="unknown key 'lambda3'"):
+            sweep(cfg, "lambda3", [1.0])
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("dataset", ["synthetic", "cardio"]),
+            ("data_path", ["a.csv", "b.csv"]),
+            ("manifest", ["a.txt", "b.txt"]),
+            ("seeds", [(0,), (1,)]),
+            ("synth_normal", [100, 200]),
+            ("synth_anom", [20, 40]),
+            ("synth_dim", [3, 4]),
+            ("synth_separation", [1.0, 2.0]),
+            ("synth_seed", [0, 1]),
+        ],
+    )
+    def test_shared_keys_raise_before_any_load_or_run(self, monkeypatch, key, values):
+        # Every row shares the data source, loaded once, and the seeds that
+        # pair rows: a row that varied them would echo a value it never used.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a load or run started before the key was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.setattr(harness, "load_dataset", no_run)
+        with pytest.raises(ConfigError, match=f"cannot sweep {key}: every row shares"):
+            sweep(quick_config(), key, values)
+
+    def test_shared_keys_are_the_source_and_seeds(self):
+        assert harness.SHARED_KEYS == {
+            "dataset", "data_path", "manifest", "seeds",
+            *(k for k in harness.KEYS if k.startswith("synth_")),
+        }
+        assert len(harness.SHARED_KEYS) == 9
 
     def test_sweep_table_and_jsonl(self, tmp_path):
-        cfg = quick_config(seeds=(0,))
-        rows = sweep_lambda1(cfg, [0.5, 1.0])
-        table = format_sweep_table(rows, "lambda1")
-        assert "lambda1" in table and "mean_auc" in table
+        cfg = quick_config(seeds=(0,), sgd=SgdConfig(epochs=2, batch_size=64))
+        rows = sweep(cfg, "phi", list(PhiKind))
+        table = format_sweep_table(rows, "phi")
+        assert "phi" in table and "mean_auc" in table
+        assert [line.split()[0] for line in table.splitlines()[1:]] == [
+            "permutation",
+            "gaussian",
+        ]
+        assert "PhiKind" not in table
+        # A sweep report is its rows' run reports, in row order.
         path = tmp_path / "sweep.jsonl"
-        write_sweep_jsonl(rows, "lambda1", path)
-        records = [json.loads(l) for l in path.read_text().strip().split("\n")]
-        assert [r["value"] for r in records] == [0.5, 1.0]
-        assert all(r["param"] == "lambda1" for r in records)
-        assert all(len(r["per_seed"]) == 1 for r in records)
+        write_report_jsonl(rows, path)
+        assert reports_from_jsonl(path) == rows
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["record"] for r in records] == ["seed", "summary"] * 2
 
 
 class TestChanceLevel:

@@ -137,6 +137,11 @@ class TestConstruction:
         model = new_model(6, hidden_dim=8, rep_dim=3)
         with pytest.raises(ShapeError, match="mirror"):
             EsadModel(model.enc1, model.enc2, model.enc2)
+        # Stacks that chain but take no features: nothing to reconstruct.
+        enc = MlpStack([DenseLayer(np.ones((8, 0)), np.zeros(8)), model.enc1.layers[-1]])
+        dec = MlpStack([model.dec.layers[0], DenseLayer(np.ones((0, 8)), np.zeros(0))])
+        with pytest.raises(ShapeError, match="input width must be positive"):
+            EsadModel(enc, dec, enc)
 
 
 class TestForwardPipeline:

@@ -73,6 +73,11 @@ class TestAnomalyScore:
         big = one_row_score([1.0, 0.0], [0.0, 0.0], [3.0, 4.0], lambda1=1e6)
         assert big == pytest.approx(5e6, rel=1e-6)
 
+    def test_zero_width_input_is_rejected(self):
+        # No features leave no reconstruction term, so no score.
+        with pytest.raises(ShapeError, match="no features"):
+            anomaly_scores(np.zeros((3, 0)), np.zeros((3, 0)), np.ones((3, 2)))
+
     def test_batch_matches_single(self):
         # Rows are scored independently: a batch equals its rows one by one.
         rng = np.random.default_rng(0)
