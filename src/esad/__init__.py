@@ -35,12 +35,9 @@ from .harness import (
 )
 from .losses import (
     LossBreakdown,
-    PhiConfig,
-    PhiKind,
     SemiLabel,
     loss_sad_rec,
     loss_svdd,
-    phi_apply,
     semi_loss_and_grads,
 )
 from .model import (

@@ -34,10 +34,9 @@ from .data import (
 )
 from .losses import (
     LossBreakdown,
-    PhiConfig,
-    PhiKind,
     SemiLabel,
     batch_groups,
+    derangement,
     grad_sad_rec,
     grad_svdd,
     loss_sad_rec,
@@ -111,13 +110,6 @@ SEEDS = Kind(
     parse=lambda text: tuple(map(int, text.replace(",", " ").split())),
     echo=list,
 )
-PHI = Kind(
-    f"in {tuple(k.value for k in PhiKind)}",
-    cls=(PhiKind, str),
-    cast=PhiKind,
-    parse=str.lower,
-    echo=lambda kind: kind.value,
-)
 
 
 @dataclass(frozen=True)
@@ -139,8 +131,6 @@ class ExperimentConfig:
     sgd: SgdConfig = key(SgdConfig(), Kind("SgdConfig", SgdConfig))
     hidden_dim: int | None = key(None, INT, at_least(1))
     rep_dim: int | None = key(None, INT, at_least(1))
-    phi_kind: PhiKind = key(PhiKind.PERMUTATION, PHI, name="phi")
-    phi_sigma: float = key(1.0, FLOAT, POSITIVE)
     epsilon: float = key(1e-6, FLOAT, POSITIVE)
     # Cap on the joint gradient L2 norm per step; 0 disables. Keeps plain
     # SGD stable when a batch's labeled group holds only a sample or two.
@@ -290,16 +280,6 @@ def _batches(
         yield perm[start : start + batch_size], batch
 
 
-def _build_phi(
-    config: ExperimentConfig, dim: int, phi_seed: int, tags: np.ndarray
-) -> PhiConfig | None:
-    if not np.any(tags == SemiLabel.LABELED_ANOMALOUS):
-        return None
-    if config.phi_kind is PhiKind.PERMUTATION:
-        return PhiConfig.permutation(dim, phi_seed)
-    return PhiConfig.gaussian(dim, phi_seed, config.phi_sigma)
-
-
 def _check_finite(losses: dict[str, float], epoch: int, batch: int) -> None:
     for name, value in losses.items():
         if not math.isfinite(value):
@@ -380,8 +360,9 @@ def train_esad(
     dim = x.shape[1]
     streams = child_seeds(seed)
     model = new_model(dim, config.hidden_dim, config.rep_dim, seed=streams.init)
-    phi = _build_phi(config, dim, streams.phi, tags)
-    targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
+    anomalous = tags == SemiLabel.LABELED_ANOMALOUS
+    phi = derangement(dim, streams.phi) if anomalous.any() else None
+    targets = rec_targets(x, anomalous, phi)
     weights = (config.lambda1, config.lambda2, config.epsilon)
 
     def kernel(idx, groups, _rows, z, x_hat, z_hat):
@@ -507,7 +488,7 @@ def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
             ]
             + [int(rng.integers(0, 3)) for _ in range(rows - 3)]
         )
-        phi = PhiConfig.permutation(dim, int(rng.integers(0, 2**32)))
+        phi = derangement(dim, int(rng.integers(0, 2**32)))
         lam1 = float(rng.uniform(0.3, 2.0))
         lam2 = float(rng.uniform(0.3, 2.0))
         out = forward_pipeline(model, x)
@@ -664,6 +645,8 @@ def run_experiment(
 SHARED_KEYS = {"dataset", "data_path", "manifest", "seeds"} | {
     k for k in KEYS if k.startswith("synth_")
 }
+# Keys a method's runs never read: rows that varied one would be identical.
+UNREAD_KEYS = {Method.ESAD: set(), Method.DEEP_SAD: {"lambda1", "lambda2"}}
 
 
 def sweep(
@@ -671,15 +654,17 @@ def sweep(
 ) -> list[RunReport]:
     """One run_experiment per value of the config key named key, in order;
     each report's config echo holds its value. Every value is checked as
-    check_key stores it before any load or run. Rows share raw and the
-    seeds, and scenarios depend only on (raw, config, seed), so rows stay
-    paired by seed."""
+    check_key stores it, and the key against the method's UNREAD_KEYS,
+    before any load or run. Rows share raw and the seeds, and scenarios
+    depend only on (raw, config, seed), so rows stay paired by seed."""
     if key in SHARED_KEYS:
         raise ConfigError(
             f"cannot sweep {key}: every row shares the data source and seeds"
         )
     if key not in KEYS:
         raise ConfigError(f"unknown key {key!r}")
+    if key in UNREAD_KEYS[config.method]:
+        raise ConfigError(f"cannot sweep {key}: method {config.method} does not read it")
     f = KEYS[key]
     vals = [check_key(f, v) for v in values]
     if not vals:

@@ -28,16 +28,17 @@ the batch and the first non-finite loss component.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ndcore import POSITIVE, EsadError, ShapeError, as_int_labels
+from .ndcore import EsadError, ShapeError, as_int_labels
 
 
 class MissingPhiError(EsadError):
-    """Raised when a batch holds labeled anomalies but no phi is configured."""
+    """Raised when a batch holds labeled anomalies but no phi is given."""
 
 
 class SemiLabel(enum.IntEnum):
@@ -60,82 +61,41 @@ def label_codes(labels) -> np.ndarray:
     return arr
 
 
-class PhiKind(enum.Enum):
-    PERMUTATION = "permutation"
-    GAUSSIAN_NOISE = "gaussian"
-
-
-@dataclass(frozen=True)
-class PhiConfig:
-    """Corruption applied to labeled-anomalous reconstruction targets.
-
-    Permutation shuffles coordinates through a fixed-point-free permutation;
-    Gaussian adds a noise vector that is a pure function of (seed, dim,
-    sigma), drawn once, so repeated application is bit-exact.
-    """
-
-    kind: PhiKind
-    dim: int
-    seed: int
-    sigma: float = 1.0
-    perm: np.ndarray | None = None
-    noise: np.ndarray | None = None
-
-    @staticmethod
-    def permutation(dim: int, seed: int) -> "PhiConfig":
-        if dim < 2:
-            raise EsadError(
-                f"a fixed-point-free permutation needs dim >= 2, got {dim}"
-            )
-        rng = np.random.default_rng(seed)
-        while True:  # rejection sampling, ~e tries expected
-            perm = rng.permutation(dim)
-            if not np.any(perm == np.arange(dim)):
-                return PhiConfig(PhiKind.PERMUTATION, dim, seed, perm=perm)
-
-    @staticmethod
-    def gaussian(dim: int, seed: int, sigma: float = 1.0) -> "PhiConfig":
-        in_range, words = POSITIVE  # the phi_sigma key's rule
-        if not in_range(sigma):
-            raise ValueError(f"sigma must be {words}, got {sigma}")
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
-        noise = np.random.default_rng(seed).normal(0.0, sigma, size=dim)
-        return PhiConfig(PhiKind.GAUSSIAN_NOISE, dim, seed, sigma=sigma, noise=noise)
-
-
-def phi_apply(cfg: PhiConfig, x) -> np.ndarray:
-    """Apply the corruption to a vector (dim,) or batch (b, dim)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != cfg.dim:
-        raise ShapeError(
-            f"input width {arr.shape[-1]} does not match phi dim {cfg.dim}"
+def derangement(dim: int, seed: int) -> np.ndarray:
+    """phi: a fixed-point-free permutation of range(dim) as an int64 index
+    array, so phi(x) = x[..., phi] moves every coordinate. It is a pure
+    function of (dim, seed), drawn by rejection sampling."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
+        raise EsadError(
+            f"a fixed-point-free permutation needs an int dim >= 2, got {dim!r}"
         )
-    if cfg.kind is PhiKind.PERMUTATION:
-        if cfg.perm is None:
-            raise ValueError("permutation phi missing its permutation")
-        return arr[..., cfg.perm]
-    if cfg.noise is None:
-        raise ValueError("gaussian phi missing its noise vector")
-    return arr + cfg.noise
+    rng = np.random.default_rng(seed)
+    while True:  # ~e tries expected
+        perm = rng.permutation(dim)
+        if not np.any(perm == np.arange(dim)):
+            return perm
 
 
 def rec_targets(
-    x: np.ndarray, anomalous: np.ndarray, phi: PhiConfig | None
+    x: np.ndarray, anomalous: np.ndarray, phi: np.ndarray | None
 ) -> np.ndarray:
-    """The reconstruction targets of rows x: phi(x) on the rows that the
+    """The reconstruction targets of rows x: x[:, phi] on the rows that the
     boolean mask anomalous marks as labeled anomalies, x on the others, and
-    x itself when no row is marked. phi acts on each row alone, so the rows
-    of a pool's targets, gathered for a batch, are bit for bit that batch's
-    own targets."""
+    x itself when no row is marked. phi (see derangement) acts on each row
+    alone, so the rows of a pool's targets, gathered for a batch, are bit
+    for bit that batch's own targets."""
     if not anomalous.any():
         return x
     if phi is None:
         raise MissingPhiError(
-            "batch has labeled anomalies but no phi transform is configured"
+            "batch has labeled anomalies but no phi is given"
+        )
+    if phi.shape != (x.shape[1],):
+        raise ShapeError(
+            f"phi shape {phi.shape} does not match input width {x.shape[1]}"
         )
     targets = x.copy()
-    targets[anomalous] = phi_apply(phi, x[anomalous])
+    targets[anomalous] = x[anomalous][:, phi]
     return targets
 
 
@@ -276,7 +236,7 @@ def semi_loss_and_grads(
     x_hat,
     z_hat,
     labels,
-    phi: PhiConfig | None,
+    phi: np.ndarray | None,
     lambda1: float = 1.0,
     lambda2: float = 1.0,
     eps: float = 1e-6,

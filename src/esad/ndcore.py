@@ -179,6 +179,10 @@ class ShapeError(EsadError):
     """Raised when operands have incompatible or malformed shapes."""
 
 
+class LabelError(EsadError):
+    """Raised for label values that are not integers, or not 0/1."""
+
+
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Validate and return a 2-D float64 array with finite entries."""
     out = np.asarray(a, dtype=np.float64)
@@ -191,26 +195,31 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
 
 def as_int_labels(values, name: str = "labels") -> np.ndarray:
     """values as a flat int64 array. Integer and bool arrays pass as they
-    are; any other dtype must hold int64 integers only, or a ValueError lists
-    the values that are not, rather than truncating them."""
+    are; any other dtype must hold real int64 integers only, or a LabelError
+    lists the values that are not, rather than truncating them."""
     arr = np.asarray(values).reshape(-1)
     if arr.dtype.kind in "biu":
         return arr.astype(np.int64, copy=False)
-    num = arr.astype(np.float64)
+    if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
+        raise LabelError(f"{name} must be integers, got {arr.dtype} values")
+    try:
+        num = arr.astype(np.float64)
+    except (TypeError, ValueError) as exc:  # objects or text, not numbers
+        raise LabelError(f"{name} must be integers ({exc})") from None
     # NaN fails both tests, and +-inf and other floats past int64 the second.
     whole = (np.trunc(num) == num) & (np.abs(num) < 2.0**63)
     if not whole.all():
         bad = np.unique(num[~whole]).tolist()
-        raise ValueError(f"{name} must be integers, got {bad}")
+        raise LabelError(f"{name} must be integers, got {bad}")
     return num.astype(np.int64)
 
 
 def as_binary_labels(values) -> np.ndarray:
-    """as_int_labels(values), all 0 or 1; a ValueError lists the rest."""
+    """as_int_labels(values), all 0 or 1; a LabelError lists the rest."""
     y = as_int_labels(values)
     bad = y[(y < 0) | (y > 1)]
     if bad.size:
-        raise ValueError(f"labels must be 0/1, got {np.unique(bad).tolist()}")
+        raise LabelError(f"labels must be 0/1, got {np.unique(bad).tolist()}")
     return y
 
 

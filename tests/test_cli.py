@@ -288,10 +288,11 @@ class TestSweeps:
         assert [r["config"]["method"] for r in summaries] == ["esad", "deep-sad"]
         assert [r["record"] for r in records] == ["seed", "summary"] * 2
 
-    def test_phi_text_values_parse(self, quick_config_path, capsys):
-        assert main(sweep_argv(quick_config_path, "phi", "Permutation", "GAUSSIAN")) == 0
+    def test_text_values_parse(self, quick_config_path, capsys):
+        # Each value is config-file text, and its row shows the stored value.
+        assert main(sweep_argv(quick_config_path, "epsilon", "1E-5", "0.5e-5")) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split()[0] for row in rows] == ["permutation", "gaussian"]
+        assert [row.split()[0] for row in rows] == ["1e-05", "5e-06"]
 
     def test_duplicate_values_exit_one(self, quick_config_path, capsys):
         code = main(sweep_argv(quick_config_path, "lambda1", "1.0", "1"))

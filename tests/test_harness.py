@@ -65,10 +65,9 @@ from esad.harness import (
 )
 from esad.losses import (
     MissingPhiError,
-    PhiConfig,
-    PhiKind,
     SemiLabel,
     batch_groups,
+    derangement,
     grad_sad_rec,
     grad_svdd,
     rec_targets,
@@ -109,8 +108,6 @@ decay_every = 3
 decay_factor = 0.5
 hidden_dim = 12
 rep_dim = 3
-phi = gaussian
-phi_sigma = 0.7
 epsilon = 1e-5
 clip_norm = 2.5
 synth_normal = 100
@@ -152,8 +149,6 @@ class TestConfigParsing:
             initial_lr=0.05, decay_every=3, decay_factor=0.5, batch_size=16, epochs=7
         )
         assert (cfg.hidden_dim, cfg.rep_dim) == (12, 3)
-        assert cfg.phi_kind is PhiKind.GAUSSIAN_NOISE
-        assert cfg.phi_sigma == 0.7
         assert cfg.epsilon == 1e-5
         assert cfg.clip_norm == 2.5
         assert (cfg.synth_normal, cfg.synth_anom) == (100, 20)
@@ -162,7 +157,6 @@ class TestConfigParsing:
         cfg = parse_config_text("dataset = synthetic\n")
         assert cfg.lambda1 == 1.0 and cfg.lambda2 == 1.0
         assert cfg.sgd == SgdConfig()
-        assert cfg.phi_kind is PhiKind.PERMUTATION
         assert cfg.clip_norm == 5.0
 
     def test_inline_comments_and_empty_values(self):
@@ -171,8 +165,12 @@ class TestConfigParsing:
         assert cfg.sgd.epochs == 200  # empty value keeps the default
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key 'learning_rate'"):
-            parse_config_text("learning_rate = 0.1\n", source="exp.cfg")
+        # The phi keys are gone: phi is always a fixed-point-free permutation.
+        for key in ("learning_rate", "phi", "phi_sigma"):
+            with pytest.raises(ConfigError, match=f"exp.cfg:1: unknown key '{key}'"):
+                parse_config_text(f"{key} = 1\n", source="exp.cfg")
+        with pytest.raises(TypeError, match="phi_kind"):
+            ExperimentConfig(phi_kind="permutation")
 
     def test_duplicate_key_names_line(self):
         with pytest.raises(ConfigError, match="exp.cfg:3.*duplicate"):
@@ -189,22 +187,6 @@ class TestConfigParsing:
     def test_bad_method(self):
         with pytest.raises(ConfigError, match="method must be in .*, got 'autoencoder'"):
             parse_config_text("method = autoencoder\n")
-
-    def test_phi_kind_string_form(self):
-        # A library caller's string form is the enum member: it trains bit
-        # for bit like the enum form, and the run's config echo holds it.
-        by_enum = quick_config(phi_kind=PhiKind.PERMUTATION, sgd=SgdConfig(epochs=3))
-        by_text = quick_config(phi_kind="permutation", sgd=SgdConfig(epochs=3))
-        assert by_text.phi_kind is PhiKind.PERMUTATION and by_text == by_enum
-        semi = prepare_scenario(load_dataset(by_enum), by_enum, seed=0)
-        a = train_esad(by_enum, semi, seed=0).model.params
-        b = train_esad(by_text, semi, seed=0).model.params
-        assert a.tobytes() == b.tobytes()
-        assert run_experiment(by_text).config["phi"] == "permutation"
-        with pytest.raises(ConfigError, match="phi must be in .*, got 'bogus'"):
-            quick_config(phi_kind="bogus")
-        with pytest.raises(ConfigError, match="exp.cfg: phi must be in .*, got 'Rotation'"):
-            parse_config_text("phi = Rotation\n", "exp.cfg")
 
     def test_numpy_scalars_are_stored_as_builtins(self, tmp_path):
         # A numpy scalar computes and serializes as the built-in number: the
@@ -294,13 +276,10 @@ class TestConfigParsing:
             ("rep_dim = -2", "rep_dim"),
             ("epsilon = nan", "epsilon"),
             ("epsilon = 0", "epsilon"),
-            ("phi_sigma = 0", "phi_sigma"),
-            ("phi_sigma = -1", "phi_sigma"),
             ("initial_lr = nan", "initial_lr"),
             ("lambda1 = inf", "lambda1"),
             ("lambda2 = inf", "lambda2"),
             ("epsilon = inf", "epsilon"),
-            ("phi_sigma = inf", "phi_sigma"),
             ("clip_norm = inf", "clip_norm"),
             ("initial_lr = inf", "initial_lr"),
             ("synth_separation = inf", "synth_separation"),
@@ -670,7 +649,7 @@ class TestListSgdOracle:
         x, tags = semi.x_train, semi.tags
         streams = child_seeds(2)
         model = new_model(x.shape[1], cfg.hidden_dim, cfg.rep_dim, seed=streams.init)
-        phi = harness._build_phi(cfg, x.shape[1], streams.phi, tags)
+        phi = derangement(x.shape[1], streams.phi)
         layers = model.layers()
         rng = np.random.default_rng(streams.shuffle)
         fired = steps = 0
@@ -791,7 +770,7 @@ class TestOneEncoderVariant:
                 break
         else:
             pytest.fail("no kink-free instance found")
-        phi = PhiConfig.permutation(5, 3)
+        phi = derangement(5, 3)
         targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
         kernel, _ = self.stage(targets, phi, 0.7, 1e-6)
         layers = model.enc1.layers + model.dec.layers
@@ -817,7 +796,7 @@ class TestOneEncoderVariant:
         x, tags = semi.x_train, semi.tags
         model = new_model(x.shape[1], cfg.hidden_dim, cfg.rep_dim, seed=5)
         chain = (model.enc1, model.dec)
-        phi = PhiConfig.permutation(x.shape[1], 6)
+        phi = derangement(x.shape[1], 6)
         targets = rec_targets(x, tags == SemiLabel.LABELED_ANOMALOUS, phi)
         kernel, losses = self.stage(targets, phi, cfg.lambda1, cfg.epsilon)
 
@@ -1086,11 +1065,11 @@ class TestSweeps:
             assert [r.loss for r in row.results] == [r.loss for r in want.results]
 
     def test_values_are_stored_as_the_key_stores_them(self):
-        # A phi value may be given as its text; an int lambda is a float.
+        # A numpy int is an int; an int lambda is a float.
         cfg = quick_config(sgd=SgdConfig(epochs=2, batch_size=64))
-        rows = sweep(cfg, "phi", ["permutation", PhiKind.GAUSSIAN_NOISE])
-        assert [r.config["phi"] for r in rows] == ["permutation", "gaussian"]
-        assert_rows_are_runs(cfg, "phi_kind", list(PhiKind), rows)
+        rows = sweep(cfg, "hidden_dim", [np.int64(8), 12])
+        assert [type(r.config["hidden_dim"]) for r in rows] == [int, int]
+        assert_rows_are_runs(cfg, "hidden_dim", [8, 12], rows)
         assert [type(r.config["lambda2"]) for r in sweep(cfg, "lambda2", [1, 0])] == [
             float,
             float,
@@ -1117,6 +1096,24 @@ class TestSweeps:
             sweep(cfg, "method", [Method.ESAD, "svdd"])
         with pytest.raises(ConfigError, match="unknown key 'lambda3'"):
             sweep(cfg, "lambda3", [1.0])
+        with pytest.raises(ConfigError, match="unknown key 'phi'"):
+            sweep(cfg, "phi", ["permutation", "gaussian"])
+
+    @pytest.mark.parametrize("key", ["lambda1", "lambda2"])
+    def test_keys_the_method_does_not_read_raise_before_any_load_or_run(
+        self, monkeypatch, key
+    ):
+        # deep-sad reads neither weight: its rows would train identically
+        # while their echoes claimed different values.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a load or run started before the key was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.setattr(harness, "load_dataset", no_run)
+        cfg = quick_config(method=Method.DEEP_SAD)
+        with pytest.raises(ConfigError, match=f"cannot sweep {key}: method deep-sad"):
+            sweep(cfg, key, [0.5, 2.0])
+        assert harness.UNREAD_KEYS[Method.ESAD] == set()
 
     @pytest.mark.parametrize(
         "key, values",
@@ -1152,14 +1149,10 @@ class TestSweeps:
 
     def test_sweep_table_and_jsonl(self, tmp_path):
         cfg = quick_config(seeds=(0,), sgd=SgdConfig(epochs=2, batch_size=64))
-        rows = sweep(cfg, "phi", list(PhiKind))
-        table = format_sweep_table(rows, "phi")
-        assert "phi" in table and "mean_auc" in table
-        assert [line.split()[0] for line in table.splitlines()[1:]] == [
-            "permutation",
-            "gaussian",
-        ]
-        assert "PhiKind" not in table
+        rows = sweep(cfg, "method", list(Method.ALL))
+        table = format_sweep_table(rows, "method")
+        assert "method" in table and "mean_auc" in table
+        assert [line.split()[0] for line in table.splitlines()[1:]] == list(Method.ALL)
         # A sweep report is its rows' run reports, in row order.
         path = tmp_path / "sweep.jsonl"
         write_report_jsonl(rows, path)

@@ -17,19 +17,17 @@ from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_
 from esad.losses import (
     LossBreakdown,
     MissingPhiError,
-    PhiConfig,
-    PhiKind,
     SemiLabel,
     _group_masks,
     _distance_grad,
     _Groups,
     batch_groups,
+    derangement,
     grad_sad_rec,
     grad_svdd,
     label_codes,
     loss_sad_rec,
     loss_svdd,
-    phi_apply,
     rec_targets,
     semi_grads,
     semi_loss_and_grads,
@@ -40,7 +38,7 @@ from esad.ndcore import EsadError, ShapeError
 U = int(SemiLabel.UNLABELED)
 N = int(SemiLabel.LABELED_NORMAL)
 A = int(SemiLabel.LABELED_ANOMALOUS)
-SWAP = PhiConfig(PhiKind.PERMUTATION, 2, seed=0, perm=np.array([1, 0]))
+SWAP = np.array([1, 0])
 
 
 def fd_grad(fn, x, step=1e-6):
@@ -173,7 +171,7 @@ def masked_rec(x, x_hat, tags, phi):
     unl, anm = np.asarray(tags) == U, np.asarray(tags) == A
     targets = x.copy()
     if np.any(anm):
-        targets[anm] = phi_apply(phi, x[anm])
+        targets[anm] = x[anm][:, phi]
     diff = x_hat - targets
     sq = np.sum(diff**2, axis=1)
     lab = ~unl
@@ -221,7 +219,7 @@ def per_row_rec(x, x_hat, tags, phi):
     anm = np.asarray(tags) == A
     targets = x.copy()
     if np.any(anm):
-        targets[anm] = phi_apply(phi, x[anm])
+        targets[anm] = x[anm][:, phi]
     diff = x_hat - targets
     return float((np.sum(diff * diff, axis=1) / group_divisor(tags)).sum())
 
@@ -376,71 +374,46 @@ class TestDistanceGradGuard:
 
 class TestPhi:
     def test_permutation_applies_explicit_cycle(self):
-        cfg = PhiConfig(PhiKind.PERMUTATION, 3, seed=0, perm=np.array([2, 0, 1]))
-        assert_array_equal(phi_apply(cfg, [1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
+        phi = np.array([2, 0, 1])
         batch = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert_array_equal(phi_apply(cfg, batch), batch[:, [2, 0, 1]])
+        got = rec_targets(batch, np.array([True, False]), phi)
+        assert_array_equal(got, [[3.0, 1.0, 2.0], [4.0, 5.0, 6.0]])
 
     def test_swap_on_two_dims(self):
-        cfg = PhiConfig(PhiKind.PERMUTATION, 2, seed=0, perm=np.array([1, 0]))
-        assert_array_equal(phi_apply(cfg, [3.0, 7.0]), [7.0, 3.0])
+        got = rec_targets(np.array([[3.0, 7.0]]), np.array([True]), SWAP)
+        assert_array_equal(got, [[7.0, 3.0]])
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_sampled_permutation_has_no_fixed_point(self, dim):
         for seed in range(50):
-            cfg = PhiConfig.permutation(dim, seed)
-            assert not np.any(cfg.perm == np.arange(dim))
-            assert sorted(cfg.perm.tolist()) == list(range(dim))
+            phi = derangement(dim, seed)
+            assert phi.dtype == np.int64 and phi.shape == (dim,)
+            assert not np.any(phi == np.arange(dim))
+            assert sorted(phi.tolist()) == list(range(dim))
+            # Oracle: the first fixed-point-free draw of a fresh generator.
+            rng = np.random.default_rng(seed)
+            want = rng.permutation(dim)
+            while np.any(want == np.arange(dim)):
+                want = rng.permutation(dim)
+            assert_array_equal(phi, want)
 
     def test_permutation_moves_every_distinct_coordinate(self):
         # With all-distinct coordinates a fixed-point-free permutation must
         # change every coordinate.
         rng = np.random.default_rng(0)
-        cfg = PhiConfig.permutation(5, seed=1)
+        phi = derangement(5, seed=1)
         for _ in range(1000):
             x = rng.permutation(np.arange(5, dtype=np.float64))
-            assert np.all(phi_apply(cfg, x) != x)
+            assert np.all(x[phi] != x)
 
     def test_permutation_requires_dim_2(self):
         with pytest.raises(EsadError, match="dim >= 2"):
-            PhiConfig.permutation(1, seed=0)
-
-    def test_gaussian_noise_is_repeatable(self):
-        cfg = PhiConfig.gaussian(4, seed=7, sigma=0.5)
-        x = np.random.default_rng(1).normal(size=(3, 4))
-        a = phi_apply(cfg, x)
-        b = phi_apply(cfg, x)
-        assert_array_equal(a, b)
-        # Same offset for every row: phi adds one fixed vector.
-        offsets = a - x
-        assert_allclose(offsets, np.broadcast_to(offsets[0], offsets.shape))
-        assert float(np.abs(offsets[0]).max()) > 0
-
-    @pytest.mark.parametrize("dim, seed, sigma", [(1, 0, 1.0), (4, 7, 0.5), (274, 3, 2.0)])
-    def test_gaussian_matches_per_call_draw(self, dim, seed, sigma):
-        # Oracle: the noise vector redrawn from a fresh generator on each call.
-        cfg = PhiConfig.gaussian(dim, seed, sigma)
-        x = np.random.default_rng(seed + 1).normal(size=(5, dim))
-        noise = np.random.default_rng(seed).normal(0.0, sigma, size=dim)
-        assert phi_apply(cfg, x).tobytes() == (x + noise).tobytes()
-        assert phi_apply(cfg, x[0]).tobytes() == (x[0] + noise).tobytes()
-
-    def test_gaussian_validation(self):
-        with pytest.raises(ValueError):
-            PhiConfig.gaussian(4, seed=0, sigma=0.0)
-        with pytest.raises(ValueError):
-            PhiConfig.gaussian(0, seed=0)
-
-    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -float("inf")])
-    def test_gaussian_rejects_non_finite_sigma(self, sigma):
-        # Worded like the phi_sigma key, so no non-finite noise vector is built.
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            PhiConfig.gaussian(3, seed=0, sigma=sigma)
+            derangement(1, seed=0)
 
     def test_width_mismatch(self):
-        cfg = PhiConfig.permutation(3, seed=0)
+        phi = derangement(3, seed=0)
         with pytest.raises(ShapeError, match="width"):
-            phi_apply(cfg, np.ones(4))
+            rec_targets(np.ones((1, 4)), np.array([True]), phi)
 
 
 class TestRecSemi:
@@ -480,16 +453,16 @@ class TestRecSemi:
         assert rec_term([[1.0, 2.0]], [[1.0, 2.0]], [N], phi=None)[0] == 0.0
 
     def test_gradient_zero_at_target(self):
-        phi = PhiConfig.permutation(3, seed=3)
+        phi = derangement(3, seed=3)
         x = np.random.default_rng(4).normal(size=(3, 3))
         targets = x.copy()
-        targets[2] = phi_apply(phi, x[2])
+        targets[2] = x[2, phi]
         _, g = rec_term(x, targets, [U, N, A], phi)
         assert_allclose(g, np.zeros_like(g), atol=1e-15)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(5)
-        phi = PhiConfig.permutation(4, seed=6)
+        phi = derangement(4, seed=6)
         x = rng.normal(size=(5, 4))
         x_hat = rng.normal(size=(5, 4))
         tags = [U, U, N, A, A]
@@ -606,7 +579,7 @@ class TestTotal:
         # The weights scale the gradients and leave the components alone:
         # the weighted call equals the unit-weight parts combined.
         rng = np.random.default_rng(12)
-        phi = PhiConfig.permutation(4, seed=13)
+        phi = derangement(4, seed=13)
         x = rng.normal(size=(5, 4))
         z = safe_batch(rng, 5, 3)
         x_hat = rng.normal(size=(5, 4))
@@ -634,7 +607,7 @@ class TestTotal:
 
     def test_components_nonnegative_on_random_batches(self):
         rng = np.random.default_rng(14)
-        phi = PhiConfig.permutation(3, seed=15)
+        phi = derangement(3, seed=15)
         for _ in range(50):
             rows = int(rng.integers(1, 7))
             x = rng.normal(size=(rows, 3))
@@ -656,7 +629,7 @@ class TestTotal:
                 tags = [U, N, A] + tags
                 rows += 3
             seen.add(tuple(sorted(set(tags))))
-            phi = PhiConfig.permutation(4, seed=trial)
+            phi = derangement(4, seed=trial)
             x, x_hat = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
             z, z_hat = rng.normal(size=(rows, 3)), safe_batch(rng, rows, 3, 0.1)
             lam1, lam2 = rng.uniform(0.0, 2.0, size=2)
@@ -664,7 +637,7 @@ class TestTotal:
                 x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps
             )
             rec, norm, ass, o_z, o_xhat, o_zhat = loop_oracle(
-                x, z, x_hat, z_hat, tags, phi.perm, lam1, lam2, eps
+                x, z, x_hat, z_hat, tags, phi, lam1, lam2, eps
             )
             assert_allclose([b.rec, b.norm, b.ass], [rec, norm, ass], rtol=1e-12)
             assert_allclose(g_z, o_z, rtol=1e-12, atol=1e-15)
@@ -682,10 +655,7 @@ class TestTotal:
             tags = np.array(list(mix) + list(rng.choice(mix, rows - len(mix))))
             rng.shuffle(tags)
             eps = 0.0 if trial % 3 == 0 else 1e-6
-            if trial % 2:
-                phi = PhiConfig.permutation(4, seed=trial)
-            else:
-                phi = PhiConfig.gaussian(4, seed=trial, sigma=0.5)
+            phi = derangement(4, seed=trial)
             x, x_hat = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
             z, z_hat = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
             center = rng.normal(size=3)
@@ -725,7 +695,7 @@ class TestTotal:
 
     def test_total_gradients_match_central_differences(self):
         rng = np.random.default_rng(23)
-        phi = PhiConfig.permutation(4, seed=24)
+        phi = derangement(4, seed=24)
         x, x_hat = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         z, z_hat = rng.normal(size=(6, 3)), safe_batch(rng, 6, 3)
         tags = [U, U, N, N, A, A]
@@ -774,10 +744,7 @@ class TestSemiGrads:
             pool_tags[idx] = tags
             pool_x = rng.normal(size=(pool, 4))
             eps = 0.0 if trial % 3 == 0 else 1e-6
-            if trial % 2:
-                phi = PhiConfig.permutation(4, seed=trial)
-            else:
-                phi = PhiConfig.gaussian(4, seed=trial, sigma=0.5)
+            phi = derangement(4, seed=trial)
             z, x_hat, z_hat = (rng.normal(size=(rows, k)) for k in (3, 4, 3))
             # Rows at distance exactly 0, but no anomaly there when eps = 0.
             zero = rng.random(rows) < 0.3
@@ -789,7 +756,7 @@ class TestSemiGrads:
             targets = rec_targets(pool_x, pool_tags == A, phi)[idx]
             x = pool_x[idx]
             own = x.copy()
-            own[tags == A] = phi_apply(phi, x[tags == A])
+            own[tags == A] = x[tags == A][:, phi]
             assert_same_bits(targets, own)
 
             groups = batch_groups(tags, rows)[0]

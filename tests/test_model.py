@@ -14,7 +14,7 @@ import pytest
 from conftest import fresh_grads
 from numpy.testing import assert_allclose, assert_array_equal
 
-from esad.losses import PhiConfig, SemiLabel, semi_loss_and_grads
+from esad.losses import SemiLabel, derangement, semi_loss_and_grads
 from esad.model import (
     CheckpointError,
     EsadModel,
@@ -235,7 +235,7 @@ class TestBackwardPipeline:
     def test_one_training_step_moves_every_stack(self):
         model, x = kink_free_instance(seed=4)
         tags = np.array([0, 0, 1, 2])
-        phi = PhiConfig.permutation(model.enc1.in_dim, seed=0)
+        phi = derangement(model.enc1.in_dim, seed=0)
         out = forward_pipeline(model, x)
         _, g_z, g_xhat, g_zhat = semi_loss_and_grads(
             x, out.z, out.x_hat, out.z_hat, tags, phi

@@ -10,8 +10,10 @@ import dataclasses
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,14 @@ import pytest
 from conftest import clip_oracle, fresh_grads, sgd_oracle
 from numpy.testing import assert_allclose, assert_array_equal
 
+from esad.data import RawDataset
+from esad.losses import derangement
 from esad.ndcore import (
     ConfigError,
     DenseLayer,
     EsadError,
     GradCheckReport,
+    LabelError,
     MlpStack,
     SgdConfig,
     ShapeError,
@@ -39,6 +44,7 @@ from esad.ndcore import (
     param_views,
     sgd_step,
 )
+from esad.scoring import auc
 
 
 # Oracles
@@ -825,6 +831,44 @@ class TestGradCheck:
             check_gradients(np.ones((2, 2)), np.ones((2, 2)), lambda: 0.0, ["a"] * 4)
         with pytest.raises(ShapeError):
             check_gradients(np.ones(2), np.ones(2), lambda: 0.0, ["a"])
+
+
+class TestInputBoundaries:
+    """Values from outside the program: a label array, or phi's width."""
+
+    def test_labels_outside_0_1_are_esad_errors(self):
+        message = re.escape("labels must be 0/1, got [2]")
+        with pytest.raises(LabelError, match=message):
+            RawDataset("r", np.zeros((3, 2)), [0, 1, 2])
+        with pytest.raises(LabelError, match=message):
+            auc([0.1, 0.2, 0.3], [0, 1, 2])
+        assert issubclass(LabelError, EsadError)
+
+    ODD = (None, "8", True, 2.5, np.array(3), np.int64(3), Fraction(3), 3 + 0j)
+
+    def test_odd_values_give_an_esad_error_or_a_normal_return(self):
+        # Oracle: each call returns normally or raises an EsadError. Anything
+        # else, a TypeError, a numpy error or a plain ValueError, is a hole
+        # in the boundary's checks.
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(240):
+            which, boundary = int(rng.integers(len(self.ODD))), int(rng.integers(3))
+            odd = self.ODD[which]
+            rows = int(rng.integers(1, 6))
+            labels = rng.integers(0, 2, size=rows).tolist()
+            labels[int(rng.integers(rows))] = odd
+            seen.add((which, boundary))
+            try:
+                if boundary == 0:
+                    derangement(odd, 0)
+                elif boundary == 1:
+                    RawDataset("r", np.zeros((rows, 2)), labels)
+                else:
+                    auc(rng.random(rows), labels)
+            except EsadError:
+                pass
+        assert len(seen) == 3 * len(self.ODD)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")
