@@ -35,7 +35,6 @@ from .harness import (
 )
 from .losses import (
     LossBreakdown,
-    SemiLabel,
     loss_sad_rec,
     loss_svdd,
     semi_loss_and_grads,

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import SemiLabel
 from .ndcore import (
     FLOAT, FRACTION, INT, EsadError, ShapeError, as_binary_labels, as_matrix, check_keys, key
 )
@@ -67,10 +66,9 @@ class RawDataset:
         x = as_matrix(self.x, f"dataset {self.name!r} feature matrix")
         if x.size == 0:
             raise ShapeError(f"feature matrix must be non-empty, got {x.shape}")
-        y = np.asarray(self.y).reshape(-1)
+        y = as_binary_labels(self.y)
         if y.shape[0] != x.shape[0]:
             raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} rows")
-        y = as_binary_labels(y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -306,7 +304,7 @@ class FeatureTransform:
 class SemiDataset:
     """A constructed training pool plus an untouched test split.
 
-    tags marks each training row unlabeled or labeled-anomalous;
+    tags marks each training row 0 (unlabeled) or 1 (labeled anomaly);
     y_train_true keeps the hidden ground truth for diagnostics only and
     must never feed training.
     """
@@ -372,10 +370,10 @@ def make_scenario(
 ) -> SemiDataset:
     """Build the semi-supervised training pool from a raw training split.
 
-    Labeled rows are anomalies only (tagged LabeledAnomalous); the unlabeled
-    pool holds normals plus, for gamma_p > 0, hidden anomalies tagged
-    Unlabeled. Anomalies left over after labeling and pollution are dropped.
-    The test split passes through untouched.
+    Labeled rows are anomalies only (tagged 1); the unlabeled pool holds
+    normals plus, for gamma_p > 0, hidden anomalies, all tagged 0.
+    Anomalies left over after labeling and pollution are dropped. The test
+    split passes through untouched.
     """
     n_anom = train.n_anomalies
     n_norm = train.n_samples - n_anom
@@ -388,8 +386,8 @@ def make_scenario(
     labeled = anom_idx[:m]
     hidden = anom_idx[m : m + u_a]
     pool_idx = np.concatenate([norm_idx[:u_n], hidden, labeled])
-    tags = np.full(pool_idx.size, int(SemiLabel.UNLABELED), dtype=np.int64)
-    tags[u_n + u_a :] = int(SemiLabel.LABELED_ANOMALOUS)
+    tags = np.zeros(pool_idx.size, dtype=np.int64)
+    tags[u_n + u_a :] = 1
     order = rng.permutation(pool_idx.size)
     pool_idx, tags = pool_idx[order], tags[order]
     return SemiDataset(

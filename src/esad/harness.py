@@ -34,7 +34,6 @@ from .data import (
 )
 from .losses import (
     LossBreakdown,
-    SemiLabel,
     batch_groups,
     derangement,
     grad_sad_rec,
@@ -269,7 +268,7 @@ def prepare_scenario(
 def _batches(
     tags: np.ndarray, batch_size: int, rng: np.random.Generator, labeled: bool = True
 ):
-    """One epoch's batches of rows with label codes tags, shuffled through
+    """One epoch's batches of rows with 0/1 tags, shuffled through
     rng: (row indices, their entry of batch_groups) for each batch. With
     labeled=False no groups are built, and each batch's entry is None; the
     shuffle is drawn the same way."""
@@ -301,7 +300,7 @@ def _sgd_epochs(
 ) -> None:
     """The one SGD loop behind every method and stage: it trains chain, a
     chain of stacks whose parameters are a prefix of params. Each epoch
-    reshuffles the rows of x, whose label codes are tags, through rng and
+    reshuffles the rows of x, tagged 0/1 by tags, through rng and
     steps at the schedule's rate for that epoch, counted from 0. A step runs
     rows = x[idx] through the chain and backpropagates kernel(idx, groups,
     rows, *outputs), the loss gradient at each stack's output or None (see
@@ -338,16 +337,29 @@ def _components(breakdown: LossBreakdown) -> dict[str, float]:
 
 
 @dataclass
-class EsadTrainResult:
-    model: EsadModel
-    final_loss: LossBreakdown
+class SadModel:
+    """Two-stage baseline artifacts: encoder, decoder and the fixed center."""
+
+    encoder: MlpStack
+    decoder: MlpStack
+    center: np.ndarray
+
+
+@dataclass
+class TrainResult:
+    """A trained model, EsadModel or SadModel, and its final loss over the
+    training pool by component: rec, norm, ass and total for esad, rec and
+    svdd for the deep-sad baseline."""
+
+    model: EsadModel | SadModel
+    loss: dict[str, float]
 
 
 def train_esad(
     config: ExperimentConfig,
     semi: SemiDataset,
     seed: int = 0,
-) -> EsadTrainResult:
+) -> TrainResult:
     """Train the full pipeline end to end on a standardized scenario.
 
     All three loss terms are active every step (weights permitting); batches
@@ -360,7 +372,7 @@ def train_esad(
     dim = x.shape[1]
     streams = child_seeds(seed)
     model = new_model(dim, config.hidden_dim, config.rep_dim, seed=streams.init)
-    anomalous = tags == SemiLabel.LABELED_ANOMALOUS
+    anomalous = tags == 1
     phi = derangement(dim, streams.phi) if anomalous.any() else None
     targets = rec_targets(x, anomalous, phi)
     weights = (config.lambda1, config.lambda2, config.epsilon)
@@ -379,23 +391,9 @@ def train_esad(
     )
     # The outputs only: each stack's cache dies before the pool loss runs.
     final = losses(None, tags, x, *(out for out, _ in forward(chain, x)))
-    _check_finite(_components(final), config.sgd.epochs, -1)
-    return EsadTrainResult(model, final)
-
-
-@dataclass
-class SadModel:
-    """Two-stage baseline artifacts: encoder, decoder and the fixed center."""
-
-    encoder: MlpStack
-    decoder: MlpStack
-    center: np.ndarray
-
-
-@dataclass
-class SadTrainResult:
-    model: SadModel
-    final_loss: dict[str, float]
+    loss = _components(final)
+    _check_finite(loss, config.sgd.epochs, -1)
+    return TrainResult(model, {**loss, "total": final.total})
 
 
 def sad_scores(model: SadModel, x) -> np.ndarray:
@@ -417,7 +415,7 @@ def sad_scores(model: SadModel, x) -> np.ndarray:
 
 def train_sad_baseline(
     config: ExperimentConfig, semi: SemiDataset, seed: int = 0
-) -> SadTrainResult:
+) -> TrainResult:
     """Two-stage baseline sharing the total epoch budget of the main method.
 
     Stage one trains encoder plus decoder on plain reconstruction for half
@@ -458,7 +456,7 @@ def train_sad_baseline(
         "svdd": loss_svdd(z_final, tags, center, eps),
     }
     _check_finite(final, config.sgd.epochs, -1)
-    return SadTrainResult(SadModel(enc, dec, center), final)
+    return TrainResult(SadModel(enc, dec, center), final)
 
 
 def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
@@ -480,14 +478,7 @@ def full_loss_grad_check(seed: int, tolerance: float = 1e-4) -> GradCheckReport:
         rows = int(rng.integers(3, 7))
         model = new_model(dim, h, r, seed=int(rng.integers(0, 2**32)))
         x = rng.normal(0.0, 1.0, size=(rows, dim))
-        tags = np.array(
-            [
-                int(SemiLabel.UNLABELED),
-                int(SemiLabel.LABELED_NORMAL),
-                int(SemiLabel.LABELED_ANOMALOUS),
-            ]
-            + [int(rng.integers(0, 3)) for _ in range(rows - 3)]
-        )
+        tags = np.array([0, 1] + [int(rng.integers(0, 2)) for _ in range(rows - 2)])
         phi = derangement(dim, int(rng.integers(0, 2**32)))
         lam1 = float(rng.uniform(0.3, 2.0))
         lam2 = float(rng.uniform(0.3, 2.0))
@@ -602,25 +593,19 @@ def run_seed(
     start = time.perf_counter()
     try:
         semi = prepare_scenario(raw, config, seed)
-        model: EsadModel | SadModel
         if config.method == Method.ESAD:
             trained = train_esad(config, semi, seed)
-            model = trained.model
-            scores = score_dataset(model, semi.x_test, config.lambda1)
-            loss = _components(trained.final_loss)
-            loss["total"] = trained.final_loss.total
+            scores = score_dataset(trained.model, semi.x_test, config.lambda1)
         else:
-            trained_sad = train_sad_baseline(config, semi, seed)
-            model = trained_sad.model
-            scores = sad_scores(model, semi.x_test)
-            loss = dict(trained_sad.final_loss)
+            trained = train_sad_baseline(config, semi, seed)
+            scores = sad_scores(trained.model, semi.x_test)
         value = auc(scores, semi.y_test).auc
         if artifact_hook is not None:
-            artifact_hook(seed, semi, model, scores)
+            artifact_hook(seed, semi, trained.model, scores)
     except (EsadError, TrainingDiverged) as exc:
         error = f"{type(exc).__name__}: {exc}"
         return SeedResult(seed, None, {}, time.perf_counter() - start, error)
-    return SeedResult(seed, value, loss, time.perf_counter() - start)
+    return SeedResult(seed, value, trained.loss, time.perf_counter() - start)
 
 
 def run_experiment(

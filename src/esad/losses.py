@@ -1,13 +1,11 @@
 """Semi-supervised training objectives and their analytic gradients.
 
-Rows carry one of three label codes: unlabeled (0), labeled normal (1) and
-labeled anomalous (2). Training batches hold only codes 0 and 2, since
-data.make_scenario labels anomalies alone; code 1 is accepted for library
-callers, and the full-objective gradient check uses it. Throughout, n is
-the number of unlabeled rows in the batch and m the number of labeled rows
-(normal plus anomalous). Each row's term is divided by its group's size,
-n or m, which loss values and gradients read from one per-row array; a
-group absent from the batch contributes nothing.
+A training row is tagged 0 when unlabeled (taken as normal) or 1 when it is
+a labeled anomaly, the one 0/1 rule of ndcore.as_binary_labels. Throughout,
+n is the number of unlabeled rows in the batch and m the number of labeled
+anomalies. Each row's term is divided by its group's size, n or m, which
+loss values and gradients read from one per-row array; a group absent from
+the batch contributes nothing.
 
 Norm-style terms raise labeled-anomalous distances through an inverse, which
 blows up near zero; a small eps guards only those inverse branches. At an
@@ -27,38 +25,17 @@ the batch and the first non-finite loss component.
 
 from __future__ import annotations
 
-import enum
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ndcore import EsadError, ShapeError, as_int_labels
+from .ndcore import EsadError, ShapeError, as_binary_labels
 
 
 class MissingPhiError(EsadError):
     """Raised when a batch holds labeled anomalies but no phi is given."""
-
-
-class SemiLabel(enum.IntEnum):
-    UNLABELED = 0
-    LABELED_NORMAL = 1
-    LABELED_ANOMALOUS = 2
-
-
-def label_codes(labels) -> np.ndarray:
-    """Normalize a label sequence to an int array, validating values."""
-    arr = as_int_labels(labels, "label codes")
-    if arr.size == 0:
-        raise ShapeError("empty label sequence")
-    # The valid codes are exactly 0..2, so a range check suffices; the set of
-    # bad codes is built only for the error message. A plain ValueError:
-    # make_scenario's tags are always 0..2, so no CLI path reaches it.
-    if arr.min() < 0 or arr.max() > 2:
-        bad = sorted({int(v) for v in arr} - {int(v) for v in SemiLabel})
-        raise ValueError(f"unknown label codes {bad}")
-    return arr
 
 
 def derangement(dim: int, seed: int) -> np.ndarray:
@@ -125,11 +102,11 @@ class _Groups(NamedTuple):
 
 
 def _group_masks(labels, rows: int) -> _Groups:
-    """The groups of a batch of rows. labels are the rows' label codes, built
+    """The groups of a batch of rows. labels are the rows' 0/1 tags, built
     into groups as a one-batch epoch, or their entry of batch_groups, which
     is returned as it is."""
     if not isinstance(labels, _Groups):
-        codes = label_codes(labels)
+        codes = as_binary_labels(labels)
         if codes.size != rows:
             raise ShapeError(f"{codes.size} labels for {rows} rows")
         return batch_groups(codes, rows)[0]
@@ -141,17 +118,18 @@ def _group_masks(labels, rows: int) -> _Groups:
 def batch_groups(codes, batch_size: int) -> list[_Groups]:
     """The groups of every batch of an epoch, built in one pass.
 
-    codes lists the epoch's label codes in batch order; batch k holds rows
+    codes lists the epoch's 0/1 tags in batch order; batch k holds rows
     k * batch_size up to (k + 1) * batch_size, the last one possibly short.
     Its anm and div are views into arrays shared by the whole epoch, and
     its n_anm is np.int64 on every numpy version.
     """
-    codes = label_codes(codes)
-    unl, anm = codes == 0, codes == 2  # SemiLabel codes
-    starts = np.arange(0, codes.size, batch_size)
-    sizes = np.diff(starts, append=codes.size)
-    n, n_anm = (np.add.reduceat(g, starts, dtype=np.int64) for g in (unl, anm))
-    div = np.where(unl, np.repeat(n, sizes), np.repeat(sizes - n, sizes))
+    anm = as_binary_labels(codes) == 1
+    if anm.size == 0:
+        raise ShapeError("empty label sequence")
+    starts = np.arange(0, anm.size, batch_size)
+    sizes = np.diff(starts, append=anm.size)
+    n_anm = np.add.reduceat(anm, starts, dtype=np.int64)
+    div = np.where(anm, np.repeat(n_anm, sizes), np.repeat(sizes - n_anm, sizes))
     div = div.astype(np.float64)
     return [
         _Groups(anm[s:e], k, div[s:e])
@@ -165,9 +143,9 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 # The grouped-distance term shared by esad's latent norm (distance from the
 # origin) and the baseline's SVDD loss (distance from a fixed center), after
-# Deep SAD (Ruff et al., ICLR 2020). Unlabeled rows average their distance;
-# labeled rows average distance for normals and 1 / (distance + eps) for
-# anomalies, so pushing an anomaly away lowers the loss.
+# Deep SAD (Ruff et al., ICLR 2020). Unlabeled rows average their distance
+# and labeled anomalies 1 / (distance + eps), so pushing an anomaly away
+# lowers the loss.
 
 
 def _distance_loss(dists: np.ndarray, groups: _Groups, eps: float) -> float:
@@ -248,13 +226,12 @@ def semi_loss_and_grads(
       labeled rows. Labeled anomalies reconstruct phi(x) instead of x,
       steering the decoder away from reproducing anomalous inputs.
     - norm: the grouped distance of the re-encoded latent z_hat from the
-      origin, shrinking unlabeled and normal rows and inflating anomalies.
+      origin, shrinking unlabeled rows and inflating labeled anomalies.
     - ass: mean squared distance between z and its re-encoding z_hat.
 
-    labels holds the rows' label codes, or the batch's entry of
-    batch_groups. Returns (breakdown, grad_z, grad_x_hat, grad_z_hat) with
-    the lambda weights already folded into the gradients, ready for
-    backpropagation.
+    labels holds the rows' 0/1 tags, or the batch's entry of batch_groups.
+    Returns (breakdown, grad_z, grad_x_hat, grad_z_hat) with the lambda
+    weights already folded into the gradients, ready for backpropagation.
     """
     xm, xh = _pair(x, x_hat, "x", "x_hat")
     zm, zh = _pair(z, z_hat, "z", "z_hat")
@@ -303,12 +280,12 @@ def _center_distances(z, labels, center):
 
 
 def loss_svdd(z, labels, center, eps: float = 1e-6) -> float:
-    """Distance-to-center loss: pull unlabeled and normal rows in, push
-    labeled anomalies out through an inverse distance.
+    """Distance-to-center loss: pull unlabeled rows in, push labeled
+    anomalies out through an inverse distance.
 
     center is fixed after pretraining (see svdd_center); the labeled term
     carries the same unit weight as the unlabeled one. labels holds the
-    rows' label codes, or the batch's entry of batch_groups.
+    rows' 0/1 tags, or the batch's entry of batch_groups.
     """
     _, dists, groups = _center_distances(z, labels, center)
     return _distance_loss(dists, groups, eps)

@@ -189,15 +189,19 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise EsadError(f"{name} contains non-finite entries")
     return out
 
 
 def as_int_labels(values, name: str = "labels") -> np.ndarray:
     """values as a flat int64 array. Integer and bool arrays pass as they
     are; any other dtype must hold real int64 integers only, or a LabelError
-    lists the values that are not, rather than truncating them."""
-    arr = np.asarray(values).reshape(-1)
+    lists the values that are not, rather than truncating them. Ragged
+    values, which numpy cannot make one array of, are a LabelError too."""
+    try:
+        arr = np.asarray(values).reshape(-1)
+    except ValueError as exc:
+        raise LabelError(f"{name} must be integers, not ragged ({exc})") from None
     if arr.dtype.kind in "biu":
         return arr.astype(np.int64, copy=False)
     if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part

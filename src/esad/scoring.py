@@ -115,13 +115,13 @@ def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
 
 def _scored_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Flat float64 scores, all finite, and as many flat 0/1 int64 labels."""
+    y = as_binary_labels(labels)
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels).reshape(-1)
     if s.shape != y.shape:
         raise ShapeError(f"{s.size} scores for {y.size} labels")
     if not np.isfinite(s).all():
-        raise ValueError("scores contain non-finite values")
-    return s, as_binary_labels(y)
+        raise EsadError("scores contain non-finite values")
+    return s, y
 
 
 def auc(scores, labels) -> AucResult:

@@ -35,11 +35,9 @@ from esad.data import (
     synth_gaussians,
     verify_benchmark_stats,
 )
-from esad.losses import SemiLabel
 from esad.ndcore import ConfigError, EsadError, ShapeError
 
-U = int(SemiLabel.UNLABELED)
-A = int(SemiLabel.LABELED_ANOMALOUS)
+U, A = 0, 1  # a pool row's tag: unlabeled, or labeled anomaly
 
 
 # A scenario's realized counts and fractions, from its tags and its hidden

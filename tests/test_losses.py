@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose, assert_array_equal, assert_array_max_
 from esad.losses import (
     LossBreakdown,
     MissingPhiError,
-    SemiLabel,
     _group_masks,
     _distance_grad,
     _Groups,
@@ -25,7 +24,6 @@ from esad.losses import (
     derangement,
     grad_sad_rec,
     grad_svdd,
-    label_codes,
     loss_sad_rec,
     loss_svdd,
     rec_targets,
@@ -33,11 +31,9 @@ from esad.losses import (
     semi_loss_and_grads,
     svdd_center,
 )
-from esad.ndcore import EsadError, ShapeError
+from esad.ndcore import EsadError, LabelError, ShapeError, as_binary_labels
 
-U = int(SemiLabel.UNLABELED)
-N = int(SemiLabel.LABELED_NORMAL)
-A = int(SemiLabel.LABELED_ANOMALOUS)
+U, A = 0, 1  # a training row's tag: unlabeled, or labeled anomaly
 SWAP = np.array([1, 0])
 
 
@@ -137,32 +133,25 @@ def loop_oracle(x, z, x_hat, z_hat, tags, perm, lam1, lam2, eps):
 
 
 def masked_distance_loss(dists, tags, eps):
-    unl, nrm, anm = (np.asarray(tags) == t for t in (U, N, A))
-    m = int(nrm.sum() + anm.sum())
+    unl, anm = (np.asarray(tags) == t for t in (U, A))
     loss = 0.0
     if np.any(unl):
         loss += float(dists[unl].mean())
-    if m > 0:
-        labeled_sum = float(dists[nrm].sum()) if np.any(nrm) else 0.0
-        if np.any(anm):
-            labeled_sum += float((1.0 / (dists[anm] + eps)).sum())
-        loss += labeled_sum / m
+    if np.any(anm):
+        loss += float((1.0 / (dists[anm] + eps)).mean())
     return loss
 
 
 def masked_distance_grad(rows, dists, tags, eps):
-    unl, nrm, anm = (np.asarray(tags) == t for t in (U, N, A))
+    unl, anm = (np.asarray(tags) == t for t in (U, A))
     safe = np.where(dists > 0.0, dists, 1.0)
     units = np.where(dists[:, None] > 0.0, rows / safe[:, None], 0.0)
-    m = int(nrm.sum() + anm.sum())
     grad = np.zeros_like(rows)
     if np.any(unl):
         grad[unl] = units[unl] / unl.sum()
-    if np.any(nrm):
-        grad[nrm] = units[nrm] / m
     if np.any(anm):
         scale = -1.0 / (dists[anm] + eps) ** 2
-        grad[anm] = (scale[:, None] * units[anm]) / m
+        grad[anm] = (scale[:, None] * units[anm]) / anm.sum()
     return grad
 
 
@@ -229,36 +218,52 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
+# Tags outside {0, 1} and the LabelError each raises, as as_binary_labels
+# words it.
+BAD_TAGS = [
+    (2, "labels must be 0/1, got [2]"),
+    (-1, "labels must be 0/1, got [-1]"),
+    (1.5, "labels must be integers, got [1.5]"),
+    (np.nan, "labels must be integers, got [nan]"),
+]
+BAD_TAG_IDS = ["2", "-1", "1.5", "nan"]
+
+
 class TestLabels:
-    def test_label_codes_validation(self):
-        assert_array_equal(label_codes([U, N, A]), [0, 1, 2])
-        with pytest.raises(ValueError, match="unknown label"):
-            label_codes([0, 3])
-        with pytest.raises(ValueError, match=re.escape("unknown label codes [-1, 7]")):
-            label_codes([0, 7, -1, 7])
-        with pytest.raises(ShapeError):
-            label_codes([])
+    @pytest.mark.parametrize("bad,message", BAD_TAGS, ids=BAD_TAG_IDS)
+    def test_tags_outside_0_1_are_label_errors(self, bad, message):
+        z, x = np.ones((3, 2)), np.zeros((3, 2))
+        tags = [U, A, bad]
+        calls = [
+            lambda: batch_groups(tags, 2),
+            lambda: semi_loss_and_grads(x, z, x, z, tags, SWAP),
+            lambda: loss_svdd(z, tags, np.zeros(2)),
+            lambda: grad_svdd(z, tags, np.zeros(2)),
+        ]
+        for call in calls:
+            with pytest.raises(LabelError, match=f"^{re.escape(message)}$"):
+                call()
+        with pytest.raises(ShapeError, match="empty label sequence"):
+            batch_groups([], 4)
 
     def test_fractional_codes_rejected_not_truncated(self):
-        with pytest.raises(ValueError, match=re.escape("label codes must be integers, got [1.5]")):
-            label_codes([0, 1.5, 2.0])
-        with pytest.raises(ValueError, match="must be integers"):
-            batch_groups(np.array([0.0, 2.5, 1.0]), 2)
-        with pytest.raises(ValueError, match=re.escape("got [1e+300, inf, nan]")):
-            label_codes([0.0, np.nan, 1e300, np.inf])
-        assert_array_equal(label_codes([0.0, 1.0, 2.0]), [0, 1, 2])
+        with pytest.raises(LabelError, match=re.escape("labels must be integers, got [1.5]")):
+            batch_groups([0, 1.5, 1.0], 3)
+        with pytest.raises(LabelError, match="must be integers"):
+            batch_groups(np.array([0.0, 0.5, 1.0]), 2)
+        with pytest.raises(LabelError, match=re.escape("got [1e+300, inf, nan]")):
+            batch_groups([0.0, np.nan, 1e300, np.inf], 2)
+        groups = batch_groups([0.0, 1.0, 1.0], 3)[0]
+        assert_array_equal(groups.anm, [False, True, True])
 
 
 def group_masks_reference(labels) -> _Groups:
     """The per-batch group builder that batch_groups replaced (bar its
-    row-count check), as the reference: it counts each of the three groups
-    by mask and takes m as the normal plus the anomalous count."""
-    codes = label_codes(labels)
-    unl, nrm, anm = codes == 0, codes == 1, codes == 2  # SemiLabel codes
-    n, n_nrm = np.count_nonzero(unl), np.count_nonzero(nrm)
-    n_anm = np.count_nonzero(anm)
-    m = n_nrm + n_anm
-    div = np.where(unl, float(n), float(m))
+    row-count check), as the reference: it counts each group by mask."""
+    codes = as_binary_labels(labels)
+    unl, anm = codes == U, codes == A
+    n, n_anm = np.count_nonzero(unl), np.count_nonzero(anm)
+    div = np.where(unl, float(n), float(n_anm))
     return _Groups(anm, n_anm, div)
 
 
@@ -282,10 +287,10 @@ class TestBatchGroups:
     def test_matches_reference_on_every_slice(self, rows):
         rng = np.random.default_rng(rows)
         epochs = [
-            rng.integers(0, 3, size=rows),
-            rng.choice([0, 0, 0, 0, 1, 2], size=rows),
+            rng.integers(0, 2, size=rows),
+            rng.choice([0, 0, 0, 0, 1], size=rows),
             np.zeros(rows, dtype=np.int64),  # no labeled rows
-            np.full(rows, 2),  # no unlabeled rows
+            np.ones(rows, dtype=np.int64),  # no unlabeled rows
         ]
         for codes in epochs:
             self.assert_same_groups(
@@ -299,19 +304,19 @@ class TestBatchGroups:
                     batch = codes[k * b : (k + 1) * b]
                     self.assert_same_groups(got, group_masks_reference(batch))
 
-    def test_rejects_bad_codes_as_label_codes_does(self):
-        for bad in ([0, 3], [0, 7, -1, 7], [2, 1, 5]):
-            with pytest.raises(ValueError) as want:
-                label_codes(bad)
-            with pytest.raises(ValueError) as got:
-                batch_groups(bad, 2)
-            assert str(got.value) == str(want.value)
+    @pytest.mark.parametrize("bad,message", BAD_TAGS, ids=BAD_TAG_IDS)
+    def test_rejects_tags_outside_0_1_in_any_batch(self, bad, message):
+        # The bad tag sits in the last, short batch; the epoch is checked
+        # whole before any batch is built.
+        for codes in ([U, A, U, A, bad], [bad, A, A, U, U]):
+            with pytest.raises(LabelError, match=f"^{re.escape(message)}$"):
+                batch_groups(codes, 2)
         with pytest.raises(ShapeError):
             batch_groups([], 4)
 
     def test_losses_take_groups_for_codes(self):
         rng = np.random.default_rng(40)
-        tags = np.array([U, N, A, U, U, A, N])
+        tags = np.array([U, A, A, U, U, A, U])
         groups = batch_groups(tags, tags.size)[0]
         assert _group_masks(groups, tags.size) is groups
         with pytest.raises(ShapeError, match="groups of 7 rows for 6 rows"):
@@ -351,7 +356,7 @@ class TestDistanceGradGuard:
         rng = np.random.default_rng(41)
         for rows in (1, 5, 32):
             rows_ = rng.normal(size=(rows, 4))
-            codes = rng.integers(0, 3, size=rows)
+            codes = rng.integers(0, 2, size=rows)
             if zero is not None:
                 rows_[rng.random(rows) < 0.4] = zero
                 rows_[-1] = zero
@@ -365,7 +370,7 @@ class TestDistanceGradGuard:
     def test_nan_and_infinite_distances_match_reference(self):
         rows = np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0], [3.0, 4.0]])
         dists = np.sqrt((rows * rows).sum(axis=1))
-        groups = batch_groups([U, N, A, A], 4)[0]
+        groups = batch_groups([U, U, A, A], 4)[0]
         with np.errstate(invalid="ignore"):
             got = _distance_grad(rows, dists, groups, 1e-6)
             want = distance_grad_reference(rows, dists, groups, 1e-6)
@@ -429,7 +434,7 @@ class TestRecSemi:
         # their targets exactly, adding 0.
         x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [3.0, 7.0]])
         x_hat = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [7.0, 3.0]])
-        got, _ = rec_term(x, x_hat, [U, U, N, A], SWAP)
+        got, _ = rec_term(x, x_hat, [U, U, A, A], SWAP)
         assert_allclose(got, 2.5, rtol=1e-15)
 
     def test_anomaly_target_is_phi_of_x(self):
@@ -441,23 +446,23 @@ class TestRecSemi:
     def test_all_groups_weighted_equally(self):
         # One unlabeled row with error 2 and one labeled with error 6:
         # the group means add, giving 8 regardless of head counts.
-        x = np.array([[0.0], [0.0]])
-        x_hat = np.array([[np.sqrt(2.0)], [np.sqrt(6.0)]])
-        assert_allclose(rec_term(x, x_hat, [U, N])[0], 8.0, rtol=1e-15)
+        x = np.zeros((2, 2))
+        x_hat = np.array([[np.sqrt(2.0), 0.0], [np.sqrt(6.0), 0.0]])
+        assert_allclose(rec_term(x, x_hat, [U, A], SWAP)[0], 8.0, rtol=1e-15)
 
     def test_missing_phi_raises(self):
         with pytest.raises(MissingPhiError):
             rec_term([[1.0, 2.0]], [[0.0, 0.0]], [A], phi=None)
 
     def test_phi_not_needed_without_anomalies(self):
-        assert rec_term([[1.0, 2.0]], [[1.0, 2.0]], [N], phi=None)[0] == 0.0
+        assert rec_term([[1.0, 2.0]], [[1.0, 2.0]], [U], phi=None)[0] == 0.0
 
     def test_gradient_zero_at_target(self):
         phi = derangement(3, seed=3)
         x = np.random.default_rng(4).normal(size=(3, 3))
         targets = x.copy()
         targets[2] = x[2, phi]
-        _, g = rec_term(x, targets, [U, N, A], phi)
+        _, g = rec_term(x, targets, [U, U, A], phi)
         assert_allclose(g, np.zeros_like(g), atol=1e-15)
 
     def test_gradient_matches_central_differences(self):
@@ -465,7 +470,7 @@ class TestRecSemi:
         phi = derangement(4, seed=6)
         x = rng.normal(size=(5, 4))
         x_hat = rng.normal(size=(5, 4))
-        tags = [U, U, N, A, A]
+        tags = [U, U, U, A, A]
         _, analytic = rec_term(x, x_hat, tags, phi)
         numeric = fd_grad(lambda xh: rec_term(x, xh, tags, phi)[0], x_hat)
         assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
@@ -489,17 +494,14 @@ class TestNormSemi:
             0.2, rel=1e-15
         )
 
-    def test_labeled_normal_at_origin_is_zero(self):
-        assert norm_term([[0.0, 0.0]], [N])[0] == 0.0
-
     def test_anomaly_at_origin_capped_by_eps(self):
         assert norm_term([[0.0, 0.0]], [A], eps=1e-6)[0] == pytest.approx(1e6)
 
     def test_mixed_batch_hand_value(self):
-        z_hat = np.array([[3.0, 4.0], [0.0, 0.0], [0.6, 0.8]])
-        tags = [U, N, A]
-        # n=1 unlabeled: 5. m=2 labeled: (0 + 1/(1 + eps)) / 2.
-        expected = 5.0 + 0.5 * (1.0 / (1.0 + 1e-6))
+        z_hat = np.array([[3.0, 4.0], [0.0, 2.0], [0.6, 0.8]])
+        tags = [U, A, A]
+        # n=1 unlabeled: 5. m=2 labeled: (1/(2 + eps) + 1/(1 + eps)) / 2.
+        expected = 5.0 + 0.5 * (1.0 / (2.0 + 1e-6) + 1.0 / (1.0 + 1e-6))
         assert_allclose(norm_term(z_hat, tags)[0], expected, rtol=1e-15)
 
     def test_scaling_moves_groups_in_opposite_directions(self):
@@ -513,7 +515,7 @@ class TestNormSemi:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(8)
         z = safe_batch(rng, 5, 3)
-        tags = [U, U, N, A, A]
+        tags = [U, U, U, A, A]
         _, analytic = norm_term(z, tags)
         numeric = fd_grad(lambda zz: norm_term(zz, tags)[0], z)
         assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
@@ -526,7 +528,7 @@ class TestNormSemi:
         # One grouped-distance kernel serves both objectives.
         rng = np.random.default_rng(21)
         z = safe_batch(rng, 6, 3)
-        tags = [U, U, N, N, A, A]
+        tags = [U, U, U, A, A, A]
         loss, grad = norm_term(z, tags)
         assert loss == loss_svdd(z, tags, np.zeros(3))
         assert_array_equal(grad, grad_svdd(z, tags, np.zeros(3)))
@@ -584,7 +586,7 @@ class TestTotal:
         z = safe_batch(rng, 5, 3)
         x_hat = rng.normal(size=(5, 4))
         z_hat = safe_batch(rng, 5, 3)
-        tags = [U, U, N, A, A]
+        tags = [U, U, U, A, A]
         lam1, lam2 = 0.7, 1.3
         breakdown, g_z, g_xhat, g_zhat = semi_loss_and_grads(
             x, z, x_hat, z_hat, tags, phi, lam1, lam2
@@ -614,7 +616,7 @@ class TestTotal:
             x_hat = rng.normal(size=(rows, 3))
             z = rng.normal(size=(rows, 2))
             z_hat = rng.normal(size=(rows, 2))
-            tags = rng.integers(0, 3, size=rows)
+            tags = rng.integers(0, 2, size=rows)
             b = semi_loss_and_grads(x, z, x_hat, z_hat, tags, phi)[0]
             assert b.rec >= 0.0 and b.norm >= 0.0 and b.ass >= 0.0
 
@@ -624,10 +626,10 @@ class TestTotal:
         seen = set()
         for trial in range(200):
             rows = int(rng.integers(1, 9))
-            tags = [int(t) for t in rng.integers(0, 3, size=rows)]
-            if trial < 3:  # every group present, labeled normals included
-                tags = [U, N, A] + tags
-                rows += 3
+            tags = [int(t) for t in rng.integers(0, 2, size=rows)]
+            if trial < 3:  # both groups present
+                tags = [U, A] + tags
+                rows += 2
             seen.add(tuple(sorted(set(tags))))
             phi = derangement(4, seed=trial)
             x, x_hat = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
@@ -644,17 +646,17 @@ class TestTotal:
             assert_allclose(g_xhat, o_xhat, rtol=1e-12, atol=1e-15)
             assert_allclose(g_zhat, o_zhat, rtol=1e-12, atol=1e-15)
         # Every mix of groups occurs, a lone group included.
-        assert len(seen) == 7
+        assert len(seen) == 3
 
     def test_matches_masked_reference_bit_for_bit(self):
         rng = np.random.default_rng(25)
-        mixes = [(U,), (N,), (A,), (U, N), (U, A), (N, A), (U, N, A)]
+        mixes = [(U,), (A,), (U, A)]
         for trial in range(210):
-            mix = mixes[trial % 7]
+            mix = mixes[trial % 3]
             rows = len(mix) + int(rng.integers(0, 8))
             tags = np.array(list(mix) + list(rng.choice(mix, rows - len(mix))))
             rng.shuffle(tags)
-            eps = 0.0 if trial % 3 == 0 else 1e-6
+            eps = 0.0 if trial % 2 == 0 else 1e-6
             phi = derangement(4, seed=trial)
             x, x_hat = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
             z, z_hat = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
@@ -698,7 +700,7 @@ class TestTotal:
         phi = derangement(4, seed=24)
         x, x_hat = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         z, z_hat = rng.normal(size=(6, 3)), safe_batch(rng, 6, 3)
-        tags = [U, U, N, N, A, A]
+        tags = [U, U, U, A, A, A]
 
         def total(z_, x_hat_, z_hat_):
             b = semi_loss_and_grads(x, z_, x_hat_, z_hat_, tags, phi, 0.7, 1.3)[0]
@@ -722,7 +724,7 @@ class TestTotal:
             assert not math.isfinite(b.rec) and not math.isfinite(b.norm)
             assert not math.isfinite(b.ass)
             assert not math.isfinite(loss_sad_rec(x, bad))
-            assert not math.isfinite(loss_svdd(bad, [U, N], np.zeros(2)))
+            assert not math.isfinite(loss_svdd(bad, [U, A], np.zeros(2)))
 
 
 class TestSemiGrads:
@@ -732,18 +734,18 @@ class TestSemiGrads:
 
     def test_pool_targets_gather_to_batch_targets_and_gradients(self):
         rng = np.random.default_rng(31)
-        mixes = [(U,), (N,), (A,), (U, N), (U, A), (N, A), (U, N, A)]
+        mixes = [(U,), (A,), (U, A)]
         for trial in range(280):
-            mix = mixes[trial % 7]
+            mix = mixes[trial % 3]
             rows = len(mix) + int(rng.integers(0, 8))
             tags = np.array(list(mix) + list(rng.choice(mix, rows - len(mix))))
             # The batch sits at shuffled rows of a larger pool.
             pool = rows + int(rng.integers(0, 12))
             idx = rng.permutation(pool)[:rows]
-            pool_tags = rng.integers(0, 3, size=pool)
+            pool_tags = rng.integers(0, 2, size=pool)
             pool_tags[idx] = tags
             pool_x = rng.normal(size=(pool, 4))
-            eps = 0.0 if trial % 3 == 0 else 1e-6
+            eps = 0.0 if trial % 2 == 0 else 1e-6
             phi = derangement(4, seed=trial)
             z, x_hat, z_hat = (rng.normal(size=(rows, k)) for k in (3, 4, 3))
             # Rows at distance exactly 0, but no anomaly there when eps = 0.
@@ -813,14 +815,14 @@ class TestBaselineObjectives:
 
     def test_svdd_mixed_batch_hand_value(self):
         z = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
-        # Unlabeled distance 5; labeled: (1 + 1/(2 + eps)) / 2.
-        expected = 5.0 + 0.5 * (1.0 + 1.0 / (2.0 + 1e-6))
-        assert_allclose(loss_svdd(z, [U, N, A], np.zeros(2)), expected, rtol=1e-15)
+        # Unlabeled distance 5; labeled: (1/(1 + eps) + 1/(2 + eps)) / 2.
+        expected = 5.0 + 0.5 * (1.0 / (1.0 + 1e-6) + 1.0 / (2.0 + 1e-6))
+        assert_allclose(loss_svdd(z, [U, A, A], np.zeros(2)), expected, rtol=1e-15)
 
     def test_svdd_gradient_matches_central_differences(self):
         rng = np.random.default_rng(20)
         center = rng.normal(size=3)
-        tags = [U, U, N, A]
+        tags = [U, U, A, A]
         while True:
             z = rng.normal(size=(4, 3))
             if np.linalg.norm(z - center, axis=1).min() > 0.5:

@@ -22,7 +22,7 @@ from conftest import clip_oracle, fresh_grads, sgd_oracle
 from numpy.testing import assert_allclose, assert_array_equal
 
 from esad.data import RawDataset
-from esad.losses import derangement
+from esad.losses import derangement, loss_svdd
 from esad.ndcore import (
     ConfigError,
     DenseLayer,
@@ -834,7 +834,8 @@ class TestGradCheck:
 
 
 class TestInputBoundaries:
-    """Values from outside the program: a label array, or phi's width."""
+    """Values from outside the program: a label array, features, scores, or
+    phi's width."""
 
     def test_labels_outside_0_1_are_esad_errors(self):
         message = re.escape("labels must be 0/1, got [2]")
@@ -842,9 +843,20 @@ class TestInputBoundaries:
             RawDataset("r", np.zeros((3, 2)), [0, 1, 2])
         with pytest.raises(LabelError, match=message):
             auc([0.1, 0.2, 0.3], [0, 1, 2])
+        with pytest.raises(LabelError, match=message):
+            loss_svdd(np.ones((3, 2)), [0, 1, 2], np.zeros(2))
         assert issubclass(LabelError, EsadError)
 
-    ODD = (None, "8", True, 2.5, np.array(3), np.int64(3), Fraction(3), 3 + 0j)
+    def test_non_finite_features_and_scores_are_esad_errors(self):
+        with pytest.raises(
+            EsadError, match="^dataset 'd' feature matrix contains non-finite entries$"
+        ):
+            RawDataset("d", np.array([[np.inf]]), [0])
+        with pytest.raises(EsadError, match="^scores contain non-finite values$"):
+            auc([0.1, np.nan], [0, 1])
+
+    # [1] makes the labels ragged, which numpy cannot make one array of.
+    ODD = (None, "8", True, 2.5, np.array(3), np.int64(3), Fraction(3), 3 + 0j, [1])
 
     def test_odd_values_give_an_esad_error_or_a_normal_return(self):
         # Oracle: each call returns normally or raises an EsadError. Anything
@@ -852,8 +864,8 @@ class TestInputBoundaries:
         # in the boundary's checks.
         rng = np.random.default_rng(31)
         seen = set()
-        for _ in range(240):
-            which, boundary = int(rng.integers(len(self.ODD))), int(rng.integers(3))
+        for _ in range(400):
+            which, boundary = int(rng.integers(len(self.ODD))), int(rng.integers(4))
             odd = self.ODD[which]
             rows = int(rng.integers(1, 6))
             labels = rng.integers(0, 2, size=rows).tolist()
@@ -864,11 +876,13 @@ class TestInputBoundaries:
                     derangement(odd, 0)
                 elif boundary == 1:
                     RawDataset("r", np.zeros((rows, 2)), labels)
-                else:
+                elif boundary == 2:
                     auc(rng.random(rows), labels)
+                else:
+                    loss_svdd(np.ones((rows, 2)), labels, np.zeros(2))
             except EsadError:
                 pass
-        assert len(seen) == 3 * len(self.ODD)
+        assert len(seen) == 4 * len(self.ODD)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")
