@@ -15,7 +15,6 @@ from .harness import (
     KEYS,
     ExperimentConfig,
     Method,
-    TrainingDiverged,
     format_report_table,
     format_sweep_table,
     full_loss_grad_check,
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
         return 1
     # Config, parse, integrity and scenario errors, a file that is not UTF-8
     # text among them; a directory for a file, a file for a directory.
-    except (EsadError, TrainingDiverged, OSError) as exc:
+    except (EsadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

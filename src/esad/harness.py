@@ -83,7 +83,7 @@ from .ndcore import (
 from .scoring import auc, score_dataset
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(EsadError):
     """Training went non-finite: a step's gradient, before it was applied,
     or the final loss over the pool. component names the first non-finite
     loss component, or "gradient" when the step's losses are all finite."""
@@ -153,7 +153,7 @@ class ExperimentConfig:
 
 # Every config key by its file name, in file order; sgd stands for SgdConfig's.
 KEYS = {
-    f.metadata["name"] or f.name: f
+    f.name: f
     for top in fields(ExperimentConfig)
     for f in (fields(top.default) if is_dataclass(top.default) else (top,))
 }
@@ -586,8 +586,8 @@ def run_seed(
     artifact_hook(seed, semi, model, scores) fires after a successful seed,
     letting callers export scores or checkpoints without re-running. An
     expected per-seed error is recorded in the result so that the run
-    continues: data, scenario and AUC errors are EsadErrors, and divergence
-    has its own type. Anything else, a bare ValueError included, is a bug
+    continues: data, scenario, AUC and divergence (TrainingDiverged) errors
+    are all EsadErrors. Anything else, a bare ValueError included, is a bug
     and propagates.
     """
     start = time.perf_counter()
@@ -602,7 +602,7 @@ def run_seed(
         value = auc(scores, semi.y_test).auc
         if artifact_hook is not None:
             artifact_hook(seed, semi, trained.model, scores)
-    except (EsadError, TrainingDiverged) as exc:
+    except EsadError as exc:
         error = f"{type(exc).__name__}: {exc}"
         return SeedResult(seed, None, {}, time.perf_counter() - start, error)
     return SeedResult(seed, value, trained.loss, time.perf_counter() - start)

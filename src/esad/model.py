@@ -22,7 +22,9 @@ from .ndcore import (
     backward,
     forward,
     init_stack,
+    layer_bounds,
     pack_stacks,
+    param_views,
 )
 
 
@@ -150,23 +152,11 @@ def backward_pipeline(chain, caches, out_grads, grads) -> None:
             g += out_grads[k]
 
 
-# Checkpoint layout (all little-endian):
-#   magic "EDEMLP01" (8 bytes)
-#   u32 n_stacks, then per stack: u32 n_layers, then per layer:
-#     u32 out_dim, u32 in_dim, u8 activation (0=relu, 1=identity),
-#     out*in f64 weights row-major, out f64 biases.
-# The activation byte is fixed by the layer's place: 0 on hidden layers, 1 on
-# a stack's last. It is written that way, and anything else fails to load.
-_MAGIC = b"EDEMLP01"
-
-
-def _write_stack(fh, stack: MlpStack) -> None:
-    fh.write(struct.pack("<I", len(stack.layers)))
-    for i, layer in enumerate(stack.layers):
-        code = int(i == len(stack.layers) - 1)
-        fh.write(struct.pack("<IIB", layer.out_dim, layer.in_dim, code))
-        fh.write(np.ascontiguousarray(layer.weight, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+# Checkpoint layout, little-endian: the magic "EDEMLP02"; the u32 layer
+# counts of enc1, dec and enc2; the u32 out_dim and in_dim of every layer, in
+# params order; then params as f64. A layer is ReLU unless it is its stack's
+# last, so nothing more is stored.
+_MAGIC = b"EDEMLP02"
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -181,52 +171,47 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def _read_stack(fh, name: str) -> MlpStack:
-    (n_layers,) = struct.unpack("<I", _read_exact(fh, 4))
-    if n_layers == 0 or n_layers > 1024:
-        raise CheckpointError(f"implausible layer count {n_layers}")
-    layers = []
-    for i in range(n_layers):
-        out_dim, in_dim, code = struct.unpack("<IIB", _read_exact(fh, 9))
-        expected = int(i == n_layers - 1)
-        if code != expected:
-            raise CheckpointError(
-                f"{name} layer {i}: activation code {code}, expected {expected} "
-                "(0 = ReLU on hidden layers, 1 = identity on the last)"
-            )
-        if out_dim < 1 or in_dim < 1:
-            raise CheckpointError(f"layer widths must be positive, got {out_dim}x{in_dim}")
-        wb = np.frombuffer(_read_exact(fh, 8 * out_dim * (in_dim + 1)), dtype="<f8")
-        if not np.isfinite(wb).all():
-            raise CheckpointError(f"{name} layer {i}: non-finite weight or bias")
-        layers.append(DenseLayer(wb[:-out_dim].reshape(out_dim, in_dim), wb[-out_dim:]))
-    try:
-        return MlpStack(layers)
-    except ShapeError as exc:
-        raise CheckpointError(f"{name}: {exc}") from None
-
-
 def save_model(model: EsadModel, path) -> None:
     """Write the model to a binary checkpoint. Round-trips bit-exactly."""
+    counts = [len(stack.layers) for _, stack in model.stacks()]
+    dims = [n for layer in model.layers() for n in layer.weight.shape]
     with open(Path(path), "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", 3))
-        for _, stack in model.stacks():
-            _write_stack(fh, stack)
+        fh.write(_MAGIC + struct.pack(f"<{len(counts) + len(dims)}I", *counts, *dims))
+        fh.write(model.params.astype("<f8", copy=False))
 
 
 def load_model(path) -> EsadModel:
     """Read a checkpoint written by save_model into a new parameter vector."""
+    names = ("enc1", "dec", "enc2")
     with open(Path(path), "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise CheckpointError(f"bad magic {magic!r}")
-        (n_stacks,) = struct.unpack("<I", _read_exact(fh, 4))
-        if n_stacks != 3:
-            raise CheckpointError(f"expected 3 stacks, found {n_stacks}")
-        stacks = [_read_stack(fh, name) for name in ("enc1", "dec", "enc2")]
+        counts = struct.unpack("<3I", _read_exact(fh, 12))
+        if not all(1 <= n <= 1024 for n in counts):
+            raise CheckpointError(f"implausible layer counts {counts}")
+        dims = struct.unpack(f"<{2 * sum(counts)}I", _read_exact(fh, 8 * sum(counts)))
+        shapes = list(zip(dims[::2], dims[1::2]))
+        for out_dim, in_dim in shapes:
+            if not out_dim or not in_dim:
+                raise CheckpointError(f"layer widths must be positive, got {out_dim}x{in_dim}")
+        bounds = layer_bounds(shapes)
+        vec = np.frombuffer(_read_exact(fh, 8 * bounds[-1][2]), dtype="<f8")
         if fh.read(1):
             raise CheckpointError("trailing bytes after model data")
+    finite = np.isfinite(vec)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        at = sum(end <= first for *_, end in bounds)
+        name, i = [(s, i) for s, n in zip(names, counts) for i in range(n)][at]
+        raise CheckpointError(f"{name} layer {i}: non-finite weight or bias")
+    views = iter(param_views(shapes, vec))
+    stacks = []
+    for name, n in zip(names, counts):
+        try:
+            stacks.append(MlpStack([DenseLayer(*next(views)) for _ in range(n)]))
+        except ShapeError as exc:
+            raise CheckpointError(f"{name}: {exc}") from None
     try:
         return EsadModel(*stacks)
     except ShapeError as exc:

@@ -183,9 +183,21 @@ class LabelError(EsadError):
     """Raised for label values that are not integers, or not 0/1."""
 
 
+def as_float(values, name: str = "array") -> np.ndarray:
+    """values as a float64 array; an EsadError if they are ragged, complex
+    (a cast would drop the imaginary part) or not numbers."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError(f"got {arr.dtype} values")
+        return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, complex or text
+        raise EsadError(f"{name} must be an array of real numbers ({exc})") from None
+
+
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Validate and return a 2-D float64 array with finite entries."""
-    out = np.asarray(a, dtype=np.float64)
+    out = as_float(a, name)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -303,22 +315,26 @@ def init_stack(dims: list[int], rng: np.random.Generator) -> MlpStack:
 StackGrads = list[tuple[np.ndarray, np.ndarray]]
 
 
-def layer_bounds(layers: list[DenseLayer]) -> list[tuple[int, int, int]]:
+def _shape(layer) -> tuple[int, int]:
+    return layer.weight.shape if isinstance(layer, DenseLayer) else layer
+
+
+def layer_bounds(layers) -> list[tuple[int, int, int]]:
     """Where each layer sits in a vector holding the layers back to back:
-    (start, end of its row-major weight, end of the bias that follows)."""
-    bounds, start = [], 0
-    for layer in layers:
-        mid = start + layer.weight.size
-        end = mid + layer.bias.size
+    (start, end of its row-major weight, end of the bias that follows). A
+    layer is a DenseLayer, or its weight's shape (out_dim, in_dim)."""
+    bounds, end = [], 0
+    for out_dim, in_dim in map(_shape, layers):
+        start, mid = end, end + out_dim * in_dim
+        end = mid + out_dim
         bounds.append((start, mid, end))
-        start = end
     return bounds
 
 
-def param_views(layers: list[DenseLayer], vec: np.ndarray) -> StackGrads:
+def param_views(layers, vec: np.ndarray) -> StackGrads:
     """(weight, bias) views into vec, laid out as layer_bounds(layers) says."""
     return [
-        (vec[start:mid].reshape(layer.weight.shape), vec[mid:end])
+        (vec[start:mid].reshape(_shape(layer)), vec[mid:end])
         for layer, (start, mid, end) in zip(layers, layer_bounds(layers))
     ]
 
@@ -380,7 +396,7 @@ def forward(stacks, x, per_row=None):
     """
     one = isinstance(stacks, MlpStack)
     chain = (stacks,) if one else stacks
-    arr = np.asarray(x, dtype=np.float64)
+    arr = as_float(x, "input")
     if arr.ndim != 2:
         raise ShapeError(f"input must be a 2-D batch, got shape {arr.shape}")
     width = arr.shape[1]
@@ -480,11 +496,10 @@ def at_least(least: int) -> tuple:
     return (lambda value: value >= least), f">= {least}"
 
 
-def key(default, kind: Kind, rule=(lambda value: True, ""), name: str | None = None):
+def key(default, kind: Kind, rule=(lambda value: True, "")):
     """A config dataclass field, one row of the key table: the key's
-    default, kind and rule, and its config-file name if not the field's. A
-    key whose default is None may be left unset."""
-    return field(default=default, metadata={"kind": kind, "rule": rule, "name": name})
+    default, kind and rule. A key whose default is None may be left unset."""
+    return field(default=default, metadata={"kind": kind, "rule": rule})
 
 
 def check_key(f, value, text: bool = False):
@@ -494,13 +509,12 @@ def check_key(f, value, text: bool = False):
     if value is None and f.default is None:
         return None
     kind, (test, words) = f.metadata["kind"], f.metadata["rule"]
-    name = f.metadata["name"] or f.name
     try:
         typed = kind.convert(kind.parse(value) if text else value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be {kind.words}, got {value!r}") from None
+        raise ConfigError(f"{f.name} must be {kind.words}, got {value!r}") from None
     if not test(typed):
-        raise ConfigError(f"{name} must be {words}, got {typed!r}")
+        raise ConfigError(f"{f.name} must be {words}, got {typed!r}")
     return typed
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import EsadModel, forward_pipeline
-from .ndcore import EsadError, ShapeError, as_binary_labels, as_matrix
+from .ndcore import EsadError, ShapeError, as_binary_labels, as_float, as_matrix
 
 
 class SingleClassError(EsadError):
@@ -116,7 +116,7 @@ def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
 def _scored_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Flat float64 scores, all finite, and as many flat 0/1 int64 labels."""
     y = as_binary_labels(labels)
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    s = as_float(scores, "scores").reshape(-1)
     if s.shape != y.shape:
         raise ShapeError(f"{s.size} scores for {y.size} labels")
     if not np.isfinite(s).all():

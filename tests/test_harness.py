@@ -485,6 +485,7 @@ class TestTrainEsad:
         assert err.value.epoch == 0
         assert err.value.batch >= 0
         assert err.value.component in ("rec", "norm", "ass", "total")
+        assert isinstance(err.value, EsadError)  # a seed failure like any other
 
     def test_separable_data_scores_high(self):
         cfg = quick_config(sgd=SgdConfig(epochs=30, batch_size=64))

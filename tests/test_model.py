@@ -32,6 +32,8 @@ from esad.ndcore import (
     ShapeError,
     backward,
     forward,
+    init_stack,
+    layer_bounds,
     param_views,
     sgd_step,
 )
@@ -313,49 +315,71 @@ class TestShorterChains:
         assert _flat_grads(got) == _flat_grads(want)
 
 
+def checkpoint_models():
+    """Seeded models of several shapes: the default two-layer stacks, one-
+    and three-layer stacks, and a model whose every width is 1."""
+    rng = np.random.default_rng(21)
+    return [
+        new_model(9, hidden_dim=12, rep_dim=4, seed=11),
+        EsadModel(
+            init_stack([5, 2], rng), init_stack([2, 5], rng), init_stack([5, 2], rng)
+        ),
+        EsadModel(
+            init_stack([6, 9, 4, 3], rng),
+            init_stack([3, 4, 9, 6], rng),
+            init_stack([6, 8, 5, 3], rng),
+        ),
+        new_model(1, hidden_dim=1, rep_dim=1, seed=3),
+    ]
+
+
+def write_checkpoint(path, stacks, params=None):
+    """Write stacks, each a list of layer (out, in) widths, in the checkpoint
+    layout: the parameter entries are params, or zeros."""
+    shapes = [shape for dims in stacks for shape in dims]
+    header = struct.pack(
+        f"<{3 + 2 * len(shapes)}I", *map(len, stacks), *[n for s in shapes for n in s]
+    )
+    size = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+    body = bytes(8 * size) if params is None else params.astype("<f8").tobytes()
+    path.write_bytes(b"EDEMLP02" + header + body)
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        model = new_model(9, hidden_dim=12, rep_dim=4, seed=11)
         path = tmp_path / "model.ckpt"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.params.tobytes() == model.params.tobytes()
-        for (_, sa), (_, sb) in zip(model.stacks(), loaded.stacks()):
-            assert [l.weight.shape for l in sa.layers] == [
-                l.weight.shape for l in sb.layers
-            ]
+        for model in checkpoint_models():
+            save_model(model, path)
+            blob = path.read_bytes()
+            # The magic, the layer counts and widths, then params as they are.
+            header = 8 + 4 * (3 + 2 * len(model.layers()))
+            assert blob[:8] == b"EDEMLP02"
+            assert blob[header:] == model.params.tobytes()
+            write_checkpoint(
+                tmp_path / "oracle.ckpt",
+                [[l.weight.shape for l in s.layers] for _, s in model.stacks()],
+                model.params,
+            )
+            assert blob == (tmp_path / "oracle.ckpt").read_bytes()
+            loaded = load_model(path)
+            assert loaded.params.tobytes() == model.params.tobytes()
+            for (_, sa), (_, sb) in zip(model.stacks(), loaded.stacks()):
+                assert [l.weight.shape for l in sa.layers] == [
+                    l.weight.shape for l in sb.layers
+                ]
 
     def test_bytes_are_pinned(self, tmp_path):
-        # The EDEMLP01 bytes of one seeded model. Keeping the parameters in
-        # one vector must not change a byte of the format.
+        # The EDEMLP02 bytes of one seeded model: a 68-byte header (magic,
+        # three layer counts, six layers' widths), then the parameters.
         path = tmp_path / "model.ckpt"
-        save_model(new_model(9, hidden_dim=12, rep_dim=4, seed=11), path)
-        blob = path.read_bytes()
-        assert len(blob) == 4246
-        assert hashlib.sha256(blob).hexdigest() == (
-            "6a4c60a34738afe97c6ae872a0264dc034ef8a7525202edd2610e6dc3704a178"
-        )
-
-    def test_rejects_activation_bytes_off_the_fixed_rule(self, tmp_path):
-        # Hidden layers are ReLU (0) and a stack's last layer identity (1).
-        # The first layer's byte sits at 24; enc1's second layer header
-        # follows 8 * h * (d + 1) bytes of weights and biases.
-        model = new_model(5, hidden_dim=7, rep_dim=3, seed=18)
-        path = tmp_path / "model.ckpt"
+        model = new_model(9, hidden_dim=12, rep_dim=4, seed=11)
         save_model(model, path)
         blob = path.read_bytes()
-        second = 25 + 8 * 7 * 6 + 8
-        assert blob[24] == 0 and blob[second] == 1
-        for offset, code, where in (
-            (second, 0, "enc1 layer 1"),  # an all-ReLU stack
-            (24, 1, "enc1 layer 0"),  # an identity hidden layer
-            (24, 7, "enc1 layer 0"),  # no activation at all
-        ):
-            bad = bytearray(blob)
-            bad[offset] = code
-            path.write_bytes(bytes(bad))
-            with pytest.raises(CheckpointError, match=where):
-                load_model(path)
+        assert len(blob) == 4236
+        assert blob[68:] == model.params.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "3e1a5d5992f16bc03ca9eba70da1d1212dc55e2cfc965c71a511b568d709421c"
+        )
 
     def test_loaded_model_scores_identically(self, tmp_path):
         model = new_model(6, seed=12)
@@ -371,15 +395,20 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
             load_model(path)
+        # A file with the old EDEMLP01 magic is no longer read.
+        save_model(new_model(5, seed=14), path)
+        path.write_bytes(b"EDEMLP01" + path.read_bytes()[8:])
+        with pytest.raises(CheckpointError, match=re.escape("bad magic b'EDEMLP01'")):
+            load_model(path)
 
     def test_rejects_truncation(self, tmp_path):
         model = new_model(5, seed=14)
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         blob = path.read_bytes()
-        # The first layer header sits after the magic, n_stacks and n_layers.
-        # A (2^32-1) x (2^32-1) layer claims more bytes than an int64 holds.
-        huge = struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)
+        # The layer counts sit at 8, and the first layer's widths at 20. A
+        # (2^32-1) x (2^32-1) layer claims more bytes than an int64 holds.
+        huge = struct.pack("<II", 2**32 - 1, 2**32 - 1)
         # A well-formed file whose first encoder has a zero-width hidden layer.
         r = model.enc1.out_dim
         hollow = MlpStack(
@@ -389,29 +418,40 @@ class TestCheckpoint:
             ]
         )
         save_model(EsadModel(hollow, model.dec, model.enc2), path)
-        for bad in (
-            blob[: len(blob) // 2],
-            blob[:16] + huge + blob[25:],
-            path.read_bytes(),
+        for bad, message in (
+            (blob[: len(blob) // 2], "truncated checkpoint: wanted"),
+            (blob[:30], "truncated checkpoint: wanted 48 bytes, 10 left"),
+            (blob[:20] + huge + blob[28:], "truncated checkpoint: wanted"),
+            (blob[:8] + struct.pack("<I", 0) + blob[12:], "implausible layer counts (0, 2, 2)"),
+            (blob[:16] + struct.pack("<I", 2**32 - 1) + blob[20:], "layer counts (2, 2, 4294967295)"),
+            (path.read_bytes(), "layer widths must be positive, got 0x5"),
         ):
             path.write_bytes(bad)
-            with pytest.raises(CheckpointError):
+            with pytest.raises(CheckpointError, match=re.escape(message)):
                 load_model(path)
 
     def test_rejects_non_finite_parameters(self, tmp_path):
-        # enc1's first weight sits at 25, after the magic, n_stacks, n_layers
-        # and the layer header; the file ends with enc2's last bias.
+        # params start at 68, after the magic, the layer counts and six
+        # layers' widths; the file ends with enc2's last bias. A layer's
+        # entries run from its start to its bias's end.
         model = new_model(5, hidden_dim=7, rep_dim=3, seed=19)
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         blob = path.read_bytes()
-        assert blob[25:33] == model.enc1.layers[0].weight[0, 0].tobytes()
+        assert blob[68:76] == model.enc1.layers[0].weight[0, 0].tobytes()
         assert blob[-8:] == model.enc2.layers[-1].bias[-1].tobytes()
+        bounds = layer_bounds(model.layers())
         for value in (np.nan, np.inf, -np.inf):
             patch = np.float64(value).tobytes()
-            for offset, where in ((25, "enc1 layer 0"), (len(blob) - 8, "enc2 layer 1")):
+            for entry, where in (
+                (0, "enc1 layer 0"),
+                (bounds[1][2] - 1, "enc1 layer 1"),
+                (bounds[3][0], "dec layer 1"),
+                (bounds[-1][2] - 1, "enc2 layer 1"),
+            ):
+                offset = 68 + 8 * entry
                 path.write_bytes(blob[:offset] + patch + blob[offset + 8 :])
-                with pytest.raises(CheckpointError, match=f"{where}: non-finite"):
+                with pytest.raises(CheckpointError, match=f"^{where}: non-finite"):
                     load_model(path)
 
     def test_rejects_trailing_bytes(self, tmp_path):
@@ -423,27 +463,15 @@ class TestCheckpoint:
             load_model(path)
 
     def test_stacks_that_do_not_fit_raise_checkpoint_error(self, tmp_path):
-        # Each stack is a list of layer (out, in) widths, written in the
-        # checkpoint layout with zero weights and biases.
-        def write(path, stacks):
-            with open(path, "wb") as fh:
-                fh.write(b"EDEMLP01" + struct.pack("<I", len(stacks)))
-                for dims in stacks:
-                    fh.write(struct.pack("<I", len(dims)))
-                    for i, (out_dim, in_dim) in enumerate(dims):
-                        last = int(i == len(dims) - 1)
-                        fh.write(struct.pack("<IIB", out_dim, in_dim, last))
-                        fh.write(bytes(8 * out_dim * (in_dim + 1)))
-
         enc, dec = [(7, 5), (3, 7)], [(7, 3), (5, 7)]
         path = tmp_path / "model.ckpt"
-        write(path, [enc, dec, enc])
+        write_checkpoint(path, [enc, dec, enc])
         assert not load_model(path).params.any()
         for stacks, message in (
             ([[(7, 5), (3, 6)], dec, enc], "enc1: layer dims do not chain: 7 -> 6"),
             ([enc, [(7, 3), (4, 7)], enc], "decoder 3->4 does not mirror encoder 5->3"),
             ([enc, dec, [(7, 5), (4, 7)]], "second encoder 5->4 does not match"),
         ):
-            write(path, stacks)
+            write_checkpoint(path, stacks)
             with pytest.raises(CheckpointError, match=re.escape(message)):
                 load_model(path)

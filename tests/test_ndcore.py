@@ -44,7 +44,8 @@ from esad.ndcore import (
     param_views,
     sgd_step,
 )
-from esad.scoring import auc
+from esad.model import new_model
+from esad.scoring import auc, score_dataset
 
 
 # Oracles
@@ -854,6 +855,22 @@ class TestInputBoundaries:
             RawDataset("d", np.array([[np.inf]]), [0])
         with pytest.raises(EsadError, match="^scores contain non-finite values$"):
             auc([0.1, np.nan], [0, 1])
+
+    def test_ragged_text_and_complex_values_are_esad_errors(self):
+        # Each is a plain ValueError or TypeError from numpy's own float64
+        # cast; a complex array it would cast with a warning, dropping 2j.
+        model = new_model(2)
+        for call, name in (
+            (lambda: auc([0.1, [0.2]], [0, 1]), "scores"),
+            (lambda: auc(["a", 0.2], [0, 1]), "scores"),
+            (lambda: RawDataset("d", [[1.0], [1.0, 2.0]], [0, 1]), "dataset 'd' feature matrix"),
+            (lambda: score_dataset(model, [[1.0, 2.0], [1.0]]), "input"),
+            (lambda: as_matrix([[1j]]), "array"),
+            (lambda: as_matrix(np.array([[1 + 2j]])), "array"),
+        ):
+            message = f"^{re.escape(name)} must be an array of real numbers"
+            with pytest.raises(EsadError, match=message):
+                call()
 
     # [1] makes the labels ragged, which numpy cannot make one array of.
     ODD = (None, "8", True, 2.5, np.array(3), np.int64(3), Fraction(3), 3 + 0j, [1])
